@@ -1,35 +1,27 @@
-"""Sharded fleet throughput — zero-copy fabric vs the legacy baseline.
+"""Sharded fleet throughput — 4 process shards vs one in-process shard.
 
 Not a paper figure: this benchmarks the `repro.fleet.sharding` layer
-plus the PR-10 zero-copy transport refactor.  Two legs run over the
-same cohort:
+and its shard-result transport.  Two legs run over the same cohort:
 
-* **baseline** — the PR-9-equivalent configuration: single process,
-  pickle transport, pure-numpy FISTA (forced via ``REPRO_NO_NUMBA=1``
-  in a subprocess so the compiled kernels cannot leak in);
-* **sharded** — 4 process shards on the shared-memory transport with
-  whatever FISTA backend is live (numba when installed).
+* **baseline** — ``n_shards=1``: the single stripe runs inline, in this
+  process, with the pickle transport;
+* **sharded** — 4 process shards on the shared-memory transport (pickle
+  where the platform has no shared memory).
 
 The merged `FleetSummary` must be **byte-identical** between the two
-legs — which simultaneously proves the sharding determinism contract,
-the shm fabric, *and* the numba/numpy bit-exactness claim of
-`repro.compression.fista_kernels`.  On a machine with >= 4 cores the
-sharded leg must clear 10x over the baseline when the compiled drain is
-live, 2x on the numpy fallback.  On smaller runners the speedup
-assertion is skipped — byte-equivalence always gates.
+legs, which proves the sharding determinism contract and the shm
+fabric together.  On a machine with >= 4 cores the sharded leg must
+clear 2x over the baseline; on smaller runners the speedup assertion
+is skipped, and byte-equivalence always gates.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-import sys
 
 import pytest
 from conftest import print_table
 
-from repro.compression.fista_kernels import backend
 from repro.fleet import (
     CohortConfig,
     GatewayConfig,
@@ -44,64 +36,36 @@ N_PATIENTS = 12
 DURATION_S = 120.0
 FS = 250.0
 N_SHARDS = 4
-#: Required sharded-over-baseline speedup on a >= 4-core machine with
-#: the compiled FISTA drain live.
-MIN_SPEEDUP_COMPILED = 10.0
-#: Fallback floor when numba is absent: parallelism alone must carry.
-MIN_SPEEDUP_FALLBACK = 2.0
-
-_BASELINE_SNIPPET = """
-import json, sys
-from repro.fleet import (CohortConfig, GatewayConfig, NodeProxyConfig,
-                         SchedulerConfig, ShardedFleetRunner, make_cohort)
-cohort = make_cohort(CohortConfig(n_patients={n_patients}, seed=7))
-report = ShardedFleetRunner(
-    cohort, n_shards=1, transport="pickle",
-    config=SchedulerConfig(duration_s={duration}, fs={fs}),
-    node_config=NodeProxyConfig(stream_telemetry=False),
-    gateway_config=GatewayConfig(n_iter=80)).run()
-json.dump({{"wall_s": report.timings_s["total"],
-            "summary": report.summary.to_json(),
-            "packets": report.packets_sent}}, sys.stdout)
-"""
+#: Required sharded-over-baseline speedup on a >= 4-core machine.
+MIN_SPEEDUP = 2.0
 
 
-def run_baseline() -> dict:
-    """The PR-9-equivalent leg in a numpy-only subprocess."""
-    env = dict(os.environ, REPRO_NO_NUMBA="1")
-    env.setdefault("PYTHONPATH", "src")
-    code = _BASELINE_SNIPPET.format(n_patients=N_PATIENTS,
-                                    duration=DURATION_S, fs=FS)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
-def run_sharded():
-    """The zero-copy leg: N shards over shared memory (when present)."""
+def run_fleet(n_shards: int, transport: str):
+    """One sharded run of the benchmark cohort."""
     cohort = make_cohort(CohortConfig(n_patients=N_PATIENTS, seed=7))
-    transport = ("shared_memory" if SharedMemoryTransport.available()
-                 else "pickle")
     return ShardedFleetRunner(
-        cohort, n_shards=N_SHARDS, transport=transport,
+        cohort, n_shards=n_shards, transport=transport,
         config=SchedulerConfig(duration_s=DURATION_S, fs=FS),
         node_config=NodeProxyConfig(stream_telemetry=False),
-        gateway_config=GatewayConfig(n_iter=80)).run(), transport
+        gateway_config=GatewayConfig(n_iter=80)).run()
 
 
 def test_fleet_throughput_sharded(benchmark):
-    baseline, (sharded, transport) = benchmark.pedantic(
-        lambda: (run_baseline(), run_sharded()), rounds=1, iterations=1)
-    speedup = baseline["wall_s"] / sharded.timings_s["total"]
+    transport = ("shared_memory" if SharedMemoryTransport.available()
+                 else "pickle")
+    baseline, sharded = benchmark.pedantic(
+        lambda: (run_fleet(1, "pickle"), run_fleet(N_SHARDS, transport)),
+        rounds=1, iterations=1)
+    speedup = baseline.timings_s["total"] / sharded.timings_s["total"]
 
     print_table(
         f"Sharded fleet ({N_PATIENTS} patients x {DURATION_S:.0f} s, "
         f"{N_SHARDS} shards)",
         ["metric", "value"],
         [
-            ("baseline wall [s] (1 proc, numpy, pickle)",
-             baseline["wall_s"]),
-            (f"{N_SHARDS}-shard wall [s] ({transport}, {backend()})",
+            ("baseline wall [s] (1 shard, in process)",
+             baseline.timings_s["total"]),
+            (f"{N_SHARDS}-shard wall [s] ({transport})",
              sharded.timings_s["total"]),
             ("speedup [x]", speedup),
             ("patients/sec (sharded)", sharded.patients_per_second),
@@ -111,12 +75,10 @@ def test_fleet_throughput_sharded(benchmark):
         ],
     )
 
-    # The determinism contract gates unconditionally — and because the
-    # baseline leg ran on the numpy fallback in another process, this
-    # also proves the compiled drain and the shm fabric change nothing.
-    assert sharded.summary.to_json() == baseline["summary"], \
-        "zero-copy sharded FleetSummary diverged from the baseline leg"
-    assert sharded.packets_sent == baseline["packets"]
+    # The determinism contract gates unconditionally.
+    assert sharded.summary.to_json() == baseline.summary.to_json(), \
+        "sharded FleetSummary diverged from the 1-shard baseline"
+    assert sharded.packets_sent == baseline.packets_sent
     assert sharded.summary.n_patients == N_PATIENTS
     assert sharded.summary.dropped_packets == 0
 
@@ -124,9 +86,6 @@ def test_fleet_throughput_sharded(benchmark):
         pytest.skip(f"speedup assertion needs >= {N_SHARDS} cores "
                     f"(have {os.cpu_count() or 1}); byte-equivalence "
                     "already checked")
-    floor = (MIN_SPEEDUP_COMPILED if backend() == "numba"
-             else MIN_SPEEDUP_FALLBACK)
-    assert speedup >= floor, (
-        f"{N_SHARDS}-shard zero-copy run only {speedup:.2f}x faster "
-        f"than the single-process baseline (need >= {floor}x with the "
-        f"{backend()} drain)")
+    assert speedup >= MIN_SPEEDUP, (
+        f"{N_SHARDS}-shard run only {speedup:.2f}x faster than the "
+        f"1-shard baseline (need >= {MIN_SPEEDUP}x)")

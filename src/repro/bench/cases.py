@@ -74,6 +74,11 @@ from .registry import BenchContext, register
 FS = 250.0
 
 
+def _samples(cohort, duration_s: float) -> int:
+    """Samples one fleet leg synthesizes: every lead of every patient."""
+    return sum(p.n_leads for p in cohort) * int(duration_s * FS)
+
+
 @register("fig1-abstraction-ladder",
           "Fig. 1 bandwidth/energy ladder over all abstraction rungs",
           legacy="test_fig1_abstraction_ladder", tags=("figure",))
@@ -294,7 +299,7 @@ def fleet_throughput(ctx: BenchContext) -> dict:
     report = scheduler.run()
     return {
         "patients": n_patients,
-        "samples": int(n_patients * duration * FS) * 3,
+        "samples": _samples(cohort, duration),
         "packets": report.packets_sent,
         "snr_p50_db": report.summary.snr_p50_db,
         "dropped": report.summary.dropped_packets,
@@ -314,14 +319,11 @@ def fleet_throughput_sharded(ctx: BenchContext) -> dict:
     the platform has one (and additionally byte-checks the pickle
     backend against it), so the timing covers the zero-copy fabric:
     shard results travel as segment handles and merge without an
-    unpickle copy, with the compiled FISTA drain
-    (:mod:`repro.compression.fista_kernels`) behind reconstruction.
-    The headline metric is the 4-process speedup over the
-    single-process run; on the 1-core containers that record baselines
-    it hovers near 1.0 — multi-core gates live in
+    unpickle copy.  The headline metric is the 4-process speedup over
+    the single-process run; on the 1-core containers that record
+    baselines it hovers near 1.0 — multi-core gates live in
     ``benchmarks/test_fleet_throughput_sharded.py``.
     """
-    from repro.compression.fista_kernels import backend
     from repro.fleet.transport import SharedMemoryTransport
 
     n_patients = 6 if ctx.quick else 16
@@ -352,11 +354,10 @@ def fleet_throughput_sharded(ctx: BenchContext) -> dict:
     wall_sharded = sharded.timings_s["total"]
     return {
         "patients": n_patients,
-        "samples": int(n_patients * duration * FS) * 3 * 2,
+        "samples": _samples(cohort, duration) * (3 if shm else 2),
         "packets": sharded.packets_sent,
         "byte_identical": True,
         "transport": transport,
-        "fista_backend": backend(),
         "speedup_vs_single_process": wall_single / wall_sharded,
         "single_process_wall_s": wall_single,
         "sharded_wall_s": wall_sharded,
@@ -400,7 +401,7 @@ def fleet_serve_throughput(ctx: BenchContext) -> dict:
     wall_served = served.timings_s["total"]
     return {
         "patients": n_patients,
-        "samples": int(n_patients * duration * FS) * 3 * 2,
+        "samples": _samples(cohort, duration) * 2,
         "packets": served.packets_sent,
         "byte_identical": True,
         "served_packets_per_second": served.packets_sent / wall_served,
@@ -473,7 +474,7 @@ def fleet_journal_replay(ctx: BenchContext) -> dict:
             f"run (bar: {MIN_REPLAY_SPEEDUP:.0f}x)")
     return {
         "patients": n_patients,
-        "samples": int(n_patients * duration * FS) * 3 * 2,
+        "samples": _samples(cohort, duration) * 2,
         "packets": replay.n_packets,
         "records": replay.n_records,
         "journal_bytes": journal_bytes,
@@ -590,8 +591,7 @@ def fleet_obs_overhead(ctx: BenchContext) -> dict:
             f"{1.0 + MAX_OBS_OVERHEAD:.2f}x budget")
     return {
         "patients": n_patients,
-        "samples": int(n_patients * duration * FS) * 3 * 2
-        * len(plain_cpu),
+        "samples": _samples(cohort, duration) * 2 * len(plain_cpu),
         "overhead_ratio": ratio,
         "plain_cpu_s": float(np.median(plain_cpu)),
         "obs_cpu_s": float(np.median(obs_cpu)),
@@ -676,8 +676,8 @@ def fleet_event_kernel(ctx: BenchContext) -> dict:
             "accounting regression")
     return {
         "patients": eq_patients + n_patients,
-        "samples": int((eq_patients * eq_duration * 2
-                        + n_patients * duration) * FS) * 3,
+        "samples": (_samples(cohort, eq_duration) * 2
+                    + _samples(sparse_cohort, duration)),
         "byte_identical": True,
         "ticks_wall_s": walls["ticks"],
         "kernel_wall_s": walls["kernel"],
@@ -739,12 +739,13 @@ def scenario_campaign(ctx: BenchContext) -> dict:
         grid = grid[:2]
     config = CampaignConfig(n_patients=n_patients, n_sentinels=2,
                             duration_s=60.0, master_seed=ctx.seed)
-    report = CampaignRunner(grid, config).run()
+    runner = CampaignRunner(grid, config)
+    report = runner.run()
     false_drop = max(res.sentinel_false_drop_rate
                      for res in report.results)
     return {
         "patients": n_patients * len(report.results),
-        "samples": int(n_patients * len(report.results) * 60.0 * FS) * 3,
+        "samples": _samples(runner.cohort(), 60.0) * len(report.results),
         "scenarios": len(report.results),
         "worst_sentinel_false_drop": false_drop,
     }

@@ -30,7 +30,6 @@ import numpy as np
 
 from ..dsp.wavelets import orthogonal_dwt_matrix
 from .encoder import EncodedWindow
-from .fista_kernels import group_shrink_update
 from .matrices import SensingMatrix
 
 
@@ -81,14 +80,17 @@ def row_stable_matmul(a: np.ndarray, b: np.ndarray,
     return full[:rows]
 
 
-def group_soft_threshold(rows: np.ndarray, threshold: float) -> np.ndarray:
+def group_soft_threshold(rows: np.ndarray,
+                         threshold: float | np.ndarray) -> np.ndarray:
     """Row-wise group shrinkage (the l2,1 proximal operator).
 
     Args:
-        rows: Coefficient matrix of shape ``(n, L)``.
-        threshold: Shrinkage amount applied to each row's l2 norm.
+        rows: Coefficient matrix of shape ``(n, L)``, or a batch of
+            them of shape ``(B, n, L)``; rows run along the last axis.
+        threshold: Shrinkage amount applied to each row's l2 norm; a
+            ``(B, 1, 1)`` array gives each batch entry its own.
     """
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
     scale = np.maximum(0.0, 1.0 - threshold / np.maximum(norms, 1e-12))
     return rows * scale
 
@@ -119,17 +121,13 @@ def group_fista(operators: Sequence[np.ndarray], ys: Sequence[np.ndarray],
     alpha = np.zeros((n, n_leads))
     momentum = alpha.copy()
     t = 1.0
-    threshold = np.array([lam * step])
     for _ in range(n_iter):
         grad = np.stack(
             [operators[lead].T @ (operators[lead] @ momentum[:, lead] - ys[lead])
              for lead in range(n_leads)], axis=1)
+        new_alpha = group_soft_threshold(momentum - step * grad, lam * step)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        new_alpha, new_momentum = group_shrink_update(
-            momentum[None], grad[None], step, threshold, alpha[None],
-            (t - 1.0) / t_next)
-        new_alpha = new_alpha[0]
-        momentum = new_momentum[0]
+        momentum = new_alpha + ((t - 1.0) / t_next) * (new_alpha - alpha)
         moved = np.linalg.norm(new_alpha - alpha)
         scale = max(1e-12, np.linalg.norm(alpha))
         alpha = new_alpha
@@ -155,11 +153,7 @@ def group_fista_batch(operators: Sequence[np.ndarray],
     one-window path to float round-off.  The stacked products run
     through :func:`row_stable_matmul`, so each window's trajectory is
     *bit-identical* under any batch partition — the property the
-    sharded fleet runner's byte-equivalence rests on.  The elementwise
-    tail of each iteration (shift, group shrink, momentum) runs through
-    :func:`~repro.compression.fista_kernels.group_shrink_update`, which
-    compiles to one fused loop when numba is available and is
-    bit-identical to the pure-numpy expressions either way.
+    sharded fleet runner's byte-equivalence rests on.
 
     Args:
         operators: Per-lead measurement operators, each ``(m, n)``.
@@ -197,12 +191,12 @@ def group_fista_batch(operators: Sequence[np.ndarray],
                 - ys[active, lead, :]
             row_stable_matmul(residual, operators[lead],
                               out=grad_act[:, :, lead])
+        new_alpha = group_soft_threshold(
+            mom - step * grad_act, (lams[active] * step)[:, None, None])
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         old = alpha[active]
-        new_alpha, new_momentum = group_shrink_update(
-            mom, grad_act, step, lams[active] * step, old,
-            (t - 1.0) / t_next)
-        momentum[active] = new_momentum
+        momentum[active] = new_alpha + ((t - 1.0) / t_next) * \
+            (new_alpha - old)
         moved = np.linalg.norm(new_alpha - old, axis=(1, 2))
         scale = np.maximum(1e-12, np.linalg.norm(old, axis=(1, 2)))
         alpha[active] = new_alpha

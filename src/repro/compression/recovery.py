@@ -21,7 +21,6 @@ import numpy as np
 
 from ..dsp.wavelets import orthogonal_dwt_matrix
 from .encoder import EncodedWindow
-from .fista_kernels import soft_shrink_update
 from .matrices import SensingMatrix
 
 
@@ -52,16 +51,11 @@ def fista(A: np.ndarray, y: np.ndarray, lam: float, n_iter: int = 200,
     momentum = alpha.copy()
     t = 1.0
     At = A.T
-    # The elementwise tail (shift, soft threshold, momentum) runs
-    # through the fused kernel — compiled with numba when available,
-    # bit-identical numpy expressions otherwise (see
-    # :mod:`repro.compression.fista_kernels`).
     for _ in range(n_iter):
         grad = At @ (A @ momentum - y)
+        new_alpha = soft_threshold(momentum - step * grad, lam * step)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        new_alpha, momentum = soft_shrink_update(
-            momentum, grad, step, lam * step, alpha,
-            (t - 1.0) / t_next)
+        momentum = new_alpha + ((t - 1.0) / t_next) * (new_alpha - alpha)
         moved = np.linalg.norm(new_alpha - alpha)
         scale = max(1e-12, np.linalg.norm(alpha))
         alpha = new_alpha

@@ -28,7 +28,6 @@ whatever is still buffered at end of run.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -446,9 +445,6 @@ class Gateway:
         buffer, so its sequence number will later be written off as a
         gap like any other loss.
 
-        The legacy split entry points (``ingest_bytes`` for frames,
-        ``ingest`` for objects only) survive as deprecation shims.
-
         Raises:
             ~repro.fleet.wire.WireFormatError: A bytes-like payload
                 does not parse as a valid packet frame.
@@ -549,19 +545,6 @@ class Gateway:
         if self._journal is not None:
             self._journal.append_packet(data, packet.patient_id)
         return self._ingest_packet(packet)
-
-    def ingest_bytes(self, data: bytes | bytearray | memoryview) -> bool:
-        """Deprecated: use :meth:`ingest`, which accepts wire frames.
-
-        Thin shim kept for one release so external callers migrate
-        smoothly; emits :class:`DeprecationWarning` and forwards to the
-        unified entry point.
-        """
-        warnings.warn(
-            "Gateway.ingest_bytes() is deprecated; Gateway.ingest() "
-            "now dispatches on payload type and accepts wire frames "
-            "directly", DeprecationWarning, stacklevel=2)
-        return self.ingest(data)
 
     def flush_reassembly(self) -> int:
         """Force-release every reassembly buffer (end of run / timeout).

@@ -7,8 +7,9 @@ each tick it stacks the current excerpt window of every patient (grouped
 by lead count) into one numpy batch and encodes the whole group with a
 single matrix product per lead (:class:`BatchExcerptEncoder`), instead
 of per-patient ``Phi @ x`` calls.  The per-patient node phase (synthesis,
-delineation, AF analysis) is independent across patients and can run on
-a :class:`~concurrent.futures.ThreadPoolExecutor` worker pool.
+delineation, AF analysis) is independent across patients; it runs
+inline here, and :class:`~repro.fleet.ShardedFleetRunner` spreads it
+over processes.
 
 The batch path matches :meth:`CsEncoder.encode` up to float round-off
 (BLAS summation order, ~1e-15 relative), so gateway reconstruction
@@ -23,7 +24,6 @@ the uplink run on stacked matrix products instead of per-patient loops.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol
 
@@ -57,9 +57,8 @@ from .kernel import (
     EventKernel,
 )
 from .node_proxy import PACKET_EXCERPT, NodeProxy, NodeProxyConfig, UplinkPacket
-from .transport import BufferPool
 from .triage import FleetSummary, TriageBoard, fleet_summary
-from .wire import ServeMessage, encode_packet_into
+from .wire import ServeMessage, encode_packet
 
 #: Simulation clocks :class:`SchedulerConfig.engine` may name.
 ENGINES = ("kernel", "ticks")
@@ -184,8 +183,6 @@ class SchedulerConfig:
     Attributes:
         duration_s: Simulated recording length per patient.
         fs: Node sampling rate.
-        workers: Thread-pool size for the per-patient node phase
-            (``0`` = run inline).
         drain_per_tick: Gateway packets processed per tick (``None`` =
             drain fully; a finite budget exercises the bounded queue).
         wire_loopback: Route every delivered packet through the binary
@@ -207,7 +204,6 @@ class SchedulerConfig:
 
     duration_s: float = 120.0
     fs: float = 250.0
-    workers: int = 0
     drain_per_tick: int | None = None
     wire_loopback: bool = False
     engine: str = "kernel"
@@ -389,10 +385,6 @@ class FleetScheduler:
         self.acuity_override = acuity_override
         self.governors: dict[str, EnergyGovernor] = {}
         self._batch_encoders: dict[int, BatchExcerptEncoder] = {}
-        # Scratch for the wire-loopback encode path: frames are built
-        # in a leased pooled buffer instead of a fresh bytes object
-        # per packet (see repro.fleet.transport.BufferPool).
-        self._wire_pool = BufferPool()
         #: Uplink packets offered per patient (before any channel
         #: impairment) — the per-patient split of ``packets_sent``,
         #: which shard workers report row by row.
@@ -422,7 +414,7 @@ class FleetScheduler:
                 self.journal.append_message(ServeMessage(
                     "period", pid, fields={"period_s": period}))
 
-        # Phase 1 — per-patient node processing (parallelizable).
+        # Phase 1 — per-patient node processing.
         def node_phase(profile: PatientProfile,
                        ) -> tuple[NodeProxy, MultiLeadEcg, NodeReport]:
             record = synthesize_patient(profile, cfg.duration_s, cfg.fs)
@@ -434,11 +426,7 @@ class FleetScheduler:
                                   emit_alarms=False)
             return proxy, record, report
 
-        if cfg.workers > 0:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(node_phase, self.cohort))
-        else:
-            results = [node_phase(profile) for profile in self.cohort]
+        results = [node_phase(profile) for profile in self.cohort]
         t_node = time.perf_counter()
 
         reports = {proxy.profile.patient_id: report
@@ -1124,13 +1112,7 @@ class FleetScheduler:
         gateway would see.
         """
         if self.config.wire_loopback:
-            # Encode into a leased pooled buffer: the gateway decodes
-            # (copying, since the buffer is writable and recycled) and
-            # journals synchronously, so nothing aliases the lease
-            # after ingest returns.
-            with self._wire_pool.lease() as buf:
-                encode_packet_into(packet, buf)
-                self.gateway.ingest(buf)
+            self.gateway.ingest(encode_packet(packet))
         else:
             self.gateway.ingest(packet)
 

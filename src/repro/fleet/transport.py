@@ -1,4 +1,4 @@
-"""Zero-copy payload transport: views, pools and shard fabrics.
+"""Zero-copy payload transport: views and shard fabrics.
 
 Every payload-carrying layer of the fleet runtime (packet codec, shard
 result blobs, gateway drain, journal segments) used to copy bytes at
@@ -14,8 +14,6 @@ replaces those copies:
   return views instead of copies (the backing storage must be
   *immutable* ``bytes``: a ``bytearray`` or socket scratch buffer can
   be mutated after decode, so those still copy);
-* :class:`BufferPool` — reusable ``bytearray`` scratch for encode hot
-  paths, so steady-state encoding allocates nothing;
 * :class:`ShardTransport` — how a shard worker's result blob travels
   home: the :class:`PickleTransport` backend ships the blob through
   the executor's result pickle (works everywhere), the
@@ -51,7 +49,6 @@ import itertools
 import os
 import struct
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -89,12 +86,12 @@ def is_aliasable(data) -> bool:
 
 
 class PayloadView:
-    """A read-only window over a pooled or shared buffer.
+    """A read-only window over a shared or inline buffer.
 
     The unit the zero-copy layers exchange: a read-only
     :class:`memoryview` plus the object that keeps the backing storage
     alive (a :class:`~multiprocessing.shared_memory.SharedMemory`
-    segment, a pooled ``bytearray``, or nothing for plain ``bytes``).
+    segment, an inline handle, or nothing for plain ``bytes``).
     Arrays built with :meth:`array` alias the buffer and are marked
     non-writeable, so holding one can never corrupt — or be corrupted
     by — the transport layer underneath.
@@ -154,49 +151,6 @@ class PayloadView:
             self.view.release()
         except BufferError:
             pass
-
-
-class BufferPool:
-    """Reusable ``bytearray`` scratch for encode hot paths.
-
-    Encoders that write into a leased buffer
-    (:func:`~repro.fleet.wire.encode_packet_into`) allocate nothing in
-    steady state: the pool hands out cleared buffers that keep their
-    grown capacity across leases.  Not thread-safe by design — each
-    connection/scheduler owns its own pool, mirroring how each owns its
-    own :class:`~repro.fleet.wire.StreamDecoder`.
-
-    Args:
-        max_buffers: Retained-buffer cap; extras are dropped to the
-            allocator on release.
-    """
-
-    def __init__(self, max_buffers: int = 4) -> None:
-        if max_buffers < 1:
-            raise ValueError("max_buffers must be positive")
-        self.max_buffers = int(max_buffers)
-        self._free: list[bytearray] = []
-
-    def acquire(self) -> bytearray:
-        """An empty buffer (recycled when available, else fresh)."""
-        if self._free:
-            return self._free.pop()
-        return bytearray()
-
-    def release(self, buf: bytearray) -> None:
-        """Return a buffer; it is cleared but keeps its capacity."""
-        if len(self._free) < self.max_buffers:
-            del buf[:]
-            self._free.append(buf)
-
-    @contextmanager
-    def lease(self):
-        """``with pool.lease() as buf:`` — acquire/release pairing."""
-        buf = self.acquire()
-        try:
-            yield buf
-        finally:
-            self.release(buf)
 
 
 class ShardTransport:

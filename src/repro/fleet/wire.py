@@ -57,8 +57,8 @@ straight out of the frame it ingested.  Mutable sources
 can ever corrupt a held packet.  Callers owning a stable buffer (a
 mapped shared-memory segment) may force views with ``copy=False``.
 On the encode side, :func:`encode_packet_into` appends the frame to a
-caller-provided (pooled) ``bytearray`` without materialising
-intermediate ``tobytes()`` copies.
+caller-provided ``bytearray`` without materialising intermediate
+``tobytes()`` copies.
 
 On top of the packet codec this module also defines the **stream
 layer** the socket gateway service (:mod:`repro.fleet.serve`) speaks:
@@ -171,11 +171,10 @@ def encode_packet(packet: UplinkPacket) -> bytes:
 def encode_packet_into(packet: UplinkPacket, out: bytearray) -> int:
     """Append one packet's version-1 frame to ``out``.
 
-    The pooled-buffer encode path
-    (:class:`~repro.fleet.transport.BufferPool`): measurement and
-    reference buffers are appended straight from their numpy memory —
-    no intermediate ``tobytes()`` copies, no allocation beyond the
-    growth of ``out`` itself.  Returns the number of bytes appended.
+    Measurement and reference buffers are appended straight from their
+    numpy memory — no intermediate ``tobytes()`` copies, no allocation
+    beyond the growth of ``out`` itself.  Returns the number of bytes
+    appended.
 
     Raises:
         WireFormatError: A frame's window count contradicts the

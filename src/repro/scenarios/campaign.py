@@ -29,7 +29,6 @@ import functools
 import json
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,35 +76,24 @@ class CampaignConfig:
         duration_s: Simulated recording length per patient.
         fs: Node sampling rate.
         master_seed: The one seed everything derives from.
-        workers: Thread-pool size for the node phase (0 = inline; keep
-            0 when byte-identical float reproducibility matters).
         gateway_n_iter: FISTA budget of the gateway decoder (lower than
             the single-patient default — a campaign reconstructs
             hundreds of windows).
         excerpt_period_s: Node excerpt period.
         stream_telemetry: Run the per-node streaming monitor (off by
             default for campaign speed).
-        patient_workers: Opt-in process-pool sweep.  ``0`` (default)
-            keeps the joint single-process path: one scheduler per
-            scenario over the whole cohort, one shared link RNG drawn in
-            packet order.  ``>= 1`` decomposes the grid into independent
-            ``(patient, scenario)`` units — each with its own gateway,
-            triage machine and per-patient link seed
-            (``derive_seed(master, scenario, "link", patient_id)``) —
-            executed on up to ``patient_workers`` processes and merged
-            by ``(patient_id, scenario)`` key in cohort x grid order.
-            Reports are byte-identical across any worker count >= 1
-            (tested); they differ from the joint path only in the
+        shard_workers: Opt-in parallel sweep.  ``0`` (default) keeps
+            the joint single-process path: one scheduler per scenario
+            over the whole cohort, one shared link RNG drawn in packet
+            order.  ``>= 1`` runs each scenario through a
+            :class:`~repro.fleet.ShardedFleetRunner` with this many
+            worker processes (``1`` runs inline, in this process), each
+            patient on its own link seed
+            (``derive_seed(master, scenario, "link", patient_id)``),
+            and folds the per-patient shard rows in cohort x grid
+            order.  Reports are byte-identical across any worker count
+            >= 1 (tested); they differ from the joint path only in the
             (equally valid) per-patient channel draws.
-        shard_workers: Opt-in shard-backed sweep: each scenario runs
-            once through a :class:`~repro.fleet.ShardedFleetRunner`
-            with this many worker processes, per-patient links seeded
-            exactly like the decomposed path, and the per-patient shard
-            rows are folded by the same merge machinery.  Byte-identical
-            to the ``patient_workers`` path (tested) while running whole
-            patient stripes per process instead of one ``(patient,
-            scenario)`` unit per task.  Mutually exclusive with
-            ``patient_workers``.
         governed: Run every node under a per-patient
             :class:`~repro.power.EnergyGovernor` (closed-loop mode
             adaptation); enables the ``battery_drain`` /
@@ -138,8 +126,7 @@ class CampaignConfig:
             :class:`~repro.fleet.JournalReplayer` instead of
             re-simulating them, byte-identical by the replay
             determinism contract.  Joint single-process path only —
-            mutually exclusive with ``patient_workers`` and
-            ``shard_workers``.
+            mutually exclusive with ``shard_workers``.
     """
 
     n_patients: int = 20
@@ -147,11 +134,9 @@ class CampaignConfig:
     duration_s: float = 60.0
     fs: float = 250.0
     master_seed: int = 2014
-    workers: int = 0
     gateway_n_iter: int = 80
     excerpt_period_s: float = 60.0
     stream_telemetry: bool = False
-    patient_workers: int = 0
     shard_workers: int = 0
     governed: bool = False
     governor_capacity_mah: float = 0.05
@@ -166,21 +151,15 @@ class CampaignConfig:
             raise ValueError("need at least one patient")
         if not 0 <= self.n_sentinels <= self.n_patients:
             raise ValueError("n_sentinels must be within the cohort")
-        if self.patient_workers < 0:
-            raise ValueError("patient_workers must be >= 0")
         if self.shard_workers < 0:
             raise ValueError("shard_workers must be >= 0")
-        if self.patient_workers and self.shard_workers:
-            raise ValueError("patient_workers and shard_workers are "
-                             "mutually exclusive sweep modes")
         if self.journal_dir is not None:
             if not self.journal_dir:
                 raise ValueError("journal_dir must be a non-empty path")
-            if self.patient_workers or self.shard_workers:
+            if self.shard_workers:
                 raise ValueError(
                     "journal_dir journals the joint single-process "
-                    "path; it is mutually exclusive with "
-                    "patient_workers and shard_workers")
+                    "path; it is mutually exclusive with shard_workers")
         if self.governor_capacity_mah <= 0:
             raise ValueError("governor_capacity_mah must be positive")
         if not 0 < self.governor_initial_soc <= 1:
@@ -331,10 +310,10 @@ def _governed_kit(spec: ScenarioSpec, config: CampaignConfig):
 
 @dataclass(frozen=True)
 class _PatientOutcome:
-    """Result of one ``(patient, scenario)`` unit of a decomposed sweep.
+    """One patient's row of one scenario in the shard-backed sweep.
 
-    Only the (picklable) numbers the merged :class:`ScenarioResult`
-    needs cross the process boundary — never the reconstructed signals.
+    Only the numbers the merged :class:`ScenarioResult` needs are kept
+    — never the reconstructed signals.
     """
 
     patient_id: str
@@ -362,10 +341,8 @@ def _patient_link(spec: ScenarioSpec, master_seed: int,
                   patient_id: str) -> ImpairedLink:
     """One patient's channel model, seeded per patient.
 
-    The single seed-derivation site shared by the decomposed
-    (``patient_workers``) and shard-backed (``shard_workers``) sweeps —
-    their byte-identity depends on both drawing from exactly these
-    streams.
+    Seeding per patient (not per shard) is what makes the shard-backed
+    sweep byte-identical across any ``shard_workers`` count.
     """
     return ImpairedLink(spec.link,
                         seed=derive_seed(master_seed, spec.name,
@@ -375,8 +352,8 @@ def _patient_link(spec: ScenarioSpec, master_seed: int,
 def _fault_injector(spec: ScenarioSpec, master_seed: int):
     """Per-patient fault injection hook with seed-derived streams.
 
-    Shared by both sweep modes for the same reason as
-    :func:`_patient_link`.
+    Shared by the joint and shard-backed paths; seeded per patient for
+    the same reason as :func:`_patient_link`.
     """
 
     def inject(prof: PatientProfile, record: MultiLeadEcg) -> MultiLeadEcg:
@@ -388,67 +365,6 @@ def _fault_injector(spec: ScenarioSpec, master_seed: int):
     return inject
 
 
-def _patient_unit(spec: ScenarioSpec, profile: PatientProfile,
-                  config: CampaignConfig,
-                  detector: AfDetector) -> _PatientOutcome:
-    """Run one patient through one scenario, fully self-contained.
-
-    Module-level so a :class:`ProcessPoolExecutor` can pickle it.  Every
-    random stream is derived from the master seed plus the scenario and
-    patient names — the outcome is a pure function of its arguments, so
-    any process/worker assignment computes identical numbers.
-    """
-    t0 = time.perf_counter()
-    link = (_patient_link(spec, config.master_seed, profile.patient_id)
-            if spec.link.impaired else None)
-    inject = _fault_injector(spec, config.master_seed)
-    factory, extra_load, acuity_override = _governed_kit(spec, config)
-    scheduler = FleetScheduler(
-        [profile],
-        SchedulerConfig(duration_s=config.duration_s, fs=config.fs,
-                        engine=config.scheduler_engine),
-        node_config=NodeProxyConfig(
-            excerpt_period_s=config.excerpt_period_s,
-            stream_telemetry=config.stream_telemetry),
-        gateway=Gateway(GatewayConfig(n_iter=config.gateway_n_iter)),
-        af_detector=detector,
-        link=link,
-        record_transform=inject if spec.signal_faults else None,
-        governor_factory=factory,
-        extra_load=extra_load,
-        acuity_override=acuity_override,
-    )
-    fleet = scheduler.run()
-    gateway = scheduler.gateway
-    channel = gateway.channels.get(profile.patient_id)
-    triage = scheduler.board.patients[profile.patient_id]
-    governor = scheduler.governors.get(profile.patient_id)
-    return _PatientOutcome(
-        patient_id=profile.patient_id,
-        scenario=spec.name,
-        packets_sent=fleet.packets_sent,
-        packets_reconstructed=len(fleet.excerpts),
-        node_alarms=len(fleet.node_reports[profile.patient_id].alarms),
-        confirmed_alarms=channel.n_confirmed if channel else 0,
-        payload_bits=channel.payload_bits if channel else 0,
-        duplicates=channel.n_duplicates if channel else 0,
-        gaps=channel.n_gaps if channel else 0,
-        queue_dropped=gateway.dropped,
-        snrs=tuple(channel.snrs) if channel else (),
-        state=triage.state,
-        stale=triage.stale,
-        link_stats=dict(fleet.link_stats),
-        runtime_s=time.perf_counter() - t0,
-        mode_seconds=(dict(governor.mode_seconds)
-                      if governor is not None else {}),
-        governor_switches=(governor.n_switches
-                           if governor is not None else 0),
-        final_soc=(governor.battery.soc
-                   if governor is not None else float("nan")),
-        telemetry_packets=channel.n_telemetry if channel else 0,
-    )
-
-
 def _scenario_shard_hooks(spec: ScenarioSpec, config: CampaignConfig,
                           profiles: list[PatientProfile],
                           master_seed: int) -> ShardHooks:
@@ -456,14 +372,14 @@ def _scenario_shard_hooks(spec: ScenarioSpec, config: CampaignConfig,
 
     Module-level (pickled as a :func:`functools.partial` over ``spec``
     and ``config``) so the :class:`~repro.fleet.ShardedFleetRunner` can
-    ship it to workers.  Every random stream comes from the *same*
-    per-patient derivation sites as the decomposed path
-    (:func:`_patient_link`, :func:`_fault_injector`), which is what
-    makes the two sweep modes byte-identical by construction.
+    ship it to workers.  Every random stream comes from a per-patient
+    derivation site (:func:`_patient_link`, :func:`_fault_injector`),
+    which is what makes the sweep byte-identical under any shard
+    layout.
     """
 
     def link_for(patient_id: str):
-        """One independent channel per patient, decomposed-path seeds."""
+        """One independent channel per patient."""
         return _patient_link(spec, master_seed, patient_id)
 
     factory, extra_load, acuity_override = _governed_kit(spec, config)
@@ -579,9 +495,9 @@ class CampaignRunner:
             a seed-derived corpus when omitted.
         obs: Optional observability bundle.  The joint in-process path
             threads it through the gateway/scheduler/governor hot
-            joints; the decomposed and sharded paths keep it
-            parent-side (workers are separate processes) where it
-            records per-scenario and per-unit wall-time gauges.
+            joints; the sharded path keeps it parent-side (workers are
+            separate processes) where it records per-scenario and
+            per-unit wall-time gauges.
     """
 
     def __init__(self, scenarios: tuple[ScenarioSpec, ...] | list,
@@ -647,12 +563,8 @@ class CampaignRunner:
         cohort = self.cohort()
         report = CampaignReport(config=cfg)
         clean_p50: float | None = None
-        if cfg.shard_workers >= 1:
-            outcomes = self._run_sharded(cohort, detector)
-        elif cfg.patient_workers >= 1:
-            outcomes = self._run_decomposed(cohort, detector)
-        else:
-            outcomes = None
+        outcomes = (self._run_sharded(cohort, detector)
+                    if cfg.shard_workers >= 1 else None)
         for i, spec in enumerate(self.scenarios):
             if outcomes is not None:
                 result = self._merge_scenario(spec, cohort, outcomes,
@@ -698,35 +610,6 @@ class CampaignRunner:
         for pid, sec in sorted(result.unit_runtimes_s.items()):
             unit_g.set(sec, patient=pid, scenario=result.scenario)
 
-    def _run_decomposed(self, cohort: list[PatientProfile],
-                        detector: AfDetector,
-                        ) -> dict[tuple[str, str], _PatientOutcome]:
-        """Run every ``(patient, scenario)`` unit, keyed — not ordered.
-
-        Results are collected into a dict keyed by ``(patient_id,
-        scenario)`` as they *complete* (arbitrary arrival order under a
-        process pool); :meth:`_merge_scenario` then reads them back in
-        cohort x grid order.  Merging must never depend on arrival
-        order — that is what makes a 4-worker run byte-identical to
-        ``patient_workers=1`` (tested).
-        """
-        cfg = self.config
-        units = [(spec, profile) for spec in self.scenarios
-                 for profile in cohort]
-        outcomes: dict[tuple[str, str], _PatientOutcome] = {}
-        if cfg.patient_workers == 1:
-            for spec, profile in units:
-                outcome = _patient_unit(spec, profile, cfg, detector)
-                outcomes[(profile.patient_id, spec.name)] = outcome
-            return outcomes
-        with ProcessPoolExecutor(max_workers=cfg.patient_workers) as pool:
-            futures = [pool.submit(_patient_unit, spec, profile, cfg,
-                                   detector) for spec, profile in units]
-            for future in as_completed(futures):
-                outcome = future.result()
-                outcomes[(outcome.patient_id, outcome.scenario)] = outcome
-        return outcomes
-
     def _run_sharded(self, cohort: list[PatientProfile],
                      detector: AfDetector,
                      ) -> dict[tuple[str, str], _PatientOutcome]:
@@ -734,11 +617,9 @@ class CampaignRunner:
 
         Each scenario's cohort is striped across ``shard_workers``
         processes by a :class:`~repro.fleet.ShardedFleetRunner`; the
-        decoded per-patient shard rows become the same
-        :class:`_PatientOutcome` units the decomposed path produces, so
-        :meth:`_merge_scenario` is reused unchanged.  Per-patient link
-        and fault seeds match the decomposed path, making the two modes
-        byte-identical (tested).  The per-shard gateway's queue-drop
+        decoded per-patient shard rows become :class:`_PatientOutcome`
+        rows keyed by ``(patient_id, scenario)``, which
+        :meth:`_merge_scenario` folds.  The per-shard gateway's queue-drop
         counter has no per-patient attribution; it is carried on the
         scenario's first cohort row (zero in practice — the merge only
         ever sums it).
@@ -908,7 +789,6 @@ class CampaignRunner:
         scheduler = FleetScheduler(
             cohort,
             SchedulerConfig(duration_s=cfg.duration_s, fs=cfg.fs,
-                            workers=cfg.workers,
                             engine=cfg.scheduler_engine),
             node_config=NodeProxyConfig(
                 excerpt_period_s=cfg.excerpt_period_s,
@@ -1066,8 +946,7 @@ class CampaignRunner:
                 for ch in scheduler.gateway.channels.values()),
             # The joint path runs the whole cohort in one scheduler
             # loop, so the per-unit split is an even share of the
-            # scenario wall time (exact attribution needs the
-            # decomposed or sharded path).
+            # scenario wall time.
             unit_runtimes_s={
                 p.patient_id: runtime / max(1, summary.n_patients)
                 for p in fleet.profiles},

@@ -21,6 +21,9 @@ from repro.bench import (
     write_baselines,
 )
 
+from repro.bench.cases import FS, _samples
+from repro.fleet import PatientProfile
+
 BENCHMARKS_DIR = Path(__file__).parent.parent / "benchmarks"
 
 
@@ -224,6 +227,20 @@ class TestFleetLifetimeCase:
         assert result["lifetime_gain"] > 1.0
         assert result["best_static"] in ("multi_lead_cs", "raw")
         assert result["mean_switches"] > 0
+
+
+class TestSampleCounts:
+    """Nominal ``samples`` of the fleet cases: every lead, whole samples."""
+
+    def test_counts_every_lead_of_every_patient(self):
+        cohort = [PatientProfile(patient_id=f"p{i}", n_leads=leads)
+                  for i, leads in enumerate((1, 3, 2, 3))]
+        assert _samples(cohort, 60.0) == 9 * int(60.0 * FS)
+
+    def test_duration_truncates_to_whole_samples(self):
+        cohort = [PatientProfile(patient_id="p", n_leads=1)]
+        assert _samples(cohort, 1.0 + 0.5 / FS) == int(FS)
+        assert _samples([], 60.0) == 0
 
 
 class TestSchemaValidator:

@@ -16,6 +16,7 @@ from repro.compression import (
     group_soft_threshold,
     reconstruction_snr_db,
     row_stable_matmul,
+    soft_threshold,
 )
 
 
@@ -42,6 +43,44 @@ class TestGroupSoftThreshold:
         out = group_soft_threshold(rows, 1.0)
         assert np.allclose(out / np.linalg.norm(out),
                            rows / np.linalg.norm(rows))
+
+    def test_batch_thresholds_match_per_entry_calls(self, rng):
+        # The batched FISTA shrinks (B, n, L) with one threshold per
+        # window; each entry must equal the scalar call bit for bit.
+        batch = rng.standard_normal((4, 16, 3))
+        thresholds = np.array([0.0, 0.5, 1.0, 2.5])
+        out = group_soft_threshold(batch, thresholds[:, None, None])
+        for b in range(batch.shape[0]):
+            single = group_soft_threshold(batch[b], thresholds[b])
+            assert out[b].tobytes() == single.tobytes()
+
+    def test_zero_norm_rows_shrink_to_zero(self):
+        # The norm floor keeps all-zero rows finite: no 0/0, no warning.
+        rows = np.zeros((3, 2))
+        with np.errstate(all="raise"):
+            out = group_soft_threshold(rows, 0.25)
+        assert np.all(out == 0.0)
+
+    def test_nan_row_stays_local(self):
+        rows = np.array([[np.nan, 1.0], [3.0, 4.0]])
+        out = group_soft_threshold(rows, 1.0)
+        assert np.all(np.isnan(out[0]))
+        assert out[1].tobytes() == group_soft_threshold(
+            rows[1:], 1.0)[0].tobytes()
+
+    def test_zero_threshold_is_identity(self, rng):
+        rows = rng.standard_normal((16, 3))
+        assert group_soft_threshold(rows, 0.0).tobytes() == rows.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(x=hnp.arrays(np.float64, st.integers(1, 50),
+                        elements=st.floats(-1e3, 1e3, allow_nan=False)),
+           t=st.floats(0.0, 100.0))
+    def test_single_lead_reduces_to_soft_threshold(self, x, t):
+        # One lead per row: the l2,1 prox is the scalar l1 prox.
+        out = group_soft_threshold(x[:, None], t)[:, 0]
+        assert np.allclose(out, soft_threshold(x, t), rtol=1e-12,
+                           atol=1e-9)
 
 
 class TestGroupFista:
@@ -166,6 +205,46 @@ class TestRecoverBatch:
         ops = [np.eye(4)]
         with pytest.raises(ValueError, match="shape"):
             group_fista_batch(ops, np.zeros((2, 3, 4)), np.zeros(2))
+
+
+class TestGroupFistaBatch:
+    """Per-window independence of the batched joint solver."""
+
+    @staticmethod
+    def _problem(n_leads, n_windows=5, m=24, n=48, seed=0):
+        rng = np.random.default_rng(seed)
+        operators = [rng.standard_normal((m, n)) / np.sqrt(m)
+                     for _ in range(n_leads)]
+        ys = rng.standard_normal((n_windows, n_leads, m))
+        lams = rng.uniform(0.01, 0.2, size=n_windows)
+        return operators, ys, lams
+
+    @pytest.mark.parametrize("n_leads", [1, 2, 3, 8])
+    def test_bit_identical_under_any_partition(self, n_leads):
+        # Windows freeze at different iterations; neither that nor the
+        # batch they share may move another window's trajectory by a bit.
+        operators, ys, lams = self._problem(n_leads, seed=n_leads)
+        batch = group_fista_batch(operators, ys, lams, n_iter=150)
+        for w in range(ys.shape[0]):
+            solo = group_fista_batch(operators, ys[w:w + 1],
+                                     lams[w:w + 1], n_iter=150)
+            assert solo[0].tobytes() == batch[w].tobytes()
+
+    def test_zero_operator_returns_zeros(self):
+        out = group_fista_batch([np.zeros((4, 8))] * 2,
+                                np.ones((3, 2, 4)), np.full(3, 0.1))
+        assert out.shape == (3, 8, 2)
+        assert np.all(out == 0.0)
+
+    def test_dominant_lambda_zeroes_only_its_window(self):
+        operators, ys, lams = self._problem(3)
+        correlations = np.stack([operators[lead].T @ ys[2, lead]
+                                 for lead in range(3)], axis=1)
+        lams[2] = 2.0 * np.max(np.linalg.norm(correlations, axis=1))
+        out = group_fista_batch(operators, ys, lams, n_iter=150)
+        assert np.all(out[2] == 0.0)
+        for w in (0, 1, 3, 4):
+            assert np.any(out[w] != 0.0)
 
 
 class TestRowStableMatmul:

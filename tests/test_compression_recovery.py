@@ -11,6 +11,7 @@ from repro.compression import (
     CsEncoder,
     debias,
     fista,
+    group_fista,
     omp,
     reconstruction_snr_db,
     soft_threshold,
@@ -31,6 +32,15 @@ class TestSoftThreshold:
         x = np.array([3.0, -3.0, 0.5, -0.5])
         out = soft_threshold(x, 1.0)
         assert np.allclose(out, [2.0, -2.0, 0.0, 0.0])
+
+    def test_nan_propagates_with_numpy_sign_semantics(self):
+        out = soft_threshold(np.array([np.nan, -2.0, 0.0, 2.0]), 0.5)
+        assert np.isnan(out[0])
+        assert out[1] == -1.5 and out[2] == 0.0 and out[3] == 1.5
+
+    def test_zero_threshold_is_identity(self, rng):
+        x = rng.standard_normal(64)
+        assert soft_threshold(x, 0.0).tobytes() == x.tobytes()
 
 
 def _sparse_problem(rng, m=60, n=120, k=6, noise=0.0):
@@ -68,6 +78,17 @@ class TestFista:
         short = fista(A, y, lam, n_iter=5, tol=0.0)
         long = fista(A, y, lam, n_iter=200, tol=0.0)
         assert objective(long) <= objective(short) + 1e-9
+
+    def test_single_lead_group_fista_matches_fista(self, rng):
+        # With one lead the l2,1 prox is the l1 prox, so the joint
+        # solver must land on the single-lead solution.
+        A, y, _ = _sparse_problem(rng, noise=0.05)
+        lam = 0.02 * np.max(np.abs(A.T @ y))
+        joint = group_fista([A], [y], lam, n_iter=300, tol=0.0)
+        assert joint.shape == (A.shape[1], 1)
+        assert np.allclose(joint[:, 0], fista(A, y, lam, n_iter=300,
+                                              tol=0.0),
+                           rtol=1e-9, atol=1e-12)
 
 
 class TestOmp:

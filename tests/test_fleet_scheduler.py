@@ -84,23 +84,6 @@ class TestFleetRun:
         assert summary.dropped_packets == 0
         assert report.patients_per_second > 0
 
-    def test_workers_match_inline(self):
-        # The thread-pool path must produce the same fleet outcome.
-        cohort = make_cohort(CohortConfig(n_patients=4, seed=8))
-        outcomes = []
-        for workers in (0, 2):
-            scheduler = FleetScheduler(
-                cohort, SchedulerConfig(duration_s=60.0, workers=workers),
-                node_config=FAST_NODE)
-            report = scheduler.run()
-            outcomes.append((
-                report.packets_sent,
-                report.summary.node_alarms,
-                report.summary.state_counts,
-                round(report.summary.uplink_bytes_per_patient_day, 6),
-            ))
-        assert outcomes[0] == outcomes[1]
-
     def test_drain_budget_processes_backlog_eventually(self):
         cohort = make_cohort(CohortConfig(n_patients=4, seed=8))
         scheduler = FleetScheduler(

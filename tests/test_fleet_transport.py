@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.fleet.transport import (
-    BufferPool,
     PayloadView,
     PickleTransport,
     SharedMemoryTransport,
@@ -77,37 +76,6 @@ class TestPayloadView:
         view = PayloadView(b"\x00" * 7)
         with pytest.raises(TransportError):
             view.array(np.float64)
-
-
-class TestBufferPool:
-    def test_acquire_release_recycles(self):
-        pool = BufferPool(max_buffers=1)
-        buf = pool.acquire()
-        buf += b"some bytes"
-        pool.release(buf)
-        again = pool.acquire()
-        assert again is buf
-        assert len(again) == 0  # cleared on release
-
-    def test_cap_drops_extras(self):
-        pool = BufferPool(max_buffers=1)
-        a, b = pool.acquire(), pool.acquire()
-        pool.release(a)
-        pool.release(b)
-        assert pool.acquire() is a
-        assert pool.acquire() is not b
-
-    def test_lease_context(self):
-        pool = BufferPool()
-        with pool.lease() as buf:
-            buf += b"xyz"
-        with pool.lease() as again:
-            assert again is buf
-            assert len(again) == 0
-
-    def test_bad_cap_rejected(self):
-        with pytest.raises(ValueError):
-            BufferPool(max_buffers=0)
 
 
 class TestPickleTransport:

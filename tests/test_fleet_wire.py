@@ -207,16 +207,37 @@ class TestGatewayIngestBytes:
         with pytest.raises(WireFormatError):
             Gateway().ingest(b"not a packet")
 
-    def test_ingest_bytes_shim_warns_and_forwards(self):
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_ingest_accepts_every_bytes_like(self, wrap):
         packet = _synthetic_packet(np.random.default_rng(3))
         gateway = Gateway()
-        with pytest.warns(DeprecationWarning, match="ingest_bytes"):
-            assert gateway.ingest_bytes(encode_packet(packet))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(WireFormatError):
-                gateway.ingest_bytes(b"junk")
+        assert gateway.ingest(wrap(encode_packet(packet)))
+        with pytest.raises(WireFormatError):
+            gateway.ingest(wrap(b"junk"))
         gateway.flush_reassembly()
         assert gateway.pending == 1
+
+    def test_writable_frame_reused_after_ingest_is_invisible(
+            self, trained_af_detector):
+        # Writable buffers are copied on decode, so a sender that
+        # recycles its frame buffer cannot rewrite a queued packet.
+        profile = PatientProfile(patient_id="wf", rhythm="nsr",
+                                 snr_db=None, seed=2)
+        record = synthesize_patient(profile, duration_s=60.0)
+        proxy = NodeProxy(profile, PROXY_CONFIG,
+                          af_detector=trained_af_detector)
+        _, packets = proxy.run(record)
+        reference, recycled = Gateway(), Gateway()
+        for packet in packets:
+            frame = bytearray(encode_packet(packet))
+            assert recycled.ingest(frame)
+            frame[:] = bytes(len(frame))
+            assert reference.ingest(encode_packet(packet))
+        want, got = reference.drain(), recycled.drain()
+        assert len(want) == len(got) > 0
+        for a, b in zip(want, got):
+            assert a.snr_db == b.snr_db
+            assert a.signal.tobytes() == b.signal.tobytes()
 
     def test_zero_copy_ingest_batch(self):
         # Bytes ingest aliases the frame; drain's batched

@@ -165,51 +165,6 @@ class TestConfigValidation:
         assert result.n_patients == 2
 
 
-class TestPatientWorkers:
-    """The opt-in (patient, scenario) process-pool sweep."""
-
-    CFG = dict(n_patients=2, n_sentinels=1, duration_s=60.0,
-               master_seed=21, gateway_n_iter=40)
-
-    def test_four_workers_byte_identical_to_one(self, trained_af_detector):
-        # Worker results are merged by (patient_id, scenario) key in
-        # cohort x grid order, never completion order — so the report
-        # cannot depend on process scheduling.
-        grid = (clean_scenario(), packet_loss_scenario(0.15))
-        reports = []
-        for workers in (1, 4):
-            config = CampaignConfig(patient_workers=workers, **self.CFG)
-            reports.append(CampaignRunner(
-                grid, config, af_detector=trained_af_detector).run())
-        assert reports[0].to_json() == reports[1].to_json()
-
-    def test_clean_scenario_matches_joint_path(self, trained_af_detector):
-        # Without link impairments the decomposed sweep computes the
-        # exact numbers of the joint single-process path.
-        grid = (clean_scenario(),)
-        results = []
-        for workers in (0, 1):
-            config = CampaignConfig(patient_workers=workers, **self.CFG)
-            report = CampaignRunner(grid, config,
-                                    af_detector=trained_af_detector).run()
-            results.append(report.result("clean").to_dict())
-        assert results[0] == results[1]
-
-    def test_sentinels_survive_loss_in_decomposed_mode(
-            self, trained_af_detector):
-        config = CampaignConfig(patient_workers=1, **self.CFG)
-        report = CampaignRunner((packet_loss_scenario(0.15),), config,
-                                af_detector=trained_af_detector).run()
-        result = report.results[0]
-        assert result.sentinel_node_alarms >= 1
-        assert result.sentinel_false_drop_rate == 0.0
-        assert result.link_stats["offered"] > 0
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="patient_workers"):
-            CampaignConfig(patient_workers=-1)
-
-
 class TestGovernedCampaigns:
     """Governed campaigns: battery/acuity fault kinds, reproducibility."""
 
@@ -224,7 +179,7 @@ class TestGovernedCampaigns:
         grid = (battery_drain_scenario(120.0),)
         reports = []
         for workers in (1, 3):
-            config = CampaignConfig(patient_workers=workers, **self.CFG)
+            config = CampaignConfig(shard_workers=workers, **self.CFG)
             reports.append(CampaignRunner(
                 grid, config, af_detector=trained_af_detector).run())
         assert reports[0].to_json() == reports[1].to_json()
@@ -286,22 +241,39 @@ class TestShardWorkers:
     CFG = dict(n_patients=3, n_sentinels=1, duration_s=60.0,
                master_seed=21, gateway_n_iter=40)
 
-    def test_shard_backed_byte_identical_to_decomposed(
-            self, trained_af_detector):
-        # Same per-patient link/fault seeds, same merge machinery —
-        # the two opt-in sweep modes must agree byte for byte.
+    def test_three_workers_byte_identical_to_one(self,
+                                                 trained_af_detector):
+        # Every random stream is seeded per patient and shard rows are
+        # folded in cohort x grid order, so the report cannot depend on
+        # the shard layout or on process scheduling.
         grid = (clean_scenario(), packet_loss_scenario(0.15))
-        decomposed = CampaignRunner(
-            grid, CampaignConfig(patient_workers=1, **self.CFG),
-            af_detector=trained_af_detector).run()
-        sharded = CampaignRunner(
-            grid, CampaignConfig(shard_workers=2, **self.CFG),
-            af_detector=trained_af_detector).run()
-        assert sharded.to_json() == decomposed.to_json()
+        reports = []
+        for workers in (1, 3):
+            config = CampaignConfig(shard_workers=workers, **self.CFG)
+            reports.append(CampaignRunner(
+                grid, config, af_detector=trained_af_detector).run())
+        assert reports[0].to_json() == reports[1].to_json()
 
-    def test_modes_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            CampaignConfig(patient_workers=1, shard_workers=1)
+    def test_clean_scenario_matches_joint_path(self, trained_af_detector):
+        # Without link impairments the sharded sweep computes the exact
+        # numbers of the joint single-process path.
+        grid = (clean_scenario(),)
+        results = []
+        for workers in (0, 1):
+            config = CampaignConfig(shard_workers=workers, **self.CFG)
+            report = CampaignRunner(grid, config,
+                                    af_detector=trained_af_detector).run()
+            results.append(report.result("clean").to_dict())
+        assert results[0] == results[1]
+
+    def test_sentinels_survive_loss(self, trained_af_detector):
+        config = CampaignConfig(shard_workers=1, **self.CFG)
+        report = CampaignRunner((packet_loss_scenario(0.15),), config,
+                                af_detector=trained_af_detector).run()
+        result = report.results[0]
+        assert result.sentinel_node_alarms >= 1
+        assert result.sentinel_false_drop_rate == 0.0
+        assert result.link_stats["offered"] > 0
 
     def test_negative_shard_workers_rejected(self):
         with pytest.raises(ValueError, match="shard_workers"):
@@ -316,8 +288,6 @@ class TestJournalCheckpoints:
     GRID = (clean_scenario(), packet_loss_scenario(0.10))
 
     def test_journal_dir_excludes_worker_sweeps(self, tmp_path):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            CampaignConfig(journal_dir=str(tmp_path), patient_workers=2)
         with pytest.raises(ValueError, match="mutually exclusive"):
             CampaignConfig(journal_dir=str(tmp_path), shard_workers=2)
         with pytest.raises(ValueError, match="non-empty"):
