@@ -50,6 +50,7 @@ from .recovery import (
     RecoveryResult,
     debias,
     fista,
+    lipschitz_constant,
     omp,
     soft_threshold,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "group_fista",
     "group_fista_batch",
     "group_soft_threshold",
+    "lipschitz_constant",
     "measurements_for_cr",
     "omp",
     "pack_ternary",

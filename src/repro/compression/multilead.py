@@ -31,6 +31,7 @@ import numpy as np
 from ..dsp.wavelets import orthogonal_dwt_matrix
 from .encoder import EncodedWindow
 from .matrices import SensingMatrix
+from .recovery import lipschitz_constant
 
 
 #: Row-block height of :func:`row_stable_matmul`.  Fixed so every
@@ -97,7 +98,8 @@ def group_soft_threshold(rows: np.ndarray,
 
 def group_fista(operators: Sequence[np.ndarray], ys: Sequence[np.ndarray],
                 lam: float, n_iter: int = 400,
-                tol: float = 1e-7) -> np.ndarray:
+                tol: float = 1e-7,
+                lipschitz: float | None = None) -> np.ndarray:
     """Block FISTA for the l2,1-regularized multi-lead problem.
 
     Args:
@@ -106,6 +108,9 @@ def group_fista(operators: Sequence[np.ndarray], ys: Sequence[np.ndarray],
         lam: Group-l1 weight (absolute).
         n_iter: Maximum iterations.
         tol: Relative-motion stopping criterion.
+        lipschitz: ``max_l ||A_l||_2^2``
+            (:func:`~repro.compression.recovery.lipschitz_constant`);
+            computed here when omitted.
 
     Returns:
         Coefficient matrix of shape ``(n, L)``.
@@ -114,7 +119,8 @@ def group_fista(operators: Sequence[np.ndarray], ys: Sequence[np.ndarray],
     if n_leads == 0 or n_leads != len(ys):
         raise ValueError("need one measurement vector per operator")
     n = operators[0].shape[1]
-    lipschitz = max(float(np.linalg.norm(A, 2)) ** 2 for A in operators)
+    if lipschitz is None:
+        lipschitz = lipschitz_constant(*operators)
     if lipschitz == 0.0:
         return np.zeros((n, n_leads))
     step = 1.0 / lipschitz
@@ -140,7 +146,10 @@ def group_fista(operators: Sequence[np.ndarray], ys: Sequence[np.ndarray],
 def group_fista_batch(operators: Sequence[np.ndarray],
                       ys: np.ndarray, lams: np.ndarray,
                       n_iter: int = 400,
-                      tol: float = 1e-7) -> np.ndarray:
+                      tol: float = 1e-7,
+                      lipschitz: float | None = None,
+                      operators_t: Sequence[np.ndarray] | None = None,
+                      ) -> np.ndarray:
     """Block FISTA over a whole batch of windows at once.
 
     Runs the same iteration as :func:`group_fista` for ``W`` independent
@@ -161,6 +170,11 @@ def group_fista_batch(operators: Sequence[np.ndarray],
         lams: Per-window group-l1 weights, shape ``(W,)``.
         n_iter: Maximum iterations.
         tol: Relative-motion stopping criterion (per window).
+        lipschitz: ``max_l ||A_l||_2^2``
+            (:func:`~repro.compression.recovery.lipschitz_constant`);
+            computed here when omitted.
+        operators_t: C-contiguous transposes of ``operators``; copied
+            here when omitted.
 
     Returns:
         Coefficient batch of shape ``(W, n, L)``.
@@ -174,11 +188,15 @@ def group_fista_batch(operators: Sequence[np.ndarray],
     n_windows = ys.shape[0]
     n = operators[0].shape[1]
     alpha = np.zeros((n_windows, n, n_leads))
-    lipschitz = max(float(np.linalg.norm(A, 2)) ** 2 for A in operators)
-    if lipschitz == 0.0 or n_windows == 0:
+    if n_windows == 0:
+        return alpha
+    if lipschitz is None:
+        lipschitz = lipschitz_constant(*operators)
+    if lipschitz == 0.0:
         return alpha
     step = 1.0 / lipschitz
-    ops_t = [A.T.copy() for A in operators]
+    if operators_t is None:
+        operators_t = [A.T.copy() for A in operators]
     active = np.arange(n_windows)
     momentum = alpha.copy()
     t = 1.0
@@ -187,7 +205,8 @@ def group_fista_batch(operators: Sequence[np.ndarray],
         mom = momentum[active]
         grad_act = grad[:active.shape[0]]
         for lead in range(n_leads):
-            residual = row_stable_matmul(mom[:, :, lead], ops_t[lead]) \
+            residual = row_stable_matmul(mom[:, :, lead],
+                                         operators_t[lead]) \
                 - ys[active, lead, :]
             row_stable_matmul(residual, operators[lead],
                               out=grad_act[:, :, lead])
@@ -251,6 +270,11 @@ class JointCsDecoder:
             raise ValueError("all leads must share the window length")
         self.basis = orthogonal_dwt_matrix(n, wavelet)
         self.operators = [mt.matrix @ self.basis.T for mt in matrices]
+        #: FISTA step data, fixed by the operators: computed once here
+        #: and handed to every solve (one SVD per lead per decoder, not
+        #: per call).
+        self.lipschitz = lipschitz_constant(*self.operators)
+        self.operators_t = [A.T.copy() for A in self.operators]
         self.lam_rel = lam_rel
         self.n_iter = n_iter
 
@@ -283,7 +307,8 @@ class JointCsDecoder:
             axis=1)
         lam = self.lam_rel * float(
             np.max(np.linalg.norm(correlations, axis=1)))
-        alpha = group_fista(self.operators, ys, lam, n_iter=self.n_iter)
+        alpha = group_fista(self.operators, ys, lam, n_iter=self.n_iter,
+                            lipschitz=self.lipschitz)
         alpha = self._debias(ys, alpha)
         windows = (self.basis.T @ alpha).T
         support = int(np.count_nonzero(np.linalg.norm(alpha, axis=1)))
@@ -331,7 +356,9 @@ class JointCsDecoder:
         lams = self.lam_rel * np.max(
             np.linalg.norm(corr, axis=2), axis=1)
         alphas = group_fista_batch(self.operators, ys, lams,
-                                   n_iter=self.n_iter)
+                                   n_iter=self.n_iter,
+                                   lipschitz=self.lipschitz,
+                                   operators_t=self.operators_t)
         out: list[MultiLeadRecovery] = []
         for w in range(len(frames)):
             alpha = self._debias(list(ys[w]), alphas[w])

@@ -29,8 +29,18 @@ def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
+def lipschitz_constant(*operators: np.ndarray) -> float:
+    """FISTA gradient Lipschitz constant ``max_l ||A_l||_2^2``.
+
+    Costs one SVD per operator.  It depends on the operators alone, so
+    the decoders compute it once at construction and hand it to every
+    solve instead of paying the SVDs per window.
+    """
+    return max(float(np.linalg.norm(A, 2)) ** 2 for A in operators)
+
+
 def fista(A: np.ndarray, y: np.ndarray, lam: float, n_iter: int = 200,
-          tol: float = 1e-7) -> np.ndarray:
+          tol: float = 1e-7, lipschitz: float | None = None) -> np.ndarray:
     """FISTA for ``min 0.5 ||y - A a||^2 + lam ||a||_1``.
 
     Args:
@@ -39,11 +49,14 @@ def fista(A: np.ndarray, y: np.ndarray, lam: float, n_iter: int = 200,
         lam: l1 weight (absolute).
         n_iter: Maximum iterations.
         tol: Stop when the iterate moves less than this (l2, relative).
+        lipschitz: ``||A||_2^2`` (:func:`lipschitz_constant`); computed
+            here when omitted.
 
     Returns:
         The sparse coefficient estimate.
     """
-    lipschitz = float(np.linalg.norm(A, 2)) ** 2
+    if lipschitz is None:
+        lipschitz = lipschitz_constant(A)
     if lipschitz == 0.0:
         return np.zeros(A.shape[1])
     step = 1.0 / lipschitz
@@ -152,6 +165,8 @@ class CsDecoder:
         self.basis = orthogonal_dwt_matrix(sensing.n, wavelet)
         # x = W^T alpha  =>  y = Phi W^T alpha.
         self.A = sensing.matrix @ self.basis.T
+        #: FISTA step constant of ``A``, fixed for the decoder's life.
+        self.lipschitz = lipschitz_constant(self.A)
         self.lam_rel = lam_rel
         self.n_iter = n_iter
         self.method = method
@@ -167,7 +182,8 @@ class CsDecoder:
             alpha = omp(self.A, y, sparsity)
         else:
             lam = self.lam_rel * float(np.max(np.abs(self.A.T @ y)))
-            alpha = fista(self.A, y, lam, n_iter=self.n_iter)
+            alpha = fista(self.A, y, lam, n_iter=self.n_iter,
+                          lipschitz=self.lipschitz)
             alpha = debias(self.A, y, alpha)
         window = self.basis.T @ alpha
         support = int(np.count_nonzero(alpha))

@@ -25,6 +25,7 @@ import numpy as np
 from ..dsp.wavelets import orthogonal_dwt_matrix
 from .encoder import EncodedWindow
 from .matrices import SensingMatrix
+from .recovery import fista, lipschitz_constant
 
 
 def tree_parents(n: int, levels: int) -> np.ndarray:
@@ -170,6 +171,8 @@ class TreeCsDecoder:
         self.levels = levels or max_dwt_levels(sensing.n, wavelet)
         self.basis = orthogonal_dwt_matrix(sensing.n, wavelet, self.levels)
         self.A = sensing.matrix @ self.basis.T
+        #: Step constant shared by the l1 solve and IHT (one SVD).
+        self.lipschitz = lipschitz_constant(self.A)
         self.parent = tree_parents(sensing.n, self.levels)
         self.sparsity_frac = sparsity_frac
         self.n_iter = n_iter
@@ -184,10 +187,9 @@ class TreeCsDecoder:
         if self.method == "iht":
             alpha = self._iht(y, k)
         else:
-            from .recovery import fista
-
             lam = 0.002 * float(np.max(np.abs(self.A.T @ y)))
-            alpha = fista(self.A, y, lam, n_iter=self.n_iter)
+            alpha = fista(self.A, y, lam, n_iter=self.n_iter,
+                          lipschitz=self.lipschitz)
         support = np.flatnonzero(tree_support(alpha, k, self.parent))
         alpha = self._refit(y, alpha, support)
         window = self.basis.T @ alpha
@@ -195,8 +197,7 @@ class TreeCsDecoder:
                                   support_size=support.shape[0])
 
     def _iht(self, y: np.ndarray, k: int) -> np.ndarray:
-        lipschitz = float(np.linalg.norm(self.A, 2)) ** 2
-        step = 1.0 / max(lipschitz, 1e-12)
+        step = 1.0 / max(self.lipschitz, 1e-12)
         alpha = np.zeros(self.A.shape[1])
         for _ in range(self.n_iter):
             gradient = self.A.T @ (y - self.A @ alpha)

@@ -42,6 +42,7 @@ from .gateway import (
     GatewayConfig,
     PatientChannel,
     ReconstructedExcerpt,
+    recover_queued,
 )
 from .journal import (
     GatewaySession,
@@ -199,6 +200,7 @@ __all__ = [
     "make_cohort",
     "merge_patient_rows",
     "partition_cohort",
+    "recover_queued",
     "run_served_fleet",
     "serve",
     "synthesize_patient",

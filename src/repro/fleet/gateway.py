@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
@@ -636,7 +638,19 @@ class Gateway:
                 self.config.reassembly_window)
         return self._reassembly[patient_id]
 
+    def queued(self, max_packets: int | None = None,
+               ) -> list[UplinkPacket]:
+        """The packets ``drain(max_packets)`` would pop, in order.
+
+        Leaves the queue as it is; :func:`recover_queued` reads it to
+        batch the next drains of several gateways together.
+        """
+        budget = len(self._queue) if max_packets is None \
+            else min(max_packets, len(self._queue))
+        return list(islice(self._queue, max(budget, 0)))
+
     def drain(self, max_packets: int | None = None,
+              recoveries: list[list[MultiLeadRecovery]] | None = None,
               ) -> list[ReconstructedExcerpt]:
         """Process up to ``max_packets`` queued packets (all by default).
 
@@ -645,41 +659,29 @@ class Gateway:
         vectorized :meth:`JointCsDecoder.recover_batch` pass (stacked
         matrix products across windows), instead of running FISTA one
         window at a time.  Outputs keep arrival order.
+
+        Args:
+            max_packets: Packet budget (``None`` drains the queue).
+            recoveries: Per-packet frame recoveries of exactly the
+                packets this call pops, from a :func:`recover_queued`
+                batch that spanned several gateways; the gateway
+                recovers its own when omitted.
+
+        Raises:
+            ValueError: ``recoveries`` does not hold one entry per
+                packet this call pops (the queue is left as it is).
         """
-        budget = len(self._queue) if max_packets is None \
-            else min(max_packets, len(self._queue))
-        packets = [self._queue.popleft() for _ in range(budget)]
-        recoveries = self._recover_all(packets)
+        packets = self.queued(max_packets)
+        if recoveries is None:
+            recoveries = _recover_packets(packets, self._decoders,
+                                          self.config, self._m)
+        elif len(recoveries) != len(packets):
+            raise ValueError(f"{len(recoveries)} recoveries for "
+                             f"{len(packets)} drained packets")
+        for _ in packets:
+            self._queue.popleft()
         return [self._process(packet, recovery)
                 for packet, recovery in zip(packets, recoveries)]
-
-    def _recover_all(self, packets: list[UplinkPacket],
-                     ) -> list[list[MultiLeadRecovery]]:
-        """Batch-reconstruct every frame of ``packets`` by geometry.
-
-        Returns:
-            Per-packet lists of per-frame recoveries, aligned with the
-            input order.
-        """
-        groups: dict[tuple, list[tuple[int, int]]] = {}
-        for i, packet in enumerate(packets):
-            key = self._decoder_key(packet)
-            for f in range(packet.n_frames):
-                groups.setdefault(key, []).append((i, f))
-        out: list[list[MultiLeadRecovery | None]] = [
-            [None] * packet.n_frames for packet in packets]
-        for key, refs in groups.items():
-            decoder = self._decoder_for(packets[refs[0][0]])
-            frames = [packets[i].frames[f] for i, f in refs]
-            if self._m is not None:
-                self._m.batch_windows.observe(
-                    len(frames),
-                    n_leads=str(key[0]), window_n=str(key[1]),
-                    cr_percent=str(key[2]))
-            for (i, f), recovery in zip(refs,
-                                        decoder.recover_batch(frames)):
-                out[i][f] = recovery
-        return out
 
     def channel(self, patient_id: str) -> PatientChannel:
         """The (created-on-demand) channel of one patient."""
@@ -688,15 +690,14 @@ class Gateway:
         return self.channels[patient_id]
 
     def _process(self, packet: UplinkPacket,
-                 recoveries: list[MultiLeadRecovery] | None = None,
+                 recoveries: list[MultiLeadRecovery],
                  ) -> ReconstructedExcerpt:
-        """Demux, reconstruct and (for alarms) confirm one packet.
+        """Demux, score and (for alarms) confirm one packet.
 
         Args:
             packet: The packet to process.
-            recoveries: Pre-computed per-frame reconstructions from the
-                batched drain path; recovered frame by frame here when
-                omitted.
+            recoveries: Its per-frame reconstructions from the batched
+                drain.
         """
         channel = self.channel(packet.patient_id)
         channel.payload_bits += packet.payload_bits
@@ -708,10 +709,7 @@ class Gateway:
         pieces = []
         snrs = []
         if packet.frames:
-            decoder = self._decoder_for(packet)
-            for f, frame in enumerate(packet.frames):
-                recovery = (recoveries[f] if recoveries is not None
-                            else decoder.recover(frame))
+            for f, recovery in enumerate(recoveries):
                 pieces.append(recovery.windows)
                 if packet.reference is not None:
                     snrs.extend(
@@ -835,25 +833,6 @@ class Gateway:
                       "dropped": self.dropped},
         }
 
-    @staticmethod
-    def _decoder_key(packet: UplinkPacket) -> tuple:
-        """Encoder-geometry key identifying one decoder/matrix family."""
-        return (packet.n_leads, packet.window_n, packet.cr_percent,
-                packet.quant_bits, packet.cs_seed)
-
-    def _decoder_for(self, packet: UplinkPacket) -> JointCsDecoder:
-        """Cached joint decoder matching the packet's encoder geometry."""
-        key = self._decoder_key(packet)
-        if key not in self._decoders:
-            encoder = MultiLeadCsEncoder(
-                n_leads=packet.n_leads, n=packet.window_n,
-                cr_percent=packet.cr_percent,
-                quant_bits=packet.quant_bits, seed=packet.cs_seed)
-            self._decoders[key] = JointCsDecoder(
-                encoder.sensing_matrices, wavelet=self.config.wavelet,
-                n_iter=self.config.n_iter)
-        return self._decoders[key]
-
     def _confirm(self, signal: np.ndarray, fs: float) -> bool:
         """Re-check an alarm on the reconstructed signal.
 
@@ -872,3 +851,96 @@ class Gateway:
             return True
         cv = float(np.std(rr)) / mean
         return cv >= self.config.rr_cv_confirm
+
+
+def recover_queued(gateways: Sequence[Gateway],
+                   max_packets: int | None = None,
+                   decoders: dict[tuple, JointCsDecoder] | None = None,
+                   ) -> list[list[list[MultiLeadRecovery]]]:
+    """Batch-reconstruct what each gateway's next drain will pop.
+
+    Gathers the packets ``gateway.drain(max_packets)`` would pop from
+    every gateway and recovers all their CS frames with one
+    :meth:`JointCsDecoder.recover_batch` call per encoder geometry.
+    A window's recovery is a function of its own measurements alone
+    (:func:`~repro.compression.multilead.group_fista_batch` is
+    bit-identical under any batch partition), so handing gateway ``i``
+    entry ``i`` through ``drain(max_packets, recoveries=...)`` yields
+    exactly the excerpts it would have computed draining alone.
+
+    Args:
+        gateways: Gateways sharing one :class:`GatewayConfig`, whose
+            wavelet and FISTA budget build the decoders.
+        max_packets: Drain budget applied to every gateway.
+        decoders: Geometry-keyed decoder cache to use and fill; the
+            caller owns its lifetime.  Defaults to the first gateway's
+            own cache.
+
+    Returns:
+        Per gateway, per queued packet, the per-frame recoveries.
+
+    Raises:
+        ValueError: The gateways do not share one configuration.
+    """
+    if not gateways:
+        return []
+    first = gateways[0]
+    if any(gateway.config != first.config for gateway in gateways):
+        raise ValueError("batched gateways must share one GatewayConfig")
+    queued = [gateway.queued(max_packets) for gateway in gateways]
+    recovered = iter(_recover_packets(
+        [packet for packets in queued for packet in packets],
+        first._decoders if decoders is None else decoders,
+        first.config, first._m))
+    return [[next(recovered) for _ in packets] for packets in queued]
+
+
+def _recover_packets(packets: list[UplinkPacket],
+                     decoders: dict[tuple, JointCsDecoder],
+                     config: GatewayConfig,
+                     metrics: _GatewayMetrics | None,
+                     ) -> list[list[MultiLeadRecovery]]:
+    """Batch-reconstruct every frame of ``packets`` by geometry.
+
+    Returns:
+        Per-packet lists of per-frame recoveries, aligned with the
+        input order.
+    """
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for i, packet in enumerate(packets):
+        key = _decoder_key(packet)
+        for f in range(packet.n_frames):
+            groups.setdefault(key, []).append((i, f))
+    out: list[list[MultiLeadRecovery | None]] = [
+        [None] * packet.n_frames for packet in packets]
+    for key, refs in groups.items():
+        decoder = decoders.get(key)
+        if decoder is None:
+            decoder = decoders[key] = _build_decoder(
+                packets[refs[0][0]], config)
+        frames = [packets[i].frames[f] for i, f in refs]
+        if metrics is not None:
+            metrics.batch_windows.observe(
+                len(frames),
+                n_leads=str(key[0]), window_n=str(key[1]),
+                cr_percent=str(key[2]))
+        for (i, f), recovery in zip(refs, decoder.recover_batch(frames)):
+            out[i][f] = recovery
+    return out
+
+
+def _decoder_key(packet: UplinkPacket) -> tuple:
+    """Encoder-geometry key identifying one decoder/matrix family."""
+    return (packet.n_leads, packet.window_n, packet.cr_percent,
+            packet.quant_bits, packet.cs_seed)
+
+
+def _build_decoder(packet: UplinkPacket,
+                   config: GatewayConfig) -> JointCsDecoder:
+    """Joint decoder matching the packet's encoder geometry."""
+    encoder = MultiLeadCsEncoder(
+        n_leads=packet.n_leads, n=packet.window_n,
+        cr_percent=packet.cr_percent,
+        quant_bits=packet.quant_bits, seed=packet.cs_seed)
+    return JointCsDecoder(encoder.sensing_matrices,
+                          wavelet=config.wavelet, n_iter=config.n_iter)

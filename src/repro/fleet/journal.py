@@ -51,9 +51,9 @@ from math import isfinite
 from pathlib import Path
 from struct import Struct
 from time import perf_counter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .gateway import Gateway, GatewayConfig
+from .gateway import Gateway, GatewayConfig, recover_queued
 from .kernel import (
     PRIO_DRAIN,
     PRIO_REASSEMBLY,
@@ -794,12 +794,15 @@ class GatewaySession:
         self.kernel.run()
 
     def _on_drain(self, msg: ServeMessage) -> None:
-        t_s = self.kernel.advance_to(msg.t_s)
-        budget = int(msg.fields.get("budget", -1.0))
-        max_packets = None if budget < 0 else budget
+        _drain_sessions([self], msg)
+
+    def _drain_at(
+        self, t_s: float, max_packets: int | None, recoveries: list
+    ) -> None:
+        """Drain into triage as this session's ``PRIO_DRAIN`` event."""
 
         def act() -> None:
-            for excerpt in self.gateway.drain(max_packets):
+            for excerpt in self.gateway.drain(max_packets, recoveries):
                 self.board.observe(excerpt)
                 self.n_reconstructed += 1
 
@@ -850,6 +853,40 @@ class GatewaySession:
             link_stats=link_stats,
         )
         return ServeMessage("report-ack", self.patient_id, t_s=msg.t_s)
+
+
+def _drain_sessions(
+    sessions: Sequence[GatewaySession],
+    msg: ServeMessage,
+    decoders: dict | None = None,
+) -> None:
+    """Apply one ``drain`` command to ``sessions`` with batched FISTA.
+
+    Every CS frame the sessions' drains will pop is recovered up front
+    with one ``recover_batch`` per encoder geometry
+    (:func:`~repro.fleet.gateway.recover_queued`); then each session
+    drains its own queue through ``Gateway.drain`` with its share,
+    inside its own ``PRIO_DRAIN`` kernel event.  Order, budgets, triage
+    and kernel events are those of draining each session alone.
+
+    Args:
+        sessions: Sessions sharing one gateway configuration.
+        msg: The ``drain`` command (``budget`` < 0 drains everything).
+        decoders: Geometry-keyed decoder cache shared by the batch; a
+            lone session defaults to its gateway's own.
+
+    Raises:
+        KernelError: The command's time is invalid for a session clock
+            (checked before any reconstruction).
+    """
+    budget = int(msg.fields.get("budget", -1.0))
+    max_packets = None if budget < 0 else budget
+    times = [session.kernel.advance_to(msg.t_s) for session in sessions]
+    recovered = recover_queued(
+        [session.gateway for session in sessions], max_packets, decoders
+    )
+    for session, t_s, recoveries in zip(sessions, times, recovered):
+        session._drain_at(t_s, max_packets, recoveries)
 
 
 @dataclass
@@ -940,6 +977,9 @@ class JournalReplayer:
 
         sessions: dict[str, GatewaySession] = {}
         per_source: list[dict[str, GatewaySession]] = [{} for _ in readers]
+        # One decoder per encoder geometry for this replay's fleet-wide
+        # drains (each replay builds its own; nothing outlives run()).
+        decoders: dict = {}
         hello_order: dict[str, int] = {}
         link_stats: dict[str, int] = {}
         n_packets = 0
@@ -979,6 +1019,10 @@ class JournalReplayer:
                             link_stats[name] = link_stats.get(name, 0) + int(
                                 value
                             )
+                elif msg.patient_id == "" and msg.kind == "drain":
+                    _drain_sessions(
+                        list(per_source[source].values()), msg, decoders
+                    )
                 elif msg.patient_id == "":
                     for session in per_source[source].values():
                         session.handle_message(msg)

@@ -35,11 +35,13 @@ Together these make the merged summary byte-identical
 
 from __future__ import annotations
 
+import ctypes
 import json
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -620,6 +622,60 @@ class ShardedFleetReport:
         return canonical_bundle_json(canonical_view(self.obs_bundle))
 
 
+#: Thread-count setters of the OpenBLAS builds numpy (64-bit ints)
+#: and scipy (32-bit) ship, then those of a plain OpenBLAS.
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_",
+                     "openblas_set_num_threads")
+
+
+def _openblas_libraries() -> dict[str, ctypes.CDLL]:
+    """Every OpenBLAS mapped into this process, by path.
+
+    Empty without ``/proc`` (non-Linux) or without OpenBLAS.
+    """
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return {}
+    paths = {line.split()[-1] for line in maps.splitlines()
+             if "openblas" in line.lower() and ".so" in line}
+    libs = {}
+    for path in sorted(paths):
+        try:
+            libs[path] = ctypes.CDLL(path)
+        except OSError:
+            continue
+    return libs
+
+
+def _pin_blas_threads() -> None:
+    """Pool initializer: run every loaded OpenBLAS on one thread.
+
+    The shard workers already share out the cores; a BLAS thread pool
+    per worker on top oversubscribes them, and the run's wall time then
+    swings with how the threads collide.  OpenBLAS reads its
+    environment variables once, when it is loaded, so a forked worker
+    calls each mapped library's ``set_num_threads`` through ctypes
+    instead.
+    """
+    for lib in _openblas_libraries().values():
+        for symbol in _BLAS_SET_THREADS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
+def _shard_pool(n_workers: int) -> ProcessPoolExecutor:
+    """Worker pool of a sharded run, BLAS pinned to one thread each."""
+    return ProcessPoolExecutor(max_workers=n_workers,
+                               initializer=_pin_blas_threads)
+
+
 def _run_shard(shard_index: int, profiles: list[PatientProfile],
                config: SchedulerConfig, node_config: NodeProxyConfig,
                gateway_config: GatewayConfig, master_seed: int,
@@ -743,7 +799,8 @@ class ShardedFleetRunner:
     Args:
         cohort: Patient profiles, in the order the merge preserves.
         n_shards: Worker processes (capped at the cohort size;
-            ``1`` runs the single stripe inline, no pool).
+            ``1`` runs the single stripe inline, no pool).  Pool
+            workers run BLAS on one thread each.
         config: Scheduler parameters shared by every shard.
         node_config: Uplink policy shared by every node.
         gateway_config: Per-shard gateway parameters.
@@ -820,7 +877,7 @@ class ShardedFleetRunner:
             if len(tasks) == 1:
                 handles = [_run_shard(*tasks[0])]
             else:
-                with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+                with _shard_pool(len(tasks)) as pool:
                     futures = [pool.submit(_run_shard, *task)
                                for task in tasks]
                     handles = [future.result() for future in futures]

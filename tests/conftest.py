@@ -79,3 +79,23 @@ def trained_af_detector(af_train_corpus):
 def rng():
     """Fresh deterministic random generator per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def svd_calls(monkeypatch):
+    """List that grows by one on every SVD numpy runs during the test.
+
+    Patches the module ``np.linalg.norm`` resolves ``svd`` in, so the
+    spectral norm ``norm(A, 2)`` counts as well as direct calls.
+    """
+    calls: list[tuple] = []
+    linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    real = linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls

@@ -14,6 +14,7 @@ from repro.compression import (
     group_fista,
     group_fista_batch,
     group_soft_threshold,
+    lipschitz_constant,
     reconstruction_snr_db,
     row_stable_matmul,
     soft_threshold,
@@ -196,6 +197,14 @@ class TestRecoverBatch:
         decoder, _ = decoder_and_frames
         assert decoder.recover_batch([]) == []
 
+    def test_solves_run_no_svd(self, decoder_and_frames, svd_calls):
+        # The step constant belongs to the decoder: batch and scalar
+        # solves reuse it instead of one SVD per lead per call.
+        decoder, frames = decoder_and_frames
+        decoder.recover_batch(frames)
+        decoder.recover(frames[0])
+        assert svd_calls == []
+
     def test_lead_count_mismatch_rejected(self, decoder_and_frames):
         decoder, frames = decoder_and_frames
         with pytest.raises(ValueError, match="measurement vectors"):
@@ -229,6 +238,15 @@ class TestGroupFistaBatch:
             solo = group_fista_batch(operators, ys[w:w + 1],
                                      lams[w:w + 1], n_iter=150)
             assert solo[0].tobytes() == batch[w].tobytes()
+
+    def test_supplied_step_matches_computed_step(self):
+        operators, ys, lams = self._problem(3)
+        computed = group_fista_batch(operators, ys, lams, n_iter=150)
+        supplied = group_fista_batch(
+            operators, ys, lams, n_iter=150,
+            lipschitz=lipschitz_constant(*operators),
+            operators_t=[A.T.copy() for A in operators])
+        assert supplied.tobytes() == computed.tobytes()
 
     def test_zero_operator_returns_zeros(self):
         out = group_fista_batch([np.zeros((4, 8))] * 2,

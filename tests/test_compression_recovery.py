@@ -160,6 +160,15 @@ class TestCsDecoder:
         with pytest.raises(ValueError, match="method"):
             CsDecoder(encoder.sensing, method="lasso")
 
+    def test_recover_runs_no_svd(self, clean_record, svd_calls):
+        encoder = CsEncoder(n=256, cr_percent=50.0, seed=3)
+        decoder = CsDecoder(encoder.sensing)
+        svd_calls.clear()  # construction computes the step constant
+        for lo in (1000, 1256):
+            decoder.recover(encoder.encode(
+                clean_record.signals[1][lo:lo + 256]))
+        assert svd_calls == []
+
     def test_support_size_reported(self, clean_record):
         x = clean_record.signals[1][1000:1256]
         encoder = CsEncoder(n=256, cr_percent=50.0, seed=3)

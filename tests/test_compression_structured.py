@@ -107,6 +107,15 @@ class TestTreeCsDecoder:
         l1_snr = reconstruction_snr_db(x, l1.window)
         assert tree_snr > l1_snr - 3.0  # at least competitive
 
+    @pytest.mark.parametrize("method", ["fista+tree", "iht"])
+    def test_recover_runs_no_svd(self, clean_record, svd_calls, method):
+        x = clean_record.signals[1][1000:1256]
+        encoder = CsEncoder(n=256, cr_percent=50.0, seed=3)
+        decoder = TreeCsDecoder(encoder.sensing, n_iter=20, method=method)
+        svd_calls.clear()  # construction computes the step constant
+        decoder.recover(encoder.encode(x))
+        assert svd_calls == []
+
     def test_accepts_raw_measurements(self, clean_record):
         x = clean_record.signals[1][1000:1256]
         encoder = CsEncoder(n=256, cr_percent=45.0, seed=3)

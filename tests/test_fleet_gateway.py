@@ -9,6 +9,7 @@ from repro.fleet import (
     NodeProxy,
     NodeProxyConfig,
     PatientProfile,
+    recover_queued,
     synthesize_patient,
 )
 
@@ -153,6 +154,67 @@ class TestBatchedDrain:
             assert a.kind == b.kind
             assert a.confirmed == b.confirmed
             assert np.allclose(a.signal, b.signal, rtol=1e-9, atol=1e-12)
+
+
+class TestCrossGatewayBatch:
+    """recover_queued batches several gateways' drains by geometry; each
+    gateway must still get exactly what draining alone gives it."""
+
+    CONFIG = GatewayConfig(n_iter=60)
+
+    @pytest.fixture(scope="class")
+    def uplinks(self, clean_af_uplink):
+        """Packets of three nodes: 3-lead AF (alarms), 1-lead, 3-lead."""
+        out = [clean_af_uplink[1]]
+        for pid, n_leads, seed in (("one", 1, 44), ("three", 3, 45)):
+            profile = PatientProfile(patient_id=pid, rhythm="ectopy",
+                                     n_leads=n_leads, seed=seed)
+            record = synthesize_patient(profile, duration_s=60.0)
+            out.append(NodeProxy(profile, PROXY_CONFIG).run(record)[1])
+        return out
+
+    def _loaded(self, uplinks) -> list[Gateway]:
+        gateways = [Gateway(self.CONFIG) for _ in uplinks]
+        for gateway, packets in zip(gateways, uplinks):
+            for packet in packets:
+                gateway.ingest(packet)
+        return gateways
+
+    @pytest.mark.parametrize("max_packets", [None, 1])
+    def test_batched_drain_equals_draining_alone(self, uplinks,
+                                                 max_packets):
+        alone, batched = self._loaded(uplinks), self._loaded(uplinks)
+        decoders = {}
+        recovered = recover_queued(batched, max_packets, decoders)
+        got = [gateway.drain(max_packets, recoveries)
+               for gateway, recoveries in zip(batched, recovered)]
+        want = [gateway.drain(max_packets) for gateway in alone]
+        assert sorted(key[0] for key in decoders) == [1, 3]
+        assert any(e.kind == "alarm" for e in want[0])
+        for got_g, want_g in zip(got, want):
+            assert len(got_g) == len(want_g) > 0
+            for a, b in zip(got_g, want_g):
+                assert (a.patient_id, a.timestamp_s, a.kind) \
+                    == (b.patient_id, b.timestamp_s, b.kind)
+                assert np.array_equal(a.signal, b.signal)
+                assert np.array_equal(a.snr_db, b.snr_db, equal_nan=True)
+                assert a.confirmed == b.confirmed
+        for a, b, packets in zip(batched, alone, uplinks):
+            assert [p.seq for p in a.queued()] == [p.seq for p in b.queued()]
+            assert a.pending == (0 if max_packets is None
+                                 else len(packets) - 1)
+
+    def test_mismatched_recoveries_leave_the_queue(self, uplinks):
+        gateway = self._loaded(uplinks[:1])[0]
+        pending = gateway.pending
+        with pytest.raises(ValueError, match="recoveries"):
+            gateway.drain(2, [[]])
+        assert gateway.pending == pending
+
+    def test_gateways_must_share_a_config(self, uplinks):
+        gateways = [Gateway(self.CONFIG), Gateway(GatewayConfig(n_iter=61))]
+        with pytest.raises(ValueError, match="GatewayConfig"):
+            recover_queued(gateways)
 
 
 def _seq_packet(seq: int) -> object:

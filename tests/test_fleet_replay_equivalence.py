@@ -11,9 +11,11 @@ total event order.
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import pytest
 
+from repro.compression import JointCsDecoder
 from repro.fleet import (
     CohortConfig,
     FleetGatewayServer,
@@ -34,6 +36,7 @@ from repro.fleet import (
     ServeMessage,
     ShardHooks,
     ShardedFleetRunner,
+    decode_message,
     frame_kind,
     journal_meta,
     make_cohort,
@@ -135,6 +138,57 @@ class TestInProcessReplay:
         assert replay.summary.governed
         assert any(row.link_stats for row in replay.rows.values())
         assert replay.link_stats  # folded from the shard stats record
+
+
+class TestReplayBatching:
+    """A fleet-wide drain recovers all its sessions' frames together."""
+
+    def test_one_recover_batch_per_drain_per_geometry(self, tmp_path,
+                                                      monkeypatch):
+        cohort = [replace(profile, n_leads=n_leads)
+                  for profile, n_leads in zip(COHORT, (3, 1, 3))]
+        run_config = SchedulerConfig(duration_s=24.0, fs=250.0)
+        dense = NodeProxyConfig(excerpt_period_s=4.0, stream_telemetry=False)
+        calls: list[tuple[int, int]] = []
+        built: list[int] = []
+        real_batch = JointCsDecoder.recover_batch
+        real_init = JointCsDecoder.__init__
+
+        def counting_batch(decoder, frames):
+            calls.append((decoder.n_leads, len(frames)))
+            return real_batch(decoder, frames)
+
+        def counting_init(decoder, *args, **kwargs):
+            real_init(decoder, *args, **kwargs)
+            built.append(decoder.n_leads)
+
+        monkeypatch.setattr(JointCsDecoder, "recover_batch", counting_batch)
+        monkeypatch.setattr(JointCsDecoder, "__init__", counting_init)
+        config = JournalConfig(dir=str(tmp_path), name="batch")
+        with JournalWriter(
+                config,
+                meta=journal_meta(run_config.duration_s, run_config.fs,
+                                  RUN_KW["gateway_config"]),
+                resume=False) as journal:
+            live = FleetScheduler(
+                cohort, run_config, node_config=dense,
+                gateway=Gateway(RUN_KW["gateway_config"]),
+                journal=journal).run()
+        # The live gateway queues the whole fleet, so each of its drains
+        # made exactly one call per geometry present in that drain.
+        live_calls = sorted(calls)
+        calls.clear()
+        built.clear()
+        replay = JournalReplayer(config).run()
+        assert replay.summary.to_json() == live.summary.to_json()
+        drains = [msg for msg in (decode_message(record.frame)
+                                  for record in JournalReader(config).records()
+                                  if frame_kind(record.frame) != "packet")
+                  if msg.kind == "drain"]
+        assert drains and all(msg.patient_id == "" for msg in drains)
+        assert sorted(calls) == live_calls
+        assert len(drains) < len(calls) <= 2 * len(drains)
+        assert sorted(built) == [1, 3]
 
 
 class TestShardedReplay:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import functools
 
 import numpy as np
@@ -22,8 +23,11 @@ from repro.fleet import (
     partition_cohort,
 )
 from repro.fleet.sharding import (
+    _BLAS_SET_THREADS,
     ShardPatientRow,
     ShardResult,
+    _openblas_libraries,
+    _shard_pool,
     decode_shard_result,
     encode_shard_result,
 )
@@ -293,3 +297,51 @@ class TestThroughputAccounting:
         fleet = scheduler.run()
         assert sum(scheduler.sent_by_patient.values()) \
             == fleet.packets_sent
+
+
+def _blas_thread_counts() -> dict[str, int]:
+    """Thread count of each loaded OpenBLAS (module-level: picklable)."""
+    counts = {}
+    for path, lib in _openblas_libraries().items():
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                counts[path] = int(getter())
+                break
+    return counts
+
+
+def _set_blas_threads(counts: dict[str, int]) -> None:
+    for path, lib in _openblas_libraries().items():
+        for symbol in _BLAS_SET_THREADS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None and path in counts:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(counts[path])
+                break
+
+
+class TestBlasPinning:
+    def test_pool_workers_run_blas_on_one_thread(self):
+        original = _blas_thread_counts()
+        if not original:
+            pytest.skip("no OpenBLAS with thread control in this process")
+        # Two threads in the parent, whatever the core count or the
+        # environment, so a worker that merely inherited the parent's
+        # setting could not pass.
+        _set_blas_threads(dict.fromkeys(original, 2))
+        try:
+            with _shard_pool(1) as pool:
+                worker = pool.submit(_blas_thread_counts).result(
+                    timeout=120)
+            parent = _blas_thread_counts()
+        finally:
+            _set_blas_threads(original)
+        assert worker == dict.fromkeys(original, 1)
+        assert parent == dict.fromkeys(original, 2)

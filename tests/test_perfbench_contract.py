@@ -49,3 +49,36 @@ def test_every_traced_method_is_defined_where_listed():
     for module, func, _name, _before in tracing.FUNCTION_SPANS:
         assert callable(getattr(sys.modules[module], func)), \
             f"{module}.{func}"
+
+
+def test_traced_replay_attributes_drain_and_batched_recovery(tmp_path):
+    # The gateway-replay workload's per-layer metrics come from spans on
+    # Gateway.drain and JointCsDecoder.recover_batch; a replay path that
+    # bypassed either would zero them silently.
+    tracing = _load_tracing()
+    from repro.fleet import (CohortConfig, FleetScheduler, Gateway,
+                             GatewayConfig, JournalConfig, JournalReplayer,
+                             JournalWriter, NodeProxyConfig,
+                             SchedulerConfig, journal_meta, make_cohort)
+
+    scheduler_config = SchedulerConfig(duration_s=24.0, fs=250.0)
+    gateway_config = GatewayConfig(n_iter=30)
+    config = JournalConfig(dir=str(tmp_path), name="traced")
+    with JournalWriter(config, meta=journal_meta(24.0, 250.0,
+                                                 gateway_config),
+                       resume=False) as journal:
+        FleetScheduler(
+            make_cohort(CohortConfig(n_patients=3, seed=5)),
+            scheduler_config,
+            node_config=NodeProxyConfig(excerpt_period_s=2.0,
+                                        stream_telemetry=False),
+            gateway=Gateway(gateway_config), journal=journal).run()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        JournalReplayer(config).run()
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer, 1)
+    assert metrics["gateway.drain.calls"] > 0
+    assert metrics["compression.recover.windows_per_call"] > 1
