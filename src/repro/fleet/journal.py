@@ -928,11 +928,13 @@ class JournalReplayer:
     ``sources`` is one :class:`JournalConfig` or a sequence of them
     (e.g. the N per-shard journals of a sharded run); multiple sources
     are merged by the writer stamps ``(t_s, prio, journal, ordinal)``
-    — the kernel's total event order.  ``cohort`` may be omitted for
-    journals that carry ``hello`` records (in-process and sharded
-    runs); served journals never log hellos, so their cohort order —
-    which the float-summing merge depends on — must be passed
-    explicitly.
+    — the kernel's total event order.  Each patient must appear in one
+    source only: one found in two (a stale shard journal left by an
+    earlier layout, say) raises :class:`JournalError`.  ``cohort`` may
+    be omitted for journals that carry ``hello`` records (in-process
+    and sharded runs); served journals never log hellos, so their
+    cohort order — which the float-summing merge depends on — must be
+    passed explicitly.
     """
 
     def __init__(
@@ -982,10 +984,20 @@ class JournalReplayer:
         decoders: dict = {}
         hello_order: dict[str, int] = {}
         link_stats: dict[str, int] = {}
+        origin: dict[str, int] = {}
         n_packets = 0
         n_messages = 0
 
         def session_for(pid: str, source: int) -> GatewaySession:
+            # A patient lives in exactly one source journal; a second
+            # one (e.g. a stale shard journal) would ingest it twice.
+            first = origin.setdefault(pid, source)
+            if first != source:
+                raise JournalError(
+                    f"patient {pid!r} appears in journals "
+                    f"{self.sources[first].name!r} and "
+                    f"{self.sources[source].name!r}"
+                )
             session = sessions.get(pid)
             if session is None:
                 session = GatewaySession(pid, gateway_config)

@@ -192,8 +192,8 @@ class ShardPatientRow:
 
     The wire-level unit of the shard result: channel counters and SNR
     samples, triage state, node-report aggregates, governor aggregates
-    and per-patient link statistics — all the merge (and the campaign's
-    shard-backed mode) needs, and nothing heavier.
+    and per-patient link statistics — all the merge (and the scenario
+    campaign's fold) needs, and nothing heavier.
     """
 
     patient_id: str
@@ -578,8 +578,8 @@ class ShardedFleetReport:
         n_shards: Shard layout actually used.
         packets_sent: Uplink packets offered across every shard.
         dropped_packets: Bounded-queue drops across every shard.
-        rows: Per-patient rows in cohort order (what the campaign's
-            shard-backed mode consumes).
+        rows: Per-patient rows in cohort order (what the scenario
+            campaign folds).
         shard_timings_s: Each shard scheduler's phase timings.
         timings_s: Parent-side wall clock (``total`` spans fork to
             merge).
@@ -904,10 +904,10 @@ class ShardedFleetRunner:
         """Replace segment-aliasing SNR views with owned lists.
 
         The merge fold reads the views zero-copy; the rows *retained*
-        on the report (what the campaign's shard-backed mode consumes)
-        must survive the segment unlink, so their buffers are boxed
-        back into the live-gateway ``list[float]`` shape here — one
-        copy, after the fold, instead of one per decode.
+        on the report (what the scenario campaign folds) must survive
+        the segment unlink, so their buffers are boxed back into the
+        live-gateway ``list[float]`` shape here — one copy, after the
+        fold, instead of one per decode.
         """
         for row in report.rows.values():
             channel = row.channel

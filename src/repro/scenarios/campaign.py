@@ -1,20 +1,25 @@
 """Campaign runner: sweep a cohort across a scenario grid.
 
 One campaign = one cohort x N scenarios.  Every scenario run drives the
-full node -> uplink -> gateway -> triage chain through
-:class:`~repro.fleet.FleetScheduler`, with the scenario's signal faults
-injected into each patient's recording and its link impairments applied
-between node and gateway.  The outcome is one structured
-:class:`ScenarioResult` per scenario — alarm delivery and false-drop
-rates, reconstruction-SNR distribution and degradation versus the clean
-control, uplink bytes/patient/day, and link-health counters — bundled
-into a JSON-serializable :class:`CampaignReport`.
+full node -> uplink -> gateway -> triage chain through a
+:class:`~repro.fleet.ShardedFleetRunner` (``1`` worker runs inline),
+with the scenario's signal faults injected into each patient's
+recording and its link impairments applied between node and gateway.
+A journaled scenario is resumed by replaying its per-shard journals
+through a :class:`~repro.fleet.JournalReplayer`.  Either way the
+scenario yields a :class:`~repro.fleet.FleetSummary` plus per-patient
+rows, folded once into a structured :class:`ScenarioResult` — alarm
+delivery and false-drop rates, reconstruction-SNR distribution and
+degradation versus the clean control, uplink bytes/patient/day, and
+link-health counters — bundled into a JSON-serializable
+:class:`CampaignReport`.
 
 Reproducibility contract: the entire campaign derives from
 ``CampaignConfig.master_seed``.  Cohort draw, per-patient recordings,
-fault waveforms and per-packet channel draws all use seeds derived with
-:func:`~repro.scenarios.derive_seed`; two runs of the same config
-produce byte-identical ``report.to_json()``.
+fault waveforms and per-patient channel draws all use seeds derived
+with :func:`~repro.scenarios.derive_seed` from the master seed and the
+patient id, never the shard; two runs of the same config produce
+byte-identical ``report.to_json()`` at any worker count.
 
 The cohort always carries ``n_sentinels`` *sentinel patients*: clean
 (noise-free) persistent-AF cases whose alarms are real by construction.
@@ -35,18 +40,18 @@ import numpy as np
 
 from ..classification.afib import AfDetector
 from ..fleet.cohort import CohortConfig, PatientProfile, make_cohort
-from ..fleet.gateway import Gateway, GatewayConfig
-from ..fleet.journal import (
-    JournalConfig,
-    JournalReplayer,
-    JournalWriter,
-    ReplayReport,
-    journal_meta,
-)
+from ..fleet.gateway import GatewayConfig
+from ..fleet.journal import JournalConfig, JournalReplayer
 from ..fleet.node_proxy import NodeProxyConfig
-from ..fleet.scheduler import FleetReport, FleetScheduler, SchedulerConfig
-from ..fleet.sharding import PerPatientLink, ShardedFleetRunner, ShardHooks
-from ..fleet.triage import STATE_ALERT, STATES
+from ..fleet.scheduler import SchedulerConfig
+from ..fleet.sharding import (
+    PerPatientLink,
+    ShardedFleetRunner,
+    ShardHooks,
+    ShardPatientRow,
+    partition_cohort,
+)
+from ..fleet.triage import STATE_ALERT, FleetSummary
 from ..obs import Observability, SCOPE_SHARD
 from ..power.battery import Battery, BatteryModel
 from ..power.governor import EnergyGovernor, GovernorConfig, ModePowerTable
@@ -82,18 +87,13 @@ class CampaignConfig:
         excerpt_period_s: Node excerpt period.
         stream_telemetry: Run the per-node streaming monitor (off by
             default for campaign speed).
-        shard_workers: Opt-in parallel sweep.  ``0`` (default) keeps
-            the joint single-process path: one scheduler per scenario
-            over the whole cohort, one shared link RNG drawn in packet
-            order.  ``>= 1`` runs each scenario through a
-            :class:`~repro.fleet.ShardedFleetRunner` with this many
-            worker processes (``1`` runs inline, in this process), each
-            patient on its own link seed
-            (``derive_seed(master, scenario, "link", patient_id)``),
-            and folds the per-patient shard rows in cohort x grid
-            order.  Reports are byte-identical across any worker count
-            >= 1 (tested); they differ from the joint path only in the
-            (equally valid) per-patient channel draws.
+        shard_workers: Worker processes of each scenario's
+            :class:`~repro.fleet.ShardedFleetRunner` (``1``, the
+            default, runs inline, in this process).  Every patient
+            draws from its own link seed
+            (``derive_seed(master, scenario, "link", patient_id)``), so
+            reports are byte-identical across any worker count
+            (tested).
         governed: Run every node under a per-patient
             :class:`~repro.power.EnergyGovernor` (closed-loop mode
             adaptation); enables the ``battery_drain`` /
@@ -111,22 +111,15 @@ class CampaignConfig:
             lockstep and exercises nothing.
         governor_min_dwell_s: Governor dwell damping; 0 lets a short
             campaign switch every tick.
-        scheduler_engine: Simulation engine of every per-scenario
-            :class:`~repro.fleet.FleetScheduler` (``"kernel"`` — the
-            event-heap lockstep façade — or the legacy ``"ticks"``
-            loop).  The two are byte-identical by contract (tested);
-            the knob exists so that contract can be asserted at
-            campaign level against the pinned PR-2 goldens.
-        journal_dir: Opt-in durable packet log.  When set, every
-            scenario's gateway traffic is journaled to
-            ``{journal_dir}/{scenario}-NNNNNN.rpj`` segments
-            (:class:`~repro.fleet.JournalWriter`), which makes the
-            campaign *resumable*: ``run(start_from=...)`` replays
-            already-journaled scenarios through
-            :class:`~repro.fleet.JournalReplayer` instead of
-            re-simulating them, byte-identical by the replay
-            determinism contract.  Joint single-process path only —
-            mutually exclusive with ``shard_workers``.
+        journal_dir: Opt-in durable packet log.  When set, each shard
+            of every scenario journals its gateway traffic to
+            ``{journal_dir}/{scenario}-sNN-NNNNNN.rpj`` segments (one
+            journal per shard), which makes the campaign *resumable*:
+            ``run(start_from=...)`` replays already-journaled
+            scenarios through :class:`~repro.fleet.JournalReplayer`
+            instead of re-simulating them, byte-identical by the replay
+            determinism contract.  A resume must use the
+            ``shard_workers`` count the journals were recorded with.
     """
 
     n_patients: int = 20
@@ -137,13 +130,12 @@ class CampaignConfig:
     gateway_n_iter: int = 80
     excerpt_period_s: float = 60.0
     stream_telemetry: bool = False
-    shard_workers: int = 0
+    shard_workers: int = 1
     governed: bool = False
     governor_capacity_mah: float = 0.05
     governor_initial_soc: float = 0.9
     governor_soc_span: float = 0.5
     governor_min_dwell_s: float = 0.0
-    scheduler_engine: str = "kernel"
     journal_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -151,15 +143,10 @@ class CampaignConfig:
             raise ValueError("need at least one patient")
         if not 0 <= self.n_sentinels <= self.n_patients:
             raise ValueError("n_sentinels must be within the cohort")
-        if self.shard_workers < 0:
-            raise ValueError("shard_workers must be >= 0")
-        if self.journal_dir is not None:
-            if not self.journal_dir:
-                raise ValueError("journal_dir must be a non-empty path")
-            if self.shard_workers:
-                raise ValueError(
-                    "journal_dir journals the joint single-process "
-                    "path; it is mutually exclusive with shard_workers")
+        if self.shard_workers < 1:
+            raise ValueError("shard_workers must be >= 1")
+        if self.journal_dir is not None and not self.journal_dir:
+            raise ValueError("journal_dir must be a non-empty path")
         if self.governor_capacity_mah <= 0:
             raise ValueError("governor_capacity_mah must be positive")
         if not 0 < self.governor_initial_soc <= 1:
@@ -308,63 +295,6 @@ def _governed_kit(spec: ScenarioSpec, config: CampaignConfig):
             acuity_override if stresses else None)
 
 
-@dataclass(frozen=True)
-class _PatientOutcome:
-    """One patient's row of one scenario in the shard-backed sweep.
-
-    Only the numbers the merged :class:`ScenarioResult` needs are kept
-    — never the reconstructed signals.
-    """
-
-    patient_id: str
-    scenario: str
-    packets_sent: int
-    packets_reconstructed: int
-    node_alarms: int
-    confirmed_alarms: int
-    payload_bits: int
-    duplicates: int
-    gaps: int
-    queue_dropped: int
-    snrs: tuple[float, ...]
-    state: str
-    stale: bool
-    link_stats: dict[str, int]
-    runtime_s: float
-    mode_seconds: dict[str, float]
-    governor_switches: int
-    final_soc: float
-    telemetry_packets: int
-
-
-def _patient_link(spec: ScenarioSpec, master_seed: int,
-                  patient_id: str) -> ImpairedLink:
-    """One patient's channel model, seeded per patient.
-
-    Seeding per patient (not per shard) is what makes the shard-backed
-    sweep byte-identical across any ``shard_workers`` count.
-    """
-    return ImpairedLink(spec.link,
-                        seed=derive_seed(master_seed, spec.name,
-                                         "link", patient_id))
-
-
-def _fault_injector(spec: ScenarioSpec, master_seed: int):
-    """Per-patient fault injection hook with seed-derived streams.
-
-    Shared by the joint and shard-backed paths; seeded per patient for
-    the same reason as :func:`_patient_link`.
-    """
-
-    def inject(prof: PatientProfile, record: MultiLeadEcg) -> MultiLeadEcg:
-        rng = np.random.default_rng(
-            derive_seed(master_seed, spec.name, "faults",
-                        prof.patient_id))
-        return apply_faults(record, spec.faults, rng)
-
-    return inject
-
-
 def _scenario_shard_hooks(spec: ScenarioSpec, config: CampaignConfig,
                           profiles: list[PatientProfile],
                           master_seed: int) -> ShardHooks:
@@ -372,21 +302,29 @@ def _scenario_shard_hooks(spec: ScenarioSpec, config: CampaignConfig,
 
     Module-level (pickled as a :func:`functools.partial` over ``spec``
     and ``config``) so the :class:`~repro.fleet.ShardedFleetRunner` can
-    ship it to workers.  Every random stream comes from a per-patient
-    derivation site (:func:`_patient_link`, :func:`_fault_injector`),
-    which is what makes the sweep byte-identical under any shard
-    layout.
+    ship it to workers.  Every random stream — each patient's channel
+    and fault waveforms — is seeded from the master seed, the scenario
+    and the patient id, never the shard, which is what makes the sweep
+    byte-identical under any shard layout.
     """
 
-    def link_for(patient_id: str):
+    def link_for(patient_id: str) -> ImpairedLink:
         """One independent channel per patient."""
-        return _patient_link(spec, master_seed, patient_id)
+        return ImpairedLink(spec.link,
+                            seed=derive_seed(master_seed, spec.name,
+                                             "link", patient_id))
+
+    def inject(prof: PatientProfile, record: MultiLeadEcg) -> MultiLeadEcg:
+        """Apply the scenario's signal faults to one recording."""
+        rng = np.random.default_rng(
+            derive_seed(master_seed, spec.name, "faults",
+                        prof.patient_id))
+        return apply_faults(record, spec.faults, rng)
 
     factory, extra_load, acuity_override = _governed_kit(spec, config)
     return ShardHooks(
         link=PerPatientLink(link_for) if spec.link.impaired else None,
-        record_transform=(_fault_injector(spec, master_seed)
-                          if spec.signal_faults else None),
+        record_transform=inject if spec.signal_faults else None,
         governor_factory=factory,
         extra_load=extra_load,
         acuity_override=acuity_override,
@@ -493,11 +431,10 @@ class CampaignRunner:
         config: Campaign parameters.
         af_detector: Trained fleet AF detector; trained internally from
             a seed-derived corpus when omitted.
-        obs: Optional observability bundle.  The joint in-process path
-            threads it through the gateway/scheduler/governor hot
-            joints; the sharded path keeps it parent-side (workers are
-            separate processes) where it records per-scenario and
-            per-unit wall-time gauges.
+        obs: Optional observability bundle, kept in this process: it
+            records per-scenario and per-unit wall-time gauges.  Per-run
+            fleet metrics come from
+            ``ShardedFleetRunner(obs_config=...)``.
     """
 
     def __init__(self, scenarios: tuple[ScenarioSpec, ...] | list,
@@ -538,17 +475,25 @@ class CampaignRunner:
             stop_after: str | None = None) -> CampaignReport:
         """Execute every scenario and assemble the campaign report.
 
+        Scenarios run one at a time, in grid order, each folded before
+        the next starts.
+
         Args:
             start_from: Resume checkpoint — the first scenario to
                 actually *simulate*.  Scenarios earlier in the grid are
-                replayed from their ``journal_dir`` segments (recorded
-                by a previous, possibly interrupted, run) and fold to
-                byte-identical results.  Requires
-                ``CampaignConfig.journal_dir``.
+                replayed from their ``journal_dir`` journals (recorded
+                by a previous, possibly interrupted, run with the same
+                ``shard_workers``) and fold to byte-identical results.
+                Requires ``CampaignConfig.journal_dir``.
             stop_after: Stage checkpoint — stop (and return the partial
                 report) after this scenario completes.  With
                 ``journal_dir`` set, a later run can pick up where this
                 one stopped via ``start_from``.
+
+        Raises:
+            JournalError: A replayed scenario's journals do not match
+                this cohort's shard layout (missing, stale or recorded
+                at another worker count).
         """
         cfg = self.config
         start_idx = self._checkpoint_index(start_from, "start_from")
@@ -563,17 +508,14 @@ class CampaignRunner:
         cohort = self.cohort()
         report = CampaignReport(config=cfg)
         clean_p50: float | None = None
-        outcomes = (self._run_sharded(cohort, detector)
-                    if cfg.shard_workers >= 1 else None)
         for i, spec in enumerate(self.scenarios):
-            if outcomes is not None:
-                result = self._merge_scenario(spec, cohort, outcomes,
-                                              clean_p50)
-            elif i < (start_idx or 0):
-                result = self._replay_scenario(spec, clean_p50)
+            t0 = time.perf_counter()
+            if i < (start_idx or 0):
+                summary, rows = self._replay(spec, cohort)
             else:
-                result = self._run_scenario(spec, cohort, detector,
-                                            clean_p50)
+                summary, rows = self._simulate(spec, cohort, detector)
+            result = self._fold(spec, summary, rows, clean_p50,
+                                time.perf_counter() - t0)
             if clean_p50 is None and np.isfinite(result.snr_p50_db):
                 # First scenario anchors the SNR-degradation column
                 # (put the clean control first).
@@ -610,148 +552,6 @@ class CampaignRunner:
         for pid, sec in sorted(result.unit_runtimes_s.items()):
             unit_g.set(sec, patient=pid, scenario=result.scenario)
 
-    def _run_sharded(self, cohort: list[PatientProfile],
-                     detector: AfDetector,
-                     ) -> dict[tuple[str, str], _PatientOutcome]:
-        """Shard-backed sweep: one sharded fleet run per scenario.
-
-        Each scenario's cohort is striped across ``shard_workers``
-        processes by a :class:`~repro.fleet.ShardedFleetRunner`; the
-        decoded per-patient shard rows become :class:`_PatientOutcome`
-        rows keyed by ``(patient_id, scenario)``, which
-        :meth:`_merge_scenario` folds.  The per-shard gateway's queue-drop
-        counter has no per-patient attribution; it is carried on the
-        scenario's first cohort row (zero in practice — the merge only
-        ever sums it).
-        """
-        cfg = self.config
-        outcomes: dict[tuple[str, str], _PatientOutcome] = {}
-        for spec in self.scenarios:
-            runner = ShardedFleetRunner(
-                cohort,
-                n_shards=cfg.shard_workers,
-                config=SchedulerConfig(duration_s=cfg.duration_s,
-                                       fs=cfg.fs,
-                                       engine=cfg.scheduler_engine),
-                node_config=NodeProxyConfig(
-                    excerpt_period_s=cfg.excerpt_period_s,
-                    stream_telemetry=cfg.stream_telemetry),
-                gateway_config=GatewayConfig(n_iter=cfg.gateway_n_iter),
-                master_seed=cfg.master_seed,
-                hook_factory=functools.partial(_scenario_shard_hooks,
-                                               spec, cfg),
-                af_detector=detector,
-            )
-            fleet = runner.run()
-            per_row_runtime = (fleet.timings_s.get("total", 0.0)
-                               / max(1, len(cohort)))
-            for i, profile in enumerate(cohort):
-                row = fleet.rows[profile.patient_id]
-                channel = row.channel
-                outcomes[(profile.patient_id, spec.name)] = \
-                    _PatientOutcome(
-                        patient_id=profile.patient_id,
-                        scenario=spec.name,
-                        packets_sent=row.n_sent,
-                        packets_reconstructed=row.n_reconstructed,
-                        node_alarms=row.n_node_alarms,
-                        confirmed_alarms=(channel.n_confirmed
-                                          if channel else 0),
-                        payload_bits=(channel.payload_bits
-                                      if channel else 0),
-                        duplicates=(channel.n_duplicates
-                                    if channel else 0),
-                        gaps=channel.n_gaps if channel else 0,
-                        queue_dropped=(fleet.dropped_packets
-                                       if i == 0 else 0),
-                        snrs=tuple(channel.snrs) if channel else (),
-                        state=row.triage.state,
-                        stale=row.triage.stale,
-                        link_stats=dict(row.link_stats),
-                        runtime_s=per_row_runtime,
-                        mode_seconds=dict(row.mode_seconds),
-                        governor_switches=row.governor_switches,
-                        final_soc=row.final_soc,
-                        telemetry_packets=(channel.n_telemetry
-                                           if channel else 0),
-                    )
-        return outcomes
-
-    def _merge_scenario(self, spec: ScenarioSpec,
-                        cohort: list[PatientProfile],
-                        outcomes: dict[tuple[str, str], _PatientOutcome],
-                        clean_p50: float | None) -> ScenarioResult:
-        """Fold one scenario's per-patient outcomes into a result.
-
-        Iterates the cohort in its (seed-derived) order and looks every
-        outcome up by ``(patient_id, scenario)`` key, so the merge is
-        independent of completion order.
-        """
-        cfg = self.config
-        rows = [outcomes[(profile.patient_id, spec.name)]
-                for profile in cohort]
-        n = len(rows)
-        scale_day = 86400.0 / cfg.duration_s
-        node_alarms = sum(r.node_alarms for r in rows)
-        confirmed = sum(r.confirmed_alarms for r in rows)
-        snrs = np.array([s for r in rows for s in r.snrs], dtype=float)
-        p10, p50, p90 = (np.percentile(snrs, (10, 50, 90)) if snrs.size
-                         else (float("nan"),) * 3)
-        sentinel_rows = [r for r in rows
-                         if r.patient_id.startswith(SENTINEL_PREFIX)]
-        sent_node = sum(r.node_alarms for r in sentinel_rows)
-        sent_conf = sum(r.confirmed_alarms for r in sentinel_rows)
-        false_drop = (1.0 - min(sent_conf, sent_node) / sent_node
-                      if sent_node else 0.0)
-        delivery = confirmed / node_alarms if node_alarms else 1.0
-        drop_p50 = (clean_p50 - float(p50)
-                    if clean_p50 is not None and np.isfinite(p50) else 0.0)
-        states = Counter(r.state for r in rows)
-        link_stats: Counter[str] = Counter()
-        for r in rows:
-            link_stats.update(r.link_stats)
-        mode_seconds: dict[str, float] = {}
-        for r in rows:
-            for mode, sec in r.mode_seconds.items():
-                mode_seconds[mode] = mode_seconds.get(mode, 0.0) + sec
-        socs = [r.final_soc for r in rows if np.isfinite(r.final_soc)]
-        return ScenarioResult(
-            scenario=spec.name,
-            description=spec.description,
-            n_patients=n,
-            duration_s=cfg.duration_s,
-            packets_sent=sum(r.packets_sent for r in rows),
-            packets_reconstructed=sum(r.packets_reconstructed
-                                      for r in rows),
-            node_alarms=node_alarms,
-            confirmed_alarms=confirmed,
-            alarm_delivery_rate=delivery,
-            sentinel_node_alarms=sent_node,
-            sentinel_confirmed_alarms=sent_conf,
-            sentinel_false_drop_rate=false_drop,
-            snr_p10_db=float(p10),
-            snr_p50_db=float(p50),
-            snr_p90_db=float(p90),
-            snr_drop_p50_db=drop_p50,
-            uplink_bytes_per_patient_day=sum(r.payload_bits for r in rows)
-            / 8.0 / n * scale_day,
-            state_counts={state: states.get(state, 0)
-                          for state in STATES},
-            stale_patients=sum(1 for r in rows if r.stale),
-            duplicate_packets=sum(r.duplicates for r in rows),
-            reassembly_gaps=sum(r.gaps for r in rows),
-            queue_dropped=sum(r.queue_dropped for r in rows),
-            link_stats=dict(link_stats),
-            runtime_s=sum(r.runtime_s for r in rows),
-            governed=cfg.governed,
-            mode_seconds=mode_seconds,
-            governor_switches=sum(r.governor_switches for r in rows),
-            mean_final_soc=(float(np.mean(socs)) if socs
-                            else float("nan")),
-            telemetry_packets=sum(r.telemetry_packets for r in rows),
-            unit_runtimes_s={r.patient_id: r.runtime_s for r in rows},
-        )
-
     def _train_detector(self) -> AfDetector:
         """Train the fleet AF detector from a seed-derived corpus."""
         corpus = make_corpus(
@@ -759,91 +559,72 @@ class CampaignRunner:
             seed=derive_seed(self.config.master_seed, "af-train"))
         return AfDetector().fit(list(corpus))
 
-    def _journal_config(self, spec: ScenarioSpec) -> JournalConfig:
-        """The journal segment family of one scenario's run."""
-        return JournalConfig(dir=self.config.journal_dir,
-                             name=spec.name)
+    def _journal_config(self, spec: ScenarioSpec) -> JournalConfig | None:
+        """The journal family of one scenario (``None`` unjournaled);
+        each shard writes ``for_shard(i)`` of it."""
+        if self.config.journal_dir is None:
+            return None
+        return JournalConfig(dir=self.config.journal_dir, name=spec.name)
 
-    def _run_scenario(self, spec: ScenarioSpec,
-                      cohort: list[PatientProfile],
-                      detector: AfDetector,
-                      clean_p50: float | None) -> ScenarioResult:
+    def _simulate(self, spec: ScenarioSpec,
+                  cohort: list[PatientProfile], detector: AfDetector,
+                  ) -> tuple[FleetSummary, dict[str, ShardPatientRow]]:
+        """Run one scenario through a sharded fleet run.
+
+        With ``journal_dir`` set, every shard journals its stripe
+        afresh (a re-run restarts each shard's journal from scratch).
+        """
         cfg = self.config
-        gateway_config = GatewayConfig(n_iter=cfg.gateway_n_iter)
-        link = (ImpairedLink(spec.link,
-                             seed=derive_seed(cfg.master_seed, spec.name,
-                                              "link"))
-                if spec.link.impaired else None)
-        inject = _fault_injector(spec, cfg.master_seed)
-        factory, extra_load, acuity_override = _governed_kit(spec, cfg)
-        journal = None
-        if cfg.journal_dir is not None:
-            # A re-run of a live scenario restarts its journal from
-            # scratch (resume=False): segments must describe exactly
-            # one run to replay byte-identically.
-            journal = JournalWriter(
-                self._journal_config(spec),
-                meta=journal_meta(cfg.duration_s, cfg.fs,
-                                  gateway_config),
-                obs=self.obs, resume=False)
-        scheduler = FleetScheduler(
+        fleet = ShardedFleetRunner(
             cohort,
-            SchedulerConfig(duration_s=cfg.duration_s, fs=cfg.fs,
-                            engine=cfg.scheduler_engine),
+            n_shards=cfg.shard_workers,
+            config=SchedulerConfig(duration_s=cfg.duration_s, fs=cfg.fs),
             node_config=NodeProxyConfig(
                 excerpt_period_s=cfg.excerpt_period_s,
                 stream_telemetry=cfg.stream_telemetry),
-            gateway=Gateway(gateway_config, obs=self.obs),
+            gateway_config=GatewayConfig(n_iter=cfg.gateway_n_iter),
+            master_seed=cfg.master_seed,
+            hook_factory=functools.partial(_scenario_shard_hooks,
+                                           spec, cfg),
             af_detector=detector,
-            link=link,
-            record_transform=inject if spec.signal_faults else None,
-            governor_factory=factory,
-            extra_load=extra_load,
-            acuity_override=acuity_override,
-            obs=self.obs,
-            journal=journal,
-        )
-        t0 = time.perf_counter()
-        try:
-            fleet = scheduler.run()
-        finally:
-            if journal is not None:
-                journal.close()
-        runtime = time.perf_counter() - t0
-        return self._result_from(spec, fleet, scheduler, clean_p50,
-                                 runtime)
+            journal=self._journal_config(spec),
+        ).run()
+        return fleet.summary, fleet.rows
 
-    def _replay_scenario(self, spec: ScenarioSpec,
-                         clean_p50: float | None) -> ScenarioResult:
+    def _replay(self, spec: ScenarioSpec, cohort: list[PatientProfile],
+                ) -> tuple[FleetSummary, dict[str, ShardPatientRow]]:
         """Fold one already-journaled scenario without re-simulating.
 
-        Streams the scenario's journal segments back through fresh
-        gateway cores (:class:`~repro.fleet.JournalReplayer`); the
-        replayed summary and rows are byte-identical to the original
-        live run's, so the folded :class:`ScenarioResult` is too.
+        Replays the journals of every stripe
+        :func:`~repro.fleet.partition_cohort` yields at
+        ``shard_workers``, merged; the replayed summary and rows are
+        byte-identical to the live run's.  The cohort is passed
+        explicitly, so a layout mismatch raises
+        :class:`~repro.fleet.JournalError` instead of folding a partial
+        fleet: a stripe's journal is missing, a patient is in two
+        journals, or a patient is in none.
         """
-        t0 = time.perf_counter()
-        replay = JournalReplayer(self._journal_config(spec)).run()
-        runtime = time.perf_counter() - t0
-        return self._result_from_replay(spec, replay, clean_p50,
-                                        runtime)
+        journal = self._journal_config(spec)
+        n_stripes = len(partition_cohort(cohort, self.config.shard_workers))
+        replay = JournalReplayer(
+            [journal.for_shard(i) for i in range(n_stripes)],
+            cohort=cohort).run()
+        return replay.summary, replay.rows
 
-    def _result_from_replay(self, spec: ScenarioSpec,
-                            replay: ReplayReport,
-                            clean_p50: float | None,
-                            runtime: float) -> ScenarioResult:
-        """Map a replayed journal onto the scenario-result schema.
+    def _fold(self, spec: ScenarioSpec, summary: FleetSummary,
+              rows: dict[str, ShardPatientRow],
+              clean_p50: float | None, runtime: float) -> ScenarioResult:
+        """Map one scenario's fleet summary and rows onto a result.
 
-        Mirrors :meth:`_result_from` field by field, reading from the
-        replay's merged summary and per-patient rows instead of the
-        live scheduler state.
+        Fleet aggregates come from the summary; the packet counts and
+        the sentinel, link and telemetry columns come from the
+        per-patient rows.  The per-unit runtime is an even share of
+        the scenario's wall time.
         """
-        summary = replay.summary
-        rows = replay.rows
-        sentinel_rows = [row for pid, row in rows.items()
-                        if pid.startswith(SENTINEL_PREFIX)]
-        sent_node = sum(row.n_node_alarms for row in sentinel_rows)
-        sent_conf = sum(row.channel.n_confirmed for row in sentinel_rows
+        sentinels = [row for pid, row in rows.items()
+                     if pid.startswith(SENTINEL_PREFIX)]
+        sent_node = sum(row.n_node_alarms for row in sentinels)
+        sent_conf = sum(row.channel.n_confirmed for row in sentinels
                         if row.channel is not None)
         false_drop = (1.0 - min(sent_conf, sent_node) / sent_node
                       if sent_node else 0.0)
@@ -852,12 +633,15 @@ class CampaignRunner:
         drop_p50 = (clean_p50 - summary.snr_p50_db
                     if clean_p50 is not None
                     and np.isfinite(summary.snr_p50_db) else 0.0)
+        link_stats: Counter[str] = Counter()
+        for row in rows.values():
+            link_stats.update(row.link_stats)
         return ScenarioResult(
             scenario=spec.name,
             description=spec.description,
             n_patients=summary.n_patients,
             duration_s=summary.duration_s,
-            packets_sent=replay.packets_sent,
+            packets_sent=sum(row.n_sent for row in rows.values()),
             packets_reconstructed=sum(row.n_reconstructed
                                       for row in rows.values()),
             node_alarms=summary.node_alarms,
@@ -877,77 +661,15 @@ class CampaignRunner:
             duplicate_packets=summary.duplicate_packets,
             reassembly_gaps=summary.reassembly_gaps,
             queue_dropped=summary.dropped_packets,
-            link_stats=replay.link_stats,
+            link_stats=dict(link_stats),
             runtime_s=runtime,
             governed=summary.governed,
             mode_seconds=dict(summary.mode_seconds),
             governor_switches=summary.governor_switches,
             mean_final_soc=summary.mean_final_soc,
-            telemetry_packets=sum(
-                row.channel.n_telemetry for row in rows.values()
-                if row.channel is not None),
-            unit_runtimes_s={
-                pid: runtime / max(1, summary.n_patients)
-                for pid in rows},
-        )
-
-    def _result_from(self, spec: ScenarioSpec, fleet: FleetReport,
-                     scheduler: FleetScheduler,
-                     clean_p50: float | None,
-                     runtime: float) -> ScenarioResult:
-        summary = fleet.summary
-        sentinel_ids = [p.patient_id for p in fleet.profiles
-                        if p.patient_id.startswith(SENTINEL_PREFIX)]
-        sent_node = sum(len(fleet.node_reports[pid].alarms)
-                        for pid in sentinel_ids)
-        sent_conf = sum(
-            scheduler.gateway.channels[pid].n_confirmed
-            for pid in sentinel_ids
-            if pid in scheduler.gateway.channels)
-        false_drop = (1.0 - min(sent_conf, sent_node) / sent_node
-                      if sent_node else 0.0)
-        delivery = (summary.confirmed_alarms / summary.node_alarms
-                    if summary.node_alarms else 1.0)
-        drop_p50 = (clean_p50 - summary.snr_p50_db
-                    if clean_p50 is not None
-                    and np.isfinite(summary.snr_p50_db) else 0.0)
-        return ScenarioResult(
-            scenario=spec.name,
-            description=spec.description,
-            n_patients=summary.n_patients,
-            duration_s=summary.duration_s,
-            packets_sent=fleet.packets_sent,
-            packets_reconstructed=len(fleet.excerpts),
-            node_alarms=summary.node_alarms,
-            confirmed_alarms=summary.confirmed_alarms,
-            alarm_delivery_rate=delivery,
-            sentinel_node_alarms=sent_node,
-            sentinel_confirmed_alarms=sent_conf,
-            sentinel_false_drop_rate=false_drop,
-            snr_p10_db=summary.snr_p10_db,
-            snr_p50_db=summary.snr_p50_db,
-            snr_p90_db=summary.snr_p90_db,
-            snr_drop_p50_db=drop_p50,
-            uplink_bytes_per_patient_day=
-                summary.uplink_bytes_per_patient_day,
-            state_counts=summary.state_counts,
-            stale_patients=summary.stale_patients,
-            duplicate_packets=summary.duplicate_packets,
-            reassembly_gaps=summary.reassembly_gaps,
-            queue_dropped=summary.dropped_packets,
-            link_stats=fleet.link_stats,
-            runtime_s=runtime,
-            governed=summary.governed,
-            mode_seconds=dict(summary.mode_seconds),
-            governor_switches=summary.governor_switches,
-            mean_final_soc=summary.mean_final_soc,
-            telemetry_packets=sum(
-                ch.n_telemetry
-                for ch in scheduler.gateway.channels.values()),
-            # The joint path runs the whole cohort in one scheduler
-            # loop, so the per-unit split is an even share of the
-            # scenario wall time.
-            unit_runtimes_s={
-                p.patient_id: runtime / max(1, summary.n_patients)
-                for p in fleet.profiles},
+            telemetry_packets=sum(row.channel.n_telemetry
+                                  for row in rows.values()
+                                  if row.channel is not None),
+            unit_runtimes_s={pid: runtime / max(1, len(rows))
+                             for pid in rows},
         )

@@ -19,6 +19,7 @@ from repro.fleet import (
     PatientProfile,
     SchedulerConfig,
     ServeMessage,
+    ShardedFleetRunner,
     StreamDecoder,
     decode_message,
     encode_message,
@@ -348,6 +349,34 @@ class TestCrashInjection:
         recovered.close()
         replay = JournalReplayer(config).run()
         assert replay.summary.to_json() == reference.summary.to_json()
+
+
+
+class TestReplaySources:
+    def test_patient_in_two_journals_is_refused(self, tmp_path):
+        """Re-recording a run at 1 shard over a 3-shard recording leaves
+        stale ``-s01``/``-s02`` journals behind.  Their patients are in
+        the fresh ``-s00`` too; merging all three would ingest those
+        patients' packets twice, so the replay refuses and names both
+        journals."""
+        cohort = make_cohort(CohortConfig(n_patients=3, seed=11))
+        run_kw = dict(
+            config=SchedulerConfig(duration_s=60.0, fs=250.0),
+            node_config=NodeProxyConfig(stream_telemetry=False),
+            gateway_config=GatewayConfig(n_iter=30))
+        config = JournalConfig(dir=str(tmp_path), name="rerun")
+        ShardedFleetRunner(cohort, n_shards=3, journal=config,
+                           **run_kw).run()
+        ShardedFleetRunner(cohort, n_shards=1, journal=config,
+                           **run_kw).run()
+        sources = [config.for_shard(i) for i in range(3)]
+        with pytest.raises(JournalError,
+                           match="'rerun-s00' and 'rerun-s01'"):
+            JournalReplayer(sources).run()
+        # The fresh 1-shard journal alone is the complete run.
+        replay = JournalReplayer(config.for_shard(0)).run()
+        assert replay.summary.duplicate_packets == 0
+        assert list(replay.rows) == [p.patient_id for p in cohort]
 
 
 class TestDecoderAccounting:

@@ -15,7 +15,6 @@ Three layers:
 from __future__ import annotations
 
 import functools
-import json
 
 import numpy as np
 import pytest
@@ -366,31 +365,3 @@ class TestTotalOrderProperty:
             assert keys, "run scheduled no events"
             assert len(set(keys)) == len(keys), "duplicate ordering key"
             assert keys == sorted(keys), "events fired out of key order"
-
-
-class TestCampaignGolden:
-    def test_campaign_reproduces_tick_loop_goldens(self,
-                                                   trained_af_detector):
-        # The PR-2 campaign acceptance pinned byte-identical reports
-        # from one master seed.  The kernel façade (today's default
-        # engine) must reproduce those goldens exactly: a campaign run
-        # under engine="kernel" == the same campaign under the legacy
-        # tick loop, byte for byte, including under link impairments.
-        from repro.scenarios import (CampaignConfig, CampaignRunner,
-                                     clean_scenario,
-                                     packet_loss_scenario)
-
-        grid = (clean_scenario(), packet_loss_scenario(0.15))
-        reports = []
-        for engine in ("ticks", "kernel"):
-            config = CampaignConfig(n_patients=3, n_sentinels=1,
-                                    duration_s=60.0, master_seed=11,
-                                    gateway_n_iter=40,
-                                    scheduler_engine=engine)
-            reports.append(CampaignRunner(
-                grid, config, af_detector=trained_af_detector).run())
-        assert reports[0].to_json() == reports[1].to_json()
-        payload = json.loads(reports[1].to_json())
-        assert sorted(r["scenario"] for r in payload["scenarios"]) \
-            == sorted(s.name for s in grid)
-        assert all(r["packets_sent"] > 0 for r in payload["scenarios"])

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.fleet import JournalError, ShardedFleetRunner
+from repro.obs import SCOPE_SHARD, Observability
 from repro.scenarios import (
     CampaignConfig,
     CampaignRunner,
@@ -190,8 +192,7 @@ class TestGovernedCampaigns:
         assert result.mode_seconds.get("delineation_only", 0.0) > 0
         assert result.telemetry_packets > 0
 
-    def test_governed_joint_path_matches_reruns(self,
-                                                trained_af_detector):
+    def test_governed_grid_matches_reruns(self, trained_af_detector):
         config = CampaignConfig(**self.CFG)
         grid = governed_grid(120.0)
         one = CampaignRunner(grid, config,
@@ -254,18 +255,6 @@ class TestShardWorkers:
                 grid, config, af_detector=trained_af_detector).run())
         assert reports[0].to_json() == reports[1].to_json()
 
-    def test_clean_scenario_matches_joint_path(self, trained_af_detector):
-        # Without link impairments the sharded sweep computes the exact
-        # numbers of the joint single-process path.
-        grid = (clean_scenario(),)
-        results = []
-        for workers in (0, 1):
-            config = CampaignConfig(shard_workers=workers, **self.CFG)
-            report = CampaignRunner(grid, config,
-                                    af_detector=trained_af_detector).run()
-            results.append(report.result("clean").to_dict())
-        assert results[0] == results[1]
-
     def test_sentinels_survive_loss(self, trained_af_detector):
         config = CampaignConfig(shard_workers=1, **self.CFG)
         report = CampaignRunner((packet_loss_scenario(0.15),), config,
@@ -275,9 +264,31 @@ class TestShardWorkers:
         assert result.sentinel_false_drop_rate == 0.0
         assert result.link_stats["offered"] > 0
 
-    def test_negative_shard_workers_rejected(self):
-        with pytest.raises(ValueError, match="shard_workers"):
-            CampaignConfig(shard_workers=-1)
+    @pytest.mark.parametrize("workers", [-1, 0])
+    def test_shard_workers_below_one_rejected(self, workers):
+        # One execution path: there is no zero-worker (joint) mode.
+        with pytest.raises(ValueError, match="shard_workers must be >= 1"):
+            CampaignConfig(shard_workers=workers)
+
+    def test_stop_after_simulates_one_scenario_at_a_time(
+            self, trained_af_detector, monkeypatch):
+        # Scenarios are simulated inside the grid loop, so a stage
+        # checkpoint saves the work of every later scenario.
+        calls = []
+        real_run = ShardedFleetRunner.run
+
+        def counting_run(runner):
+            calls.append(runner.n_shards)
+            return real_run(runner)
+
+        monkeypatch.setattr(ShardedFleetRunner, "run", counting_run)
+        grid = (clean_scenario(), packet_loss_scenario(0.15))
+        config = CampaignConfig(shard_workers=3, **self.CFG)
+        report = CampaignRunner(grid, config,
+                                af_detector=trained_af_detector).run(
+            stop_after="clean")
+        assert calls == [3]
+        assert [r.scenario for r in report.results] == ["clean"]
 
 
 class TestJournalCheckpoints:
@@ -287,9 +298,7 @@ class TestJournalCheckpoints:
                master_seed=77, gateway_n_iter=30)
     GRID = (clean_scenario(), packet_loss_scenario(0.10))
 
-    def test_journal_dir_excludes_worker_sweeps(self, tmp_path):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            CampaignConfig(journal_dir=str(tmp_path), shard_workers=2)
+    def test_journal_dir_must_be_non_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
             CampaignConfig(journal_dir="")
 
@@ -314,22 +323,80 @@ class TestJournalCheckpoints:
         with pytest.raises(ValueError, match="journal_dir"):
             runner.run(start_from=self.GRID[1].name)
 
-    def test_stop_then_resume_is_byte_identical(self,
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_stop_then_resume_is_byte_identical(self, workers,
                                                 trained_af_detector,
                                                 tmp_path):
         """The resumable-campaign acceptance bar: a run stopped after
         stage one and resumed from stage two — replaying stage one from
-        its journal — reports byte-identically to one uninterrupted
-        run."""
-        config = CampaignConfig(journal_dir=str(tmp_path), **self.CFG)
+        its per-shard journals — reports byte-identically to one
+        uninterrupted, unjournaled run, at any worker count."""
 
-        def runner():
-            return CampaignRunner(self.GRID, config,
-                                  af_detector=trained_af_detector)
+        def runner(journal_dir):
+            return CampaignRunner(
+                self.GRID,
+                CampaignConfig(journal_dir=journal_dir,
+                               shard_workers=workers, **self.CFG),
+                af_detector=trained_af_detector)
 
-        full = runner().run()
-        staged = runner().run(stop_after=self.GRID[0].name)
+        full = runner(None).run()
+        staged = runner(str(tmp_path)).run(stop_after=self.GRID[0].name)
         assert [r.scenario for r in staged.results] \
             == [self.GRID[0].name]
-        resumed = runner().run(start_from=self.GRID[1].name)
+        resumed = runner(str(tmp_path)).run(start_from=self.GRID[1].name)
         assert resumed.to_json() == full.to_json()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            f"{spec.name}-s{i:02d}-000000.rpj"
+            for spec in self.GRID for i in range(workers)]
+
+    @pytest.mark.parametrize("recordings, resumed, match", [
+        ((3,), 1, "missing patients"),
+        ((1,), 3, "no journal named"),
+        # Re-recording at 1 worker leaves the 3-worker -s01/-s02
+        # journals behind: their patients are in two journals.
+        ((3, 1), 3, "appears in journals"),
+    ], ids=["3-then-1", "1-then-3", "stale-shards"])
+    def test_resume_at_another_layout_raises(self, recordings, resumed,
+                                             match, trained_af_detector,
+                                             tmp_path):
+        """Journals are per shard stripe: a resume must use the worker
+        count they were recorded with, and never folds a partial
+        fleet."""
+
+        def runner(workers):
+            return CampaignRunner(
+                self.GRID,
+                CampaignConfig(journal_dir=str(tmp_path),
+                               shard_workers=workers, **self.CFG),
+                af_detector=trained_af_detector)
+
+        for workers in recordings:
+            runner(workers).run(stop_after=self.GRID[0].name)
+        with pytest.raises(JournalError, match=match):
+            runner(resumed).run(start_from=self.GRID[1].name)
+
+
+class TestCampaignObservability:
+    def test_runtime_gauges_are_shard_scoped(self, trained_af_detector,
+                                             small_report):
+        obs = Observability()
+        grid = (clean_scenario(), packet_loss_scenario(0.10))
+        report = CampaignRunner(grid, SMALL,
+                                af_detector=trained_af_detector,
+                                obs=obs).run()
+        families = obs.metrics.families()
+        scenario_g = families["campaign_scenario_runtime_seconds"]
+        unit_g = families["campaign_unit_runtime_seconds"]
+        assert sorted(dict(key)["scenario"] for key in scenario_g.series) \
+            == sorted(spec.name for spec in grid)
+        cohort = CampaignRunner(grid, SMALL).cohort()
+        units = [(dict(key)["patient"], dict(key)["scenario"])
+                 for key in unit_g.series]
+        assert sorted(units) == sorted(
+            (profile.patient_id, spec.name)
+            for profile in cohort for spec in grid)
+        # Wall clock stays out of the canonical (fleet-scope) surface,
+        # and observing changes nothing in the report.
+        assert scenario_g.scope == unit_g.scope == SCOPE_SHARD
+        assert "campaign_" not in obs.canonical_json()
+        assert report.to_json() == small_report.to_json()
