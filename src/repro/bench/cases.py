@@ -317,10 +317,10 @@ def fleet_throughput_sharded(ctx: BenchContext) -> dict:
     fails the bench (and therefore the CI quick gate), not just a unit
     test.  The 4-shard leg runs on the shared-memory transport where
     the platform has one (and additionally byte-checks the pickle
-    backend against it), so the timing covers the zero-copy fabric:
-    shard results travel as segment handles and merge without an
-    unpickle copy.  The headline metric is the 4-process speedup over
-    the single-process run; on the 1-core containers that record
+    backend against it), so the timing covers the shared-memory
+    fabric: shard results travel as segment handles instead of
+    through the result pickle.  The headline metric is the 4-process
+    speedup over the single-process run; on the 1-core containers that record
     baselines it hovers near 1.0 — multi-core gates live in
     ``benchmarks/test_fleet_throughput_sharded.py``.
     """

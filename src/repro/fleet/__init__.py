@@ -118,10 +118,8 @@ from .wire import (
     WireFormatError,
     decode_message,
     decode_packet,
-    decode_packets,
     encode_message,
     encode_packet,
-    encode_packets,
     encode_stream_frame,
     frame_kind,
 )
@@ -189,10 +187,8 @@ __all__ = [
     "WireFormatError",
     "decode_message",
     "decode_packet",
-    "decode_packets",
     "encode_message",
     "encode_packet",
-    "encode_packets",
     "encode_stream_frame",
     "fleet_summary",
     "frame_kind",

@@ -87,10 +87,7 @@ class _Transport:
             if not chunk:
                 raise ServeError("connection closed while awaiting "
                                  "a reply")
-            # Decoder frames are views valid only until the next
-            # feed(); the inbox retains them across recv calls.
-            self._inbox.extend(
-                bytes(frame) for frame in self._decoder.feed(chunk))
+            self._inbox.extend(self._decoder.feed(chunk))
         msg = decode_message(self._inbox.popleft())
         if msg.kind == "error":
             raise ServeError(msg.info.get("error", "server error"))

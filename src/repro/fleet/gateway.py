@@ -169,14 +169,8 @@ class PatientChannel:
 
     @property
     def mean_snr_db(self) -> float:
-        """Mean reconstruction SNR of this channel (nan when unscored).
-
-        ``snrs`` may be a list (live gateway) or a read-only float64
-        array (zero-copy shard decode), so emptiness is tested by
-        length, never truthiness.
-        """
-        return (float(np.mean(self.snrs)) if len(self.snrs)
-                else float("nan"))
+        """Mean reconstruction SNR of this channel (nan when unscored)."""
+        return float(np.mean(self.snrs)) if self.snrs else float("nan")
 
 
 class _ReassemblyBuffer:
@@ -523,11 +517,6 @@ class Gateway:
         """
         from .wire import decode_packet, WireFormatError
 
-        # Zero-copy discipline: decode_packet aliases immutable bytes
-        # sources (read-only measurement views feed the drain batches
-        # directly), and the journal CRCs/writes the frame buffer
-        # without an owned copy.  Only the flight recorder — which
-        # *retains* frames in its ring — takes ``bytes(data)``.
         if self._m is None:
             packet = decode_packet(data)
             if self._journal is not None:

@@ -202,13 +202,8 @@ class JournalRecord:
     prio: int
     #: Patient id the frame belongs to ("" = cohort-wide control).
     subject: str
-    #: The wire frame (packet frame or encoded ServeMessage).  Scans
-    #: yield read-only memoryview slices over the loaded segment bytes
-    #: — zero-copy, and the view keeps the segment buffer alive, so a
-    #: retained record stays valid.  Because the backing storage is
-    #: immutable ``bytes``, ``decode_packet`` aliases it directly on
-    #: replay.
-    frame: bytes | memoryview
+    #: The wire frame (packet frame or encoded ServeMessage).
+    frame: bytes
 
 
 @dataclass(frozen=True)
@@ -282,11 +277,7 @@ def _decode_header(buf: bytes, path: Path) -> tuple[_SegmentHeader, int]:
 def _decode_body(
     body: bytes | memoryview, path: Path, offset: int
 ) -> JournalRecord:
-    """Parse a record body; raise :class:`JournalError` on any defect.
-
-    When ``body`` is a memoryview the record's frame is a zero-copy
-    slice of it (see :class:`JournalRecord`).
-    """
+    """Parse a record body; raise :class:`JournalError` on any defect."""
     if len(body) < _BODY_HEAD.size:
         raise JournalError(
             f"{path}: record body at byte {offset} too short ({len(body)} B)"
@@ -298,8 +289,8 @@ def _decode_body(
         raise JournalError(
             f"{path}: record subject at byte {offset} overruns the body"
         )
-    frame = body[start + subject_len :]
-    if not len(frame):
+    frame = bytes(body[start + subject_len :])
+    if not frame:
         raise JournalError(f"{path}: record at byte {offset} has an empty frame")
     try:
         subject = subject_raw.decode("utf-8")
@@ -395,8 +386,9 @@ class JournalWriter:
     ``resume=False`` deletes any prior segments and starts fresh.
 
     The ``write_hook`` attribute is a crash-injection seam: when set,
-    record bytes are passed through it instead of ``file.write``, so a
-    test can emulate a power cut mid-append.
+    each whole record's bytes are passed through it (one call per
+    record) instead of ``file.write``, so a test can emulate a power
+    cut mid-append.
     """
 
     def __init__(
@@ -516,9 +508,8 @@ class JournalWriter:
     ) -> None:
         """Journal a wire-encoded packet frame at the current clock.
 
-        ``frame`` may be any bytes-like buffer; it is CRC'd and written
-        under the lock without an intermediate copy and never retained
-        past the call.
+        ``frame`` may be any bytes-like buffer; it is written under the
+        lock and never retained past the call.
         """
         with self._lock:
             self._append_locked(self._clock, subject, frame, "packet")
@@ -548,35 +539,24 @@ class JournalWriter:
     ) -> None:
         if self._file is None:
             raise JournalError("journal writer is closed")
-        view = memoryview(frame)
-        if not len(view):
+        if not frame:
             raise JournalError("cannot journal an empty frame")
-        if len(view) > MAX_FRAME_BYTES:
+        if len(frame) > MAX_FRAME_BYTES:
             raise JournalError(
-                f"frame of {len(view)} B exceeds MAX_FRAME_BYTES"
+                f"frame of {len(frame)} B exceeds MAX_FRAME_BYTES"
             )
         subject_raw = subject.encode("utf-8")
         if len(subject_raw) > 0xFFFF:
             raise JournalError("record subject too long")
-        # Incremental CRC over the body pieces plus a gather write
-        # (prefix, then the frame buffer itself) spare the full-body
-        # concatenation the old single-``bytes`` record build paid.
-        # The on-disk bytes are identical either way.
-        length = _BODY_HEAD.size + len(subject_raw) + len(view)
-        body_head = (
+        body = (
             _BODY_HEAD.pack(stamp[0], stamp[1], len(subject_raw))
             + subject_raw
+            + frame
         )
-        crc = zlib.crc32(view, zlib.crc32(body_head))
-        prefix = _REC_HEAD.pack(length, crc) + body_head
-        if self.write_hook is not None:
-            # Crash-injection seam: the hook contract is "one call per
-            # record, whole record bytes", so the copy is reassembled.
-            self.write_hook(prefix + bytes(view))
-        else:
-            self._file.write(prefix)
-            self._file.write(view)
-        record_bytes = _REC_HEAD.size + length
+        record = _REC_HEAD.pack(len(body), zlib.crc32(body)) + body
+        write = self.write_hook if self.write_hook is not None else self._file.write
+        write(record)
+        record_bytes = len(record)
         self._segment_bytes += record_bytes
         self.n_bytes += record_bytes
         self.n_records += 1
@@ -832,27 +812,41 @@ class GatewaySession:
             if key.startswith("mode:")
         }
         link_stats = {
-            key[5:]: int(value)
-            for key, value in fields.items()
+            key[5:]: _count_field(fields, key)
+            for key in fields
             if key.startswith("link:")
         }
         self.row = ShardPatientRow(
             patient_id=self.patient_id,
-            n_sent=int(fields.get("n_sent", 0)),
+            n_sent=_count_field(fields, "n_sent"),
             n_reconstructed=self.n_reconstructed,
-            n_node_alarms=int(fields.get("n_node_alarms", 0)),
+            n_node_alarms=_count_field(fields, "n_node_alarms"),
             average_power_w=fields.get("average_power_w", float("nan")),
             battery_days=fields.get("battery_days", float("nan")),
             channel=self.gateway.channels.get(self.patient_id),
             triage=self.board.patients[self.patient_id],
             governed=msg.info.get("governed") == "1",
             mode_seconds=mode_seconds,
-            governor_switches=int(fields.get("governor_switches", 0)),
+            governor_switches=_count_field(fields, "governor_switches"),
             final_soc=fields.get("final_soc", float("nan")),
             projected_hours=fields.get("projected_hours", float("nan")),
             link_stats=link_stats,
         )
         return ServeMessage("report-ack", self.patient_id, t_s=msg.t_s)
+
+
+def _count_field(
+    fields: dict[str, float], key: str, default: float = 0.0
+) -> int:
+    """Read one count of a control message's float map as an ``int``.
+
+    Raises:
+        WireFormatError: The value is NaN or infinite.
+    """
+    value = fields.get(key, default)
+    if not isfinite(value):
+        raise WireFormatError(f"{key!r} must be finite, got {value!r}")
+    return int(value)
 
 
 def _drain_sessions(
@@ -876,10 +870,11 @@ def _drain_sessions(
             lone session defaults to its gateway's own.
 
     Raises:
+        WireFormatError: The budget is not finite.
         KernelError: The command's time is invalid for a session clock
             (checked before any reconstruction).
     """
-    budget = int(msg.fields.get("budget", -1.0))
+    budget = _count_field(msg.fields, "budget", -1.0)
     max_packets = None if budget < 0 else budget
     times = [session.kernel.advance_to(msg.t_s) for session in sessions]
     recovered = recover_queued(
@@ -1021,16 +1016,15 @@ class JournalReplayer:
                 msg = decode_message(record.frame)
                 n_messages += 1
                 if msg.kind == "hello":
-                    index = int(msg.fields.get("index", len(hello_order)))
+                    index = _count_field(msg.fields, "index", len(hello_order))
                     hello_order.setdefault(msg.patient_id, index)
                     session_for(msg.patient_id, source)
                 elif msg.kind == "stats":
-                    for key, value in msg.fields.items():
+                    for key in msg.fields:
                         if key.startswith("link:"):
                             name = key[5:]
-                            link_stats[name] = link_stats.get(name, 0) + int(
-                                value
-                            )
+                            count = _count_field(msg.fields, key)
+                            link_stats[name] = link_stats.get(name, 0) + count
                 elif msg.patient_id == "" and msg.kind == "drain":
                     _drain_sessions(
                         list(per_source[source].values()), msg, decoders

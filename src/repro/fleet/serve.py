@@ -431,10 +431,7 @@ class FleetGatewayServer:
             self._note_partial(decoder)
             if not frames:
                 continue
-            # feed() returns views into the decoder's per-feed buffer;
-            # the hello is decoded right here, but the backlog outlives
-            # the next feed, so it crosses the boundary as bytes.
-            first, backlog = frames[0], [bytes(f) for f in frames[1:]]
+            first, backlog = frames[0], frames[1:]
             if frame_kind(first) != "message":
                 raise ServeError("first frame must be a hello message")
             msg = decode_message(first)
@@ -462,10 +459,7 @@ class FleetGatewayServer:
                 frames = decoder.feed(chunk)
                 self._note_partial(decoder)
                 for body in frames:
-                    # Queued frames outlive the next feed(): copy out
-                    # of the decoder's per-feed buffer before handing
-                    # them to the session lane.
-                    await queue.put(bytes(body))
+                    await queue.put(body)
                     self._note_depth(queue, pid)
             await queue.put(None)
         except WireFormatError as exc:

@@ -353,21 +353,17 @@ def encode_shard_result(result: ShardResult) -> bytes:
     return b"".join(parts)
 
 
-def decode_shard_result(data: bytes | bytearray | memoryview, *,
-                        copy: bool = True) -> ShardResult:
+def decode_shard_result(data: bytes | bytearray | memoryview) -> ShardResult:
     """Parse a shard blob back into a :class:`ShardResult`.
 
-    By default SNR buffers are boxed into owned ``list[float]`` (the
-    live-gateway channel shape).  With ``copy=False`` they stay
-    read-only float64 views aliasing ``data`` — the zero-copy merge
-    path, where the caller guarantees the buffer (e.g. a mapped
-    shared-memory segment) outlives the fold and materializes any
-    retained rows afterwards (see :meth:`ShardedFleetRunner.run`).
+    SNR buffers are boxed into owned ``list[float]`` (the live-gateway
+    channel shape), so nothing decoded refers back to ``data``.
 
     Raises:
-        WireFormatError: Bad magic, version mismatch or truncation.
+        WireFormatError: Bad magic, version mismatch, truncation or a
+            non-UTF-8 string field.
     """
-    buf = memoryview(data).toreadonly()
+    buf = memoryview(data)
     if len(buf) < _SHARD_HEAD.size:
         raise WireFormatError("truncated shard result: header missing")
     (magic, version, shard_index, packets_sent, dropped, t_node,
@@ -400,7 +396,7 @@ def decode_shard_result(data: bytes | bytearray | memoryview, *,
                         "truncated shard result: SNR buffer")
                 snrs = np.frombuffer(
                     buf[offset:offset + 8 * n_snrs],
-                    dtype=np.float64)
+                    dtype=np.float64).tolist()
                 offset += 8 * n_snrs
                 channel = PatientChannel(
                     patient_id=patient_id, n_excerpts=n_excerpts,
@@ -410,7 +406,7 @@ def decode_shard_result(data: bytes | bytearray | memoryview, *,
                     n_duplicates=n_duplicates,
                     n_out_of_order=n_out_of_order, n_gaps=n_gaps,
                     n_late_recovered=n_late_recovered,
-                    snrs=([float(s) for s in snrs] if copy else snrs),
+                    snrs=snrs,
                     n_telemetry=n_telemetry, last_mode=last_mode,
                     last_soc=last_soc)
             else:
@@ -857,12 +853,10 @@ class ShardedFleetRunner:
 
         Shard results come home over the configured
         :class:`~repro.fleet.transport.ShardTransport`: the parent
-        pre-registers every expected segment tag, maps each published
-        blob read-only, decodes it with ``copy=False`` (SNR buffers
-        stay views into the segment for the merge fold), then
-        *materializes* the retained per-patient rows and unlinks every
-        segment in a ``finally`` — so a worker crash or a
-        ``KeyboardInterrupt`` mid-run leaves no orphan segment behind.
+        pre-registers every expected segment tag, decodes each
+        published blob into owned rows and unlinks every segment in a
+        ``finally`` — so a worker crash or a ``KeyboardInterrupt``
+        mid-run leaves no orphan segment behind.
         """
         t_start = time.perf_counter()
         transport = make_transport(self.transport)
@@ -881,39 +875,17 @@ class ShardedFleetRunner:
                     futures = [pool.submit(_run_shard, *task)
                                for task in tasks]
                     handles = [future.result() for future in futures]
-            views = [transport.open(handle) for handle in handles]
-            results = [decode_shard_result(view.view, copy=False)
-                       for view in views]
-            t_merge = time.perf_counter()
-            report = self._merge(results)
-            if self.obs_config is not None:
-                report.obs_bundle = self._merge_obs(
-                    results, time.perf_counter() - t_merge)
-            self._materialize(report)
-            del results
-            for view in views:
-                view.release()
-            del views
+            results = [decode_shard_result(transport.open(handle).view)
+                       for handle in handles]
         finally:
             transport.close()
+        t_merge = time.perf_counter()
+        report = self._merge(results)
+        if self.obs_config is not None:
+            report.obs_bundle = self._merge_obs(
+                results, time.perf_counter() - t_merge)
         report.timings_s["total"] = time.perf_counter() - t_start
         return report
-
-    @staticmethod
-    def _materialize(report: ShardedFleetReport) -> None:
-        """Replace segment-aliasing SNR views with owned lists.
-
-        The merge fold reads the views zero-copy; the rows *retained*
-        on the report (what the scenario campaign folds) must survive
-        the segment unlink, so their buffers are boxed back into the
-        live-gateway ``list[float]`` shape here — one copy, after the
-        fold, instead of one per decode.
-        """
-        for row in report.rows.values():
-            channel = row.channel
-            if channel is not None and isinstance(channel.snrs,
-                                                  np.ndarray):
-                channel.snrs = channel.snrs.tolist()
 
     def _merge_obs(self, results: list[ShardResult],
                    merge_seconds: float) -> dict:

@@ -1,25 +1,18 @@
-"""Zero-copy payload transport: views and shard fabrics.
+"""Shard-result transport: how a worker's result blob reaches the parent.
 
-Every payload-carrying layer of the fleet runtime (packet codec, shard
-result blobs, gateway drain, journal segments) used to copy bytes at
-each hand-off: ``tobytes()`` on encode, ``frombuffer(...).copy()`` on
-decode, pickling of multi-kilobyte shard blobs through the process
-pool's result queue.  This module is the single buffer discipline that
-replaces those copies:
+A shard worker of :mod:`repro.fleet.sharding` encodes its result as one
+binary blob; :class:`ShardTransport` is how that blob travels home:
 
-* :class:`PayloadView` — a read-only window over someone else's buffer
-  with explicit ownership, so a decoded packet can alias the wire
-  buffer it arrived in without any risk of write-through corruption;
-* :func:`is_aliasable` — the safety rule deciding when a decode may
-  return views instead of copies (the backing storage must be
-  *immutable* ``bytes``: a ``bytearray`` or socket scratch buffer can
-  be mutated after decode, so those still copy);
-* :class:`ShardTransport` — how a shard worker's result blob travels
-  home: the :class:`PickleTransport` backend ships the blob through
-  the executor's result pickle (works everywhere), the
-  :class:`SharedMemoryTransport` backend writes it into a
+* :class:`PickleTransport` ships the blob through the executor's result
+  pickle (works everywhere);
+* :class:`SharedMemoryTransport` writes it into a
   ``multiprocessing.shared_memory`` segment and ships only a tiny
-  handle, so the parent maps the blob instead of copying it.
+  handle, and the parent maps the segment read-only.
+
+The parent sees either as a :class:`PayloadView` — a read-only window
+plus the object keeping its storage alive — and decodes it with
+:func:`~repro.fleet.sharding.decode_shard_result`, which copies what it
+keeps, so nothing decoded outlives or aliases the window.
 
 Shared-memory segment lifecycle (see ``docs/transport.md``)::
 
@@ -30,7 +23,7 @@ Shared-memory segment lifecycle (see ``docs/transport.md``)::
       copy blob in, close mapping
       return handle (name + size) -> open(handle)
                                        attach, read-only PayloadView
-                                       ... decode + merge (zero-copy)
+                                       ... decode (copies), merge
                                      close(unlink=True)
                                        drop views, unmap, unlink
 
@@ -50,8 +43,6 @@ import os
 import struct
 import sys
 
-import numpy as np
-
 #: Handle tag of a blob travelling inline through the result pickle.
 HANDLE_INLINE = b"RPXP"
 
@@ -69,36 +60,17 @@ class TransportError(RuntimeError):
     """A payload handle cannot be parsed, opened or released."""
 
 
-def is_aliasable(data) -> bool:
-    """May a decoder safely return views into ``data`` instead of copies?
-
-    True only when the backing storage is immutable ``bytes`` — either
-    ``data`` itself or the exporter behind a read-only
-    :class:`memoryview`.  A ``bytearray`` (or any writable buffer) can
-    be mutated or resized after decode, which would silently corrupt or
-    invalidate every aliasing view, so those must be copied.
-    """
-    if isinstance(data, bytes):
-        return True
-    if isinstance(data, memoryview):
-        return data.readonly and isinstance(data.obj, bytes)
-    return False
-
-
 class PayloadView:
     """A read-only window over a shared or inline buffer.
 
-    The unit the zero-copy layers exchange: a read-only
-    :class:`memoryview` plus the object that keeps the backing storage
-    alive (a :class:`~multiprocessing.shared_memory.SharedMemory`
-    segment, an inline handle, or nothing for plain ``bytes``).
-    Arrays built with :meth:`array` alias the buffer and are marked
-    non-writeable, so holding one can never corrupt — or be corrupted
-    by — the transport layer underneath.
+    A read-only :class:`memoryview` plus the object that keeps the
+    backing storage alive (a
+    :class:`~multiprocessing.shared_memory.SharedMemory` segment, an
+    inline handle, or nothing for plain ``bytes``).
 
     Args:
         buffer: Any buffer object; coerced to a read-only memoryview.
-        owner: Object whose lifetime must cover every view handed out.
+        owner: Object whose lifetime must cover the view.
     """
 
     __slots__ = ("view", "owner")
@@ -111,41 +83,11 @@ class PayloadView:
         """Length in bytes of the window."""
         return len(self.view)
 
-    def array(self, dtype, count: int = -1,
-              offset: int = 0) -> np.ndarray:
-        """A read-only numpy view over ``count`` items at ``offset``.
-
-        Zero-copy: the returned array aliases the transport buffer and
-        has ``writeable=False``.  ``count=-1`` reads to the end of the
-        window.
-
-        Raises:
-            TransportError: The requested span falls outside the
-                window.
-        """
-        dtype = np.dtype(dtype)
-        if count >= 0:
-            end = offset + count * dtype.itemsize
-            if end > len(self.view):
-                raise TransportError(
-                    f"array span [{offset}, {end}) exceeds the "
-                    f"{len(self.view)}-byte payload window")
-        try:
-            return np.frombuffer(self.view, dtype=dtype, count=count,
-                                 offset=offset)
-        except ValueError as exc:
-            raise TransportError(str(exc)) from exc
-
-    def tobytes(self) -> bytes:
-        """An owned copy of the window (escape hatch, not the default)."""
-        return self.view.tobytes()
-
     def release(self) -> None:
         """Release the window's memoryview (best effort, idempotent).
 
-        A no-op when arrays built by :meth:`array` are still alive —
-        their buffer exports pin the view, and the actual release then
-        happens when they are collected.
+        A no-op while another export of the view is still alive; the
+        release then happens when that export is collected.
         """
         try:
             self.view.release()
@@ -350,9 +292,9 @@ class SharedMemoryTransport(ShardTransport):
             try:
                 segment.close()
             except BufferError:
-                # Arrays over the segment are still alive; the mapping
-                # is released when they are collected.  The unlink
-                # below still removes the name.
+                # A caller still holds a view over the segment; the
+                # mapping is released when it is collected.  The
+                # unlink below still removes the name.
                 pass
             if unlink:
                 try:

@@ -44,21 +44,14 @@ Frame layout (version 1, all integers little-endian)::
                   dims, dtype token, raw buffer
 
 Decoding is defensive: a wrong magic, unknown version, truncated
-buffer or trailing garbage raises :class:`WireFormatError` instead of
-yielding a corrupt packet.
+buffer, non-UTF-8 string field or trailing garbage raises
+:class:`WireFormatError` instead of yielding a corrupt packet.
 
-**Zero-copy discipline** (see ``docs/transport.md``): decoded arrays
-are always read-only, and when the source buffer is immutable
-``bytes`` (or a read-only view of one —
-:func:`repro.fleet.transport.is_aliasable`) they *alias* the source
-instead of copying it, so a gateway drain reads measurement vectors
-straight out of the frame it ingested.  Mutable sources
-(``bytearray``, socket scratch) are still copied: no later mutation
-can ever corrupt a held packet.  Callers owning a stable buffer (a
-mapped shared-memory segment) may force views with ``copy=False``.
-On the encode side, :func:`encode_packet_into` appends the frame to a
-caller-provided ``bytearray`` without materialising intermediate
-``tobytes()`` copies.
+**A decoded value owns its memory** (see ``docs/transport.md``):
+:func:`decode_packet` copies every measurement and reference buffer
+out of its source into a read-only array, and
+:meth:`StreamDecoder.feed` returns ``bytes`` frames.  Nothing a caller
+holds can change when the source buffer is reused, mutated or freed.
 
 On top of the packet codec this module also defines the **stream
 layer** the socket gateway service (:mod:`repro.fleet.serve`) speaks:
@@ -80,7 +73,6 @@ import numpy as np
 
 from ..compression.encoder import EncodedWindow
 from .node_proxy import UplinkPacket
-from .transport import is_aliasable
 
 #: First bytes of every version-1 packet frame.
 WIRE_MAGIC = b"RPW1"
@@ -126,8 +118,11 @@ def _unpack_str(buf: memoryview, offset: int) -> tuple[str, int]:
     offset += 1
     if offset + length > len(buf):
         raise WireFormatError("truncated frame: string body missing")
-    return bytes(buf[offset:offset + length]).decode("utf-8"), \
-        offset + length
+    try:
+        value = bytes(buf[offset:offset + length]).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireFormatError("string field is not UTF-8") from exc
+    return value, offset + length
 
 
 def _append_array(out: bytearray, array: np.ndarray) -> None:
@@ -137,12 +132,12 @@ def _append_array(out: bytearray, array: np.ndarray) -> None:
     out += memoryview(array).cast("B")
 
 
-def _unpack_buffer(buf: memoryview, offset: int, count: int,
-                   copy: bool = True) -> tuple[np.ndarray, int]:
-    """Read a dtype token plus ``count`` items of raw buffer.
+def _unpack_buffer(buf: memoryview, offset: int,
+                   count: int) -> tuple[np.ndarray, int]:
+    """Read a dtype token plus ``count`` items into an owned array.
 
-    The returned array is read-only; with ``copy=False`` it aliases
-    ``buf`` (which must be read-only) instead of owning its data.
+    The array is read-only and backed by its own ``bytes`` copy of the
+    items, so it never shares memory with ``buf``.
     """
     dtype_str, offset = _unpack_str(buf, offset)
     try:
@@ -154,36 +149,19 @@ def _unpack_buffer(buf: memoryview, offset: int, count: int,
     nbytes = count * dtype.itemsize
     if offset + nbytes > len(buf):
         raise WireFormatError("truncated frame: array buffer missing")
-    array = np.frombuffer(buf[offset:offset + nbytes], dtype=dtype)
-    if copy:
-        array = array.copy()
-        array.setflags(write=False)
+    array = np.frombuffer(bytes(buf[offset:offset + nbytes]), dtype=dtype)
     return array, offset + nbytes
 
 
 def encode_packet(packet: UplinkPacket) -> bytes:
-    """Serialize one packet to its version-1 binary frame."""
-    out = bytearray()
-    encode_packet_into(packet, out)
-    return bytes(out)
-
-
-def encode_packet_into(packet: UplinkPacket, out: bytearray) -> int:
-    """Append one packet's version-1 frame to ``out``.
-
-    Measurement and reference buffers are appended straight from their
-    numpy memory — no intermediate ``tobytes()`` copies, no allocation
-    beyond the growth of ``out`` itself.  Returns the number of bytes
-    appended.
+    """Serialize one packet to its version-1 binary frame.
 
     Raises:
         WireFormatError: A frame's window count contradicts the
             declared lead count, or a field exceeds its wire range.
     """
-    start = len(out)
-    out += _HEAD.pack(WIRE_MAGIC, WIRE_VERSION,
-                      _FLAG_REFERENCE if packet.reference is not None
-                      else 0)
+    flags = _FLAG_REFERENCE if packet.reference is not None else 0
+    out = bytearray(_HEAD.pack(WIRE_MAGIC, WIRE_VERSION, flags))
     out += _pack_str(packet.kind)
     out += _pack_str(packet.mode)
     out += _pack_str(packet.patient_id)
@@ -211,46 +189,29 @@ def encode_packet_into(packet: UplinkPacket, out: bytearray) -> int:
         out += bytes([reference.ndim])
         out += struct.pack(f"<{reference.ndim}I", *reference.shape)
         _append_array(out, reference.reshape(-1))
-    return len(out) - start
+    return bytes(out)
 
 
-def decode_packet(data: bytes | bytearray | memoryview, *,
-                  copy: bool | None = None) -> UplinkPacket:
+def decode_packet(data: bytes | bytearray | memoryview) -> UplinkPacket:
     """Parse one binary frame back into an :class:`UplinkPacket`.
 
-    Decoded arrays are always read-only.  With ``copy=None`` (the
-    default) they alias ``data`` when that is safe —
-    :func:`~repro.fleet.transport.is_aliasable` backing, i.e. immutable
-    ``bytes`` — and are copied otherwise, so mutating a ``bytearray``
-    source after decode can never corrupt the packet.  ``copy=False``
-    forces views for callers owning a stable buffer (e.g. a mapped
-    shared-memory segment); ``copy=True`` forces owned arrays.
+    Measurement and reference arrays are read-only copies that own
+    their memory, whatever kind of buffer ``data`` is.
 
     Raises:
         WireFormatError: Wrong magic, unsupported version, truncation,
-            or trailing bytes after the frame.
+            a non-UTF-8 string field, or trailing bytes after the
+            frame.
     """
-    if copy is None:
-        copy = not is_aliasable(data)
-    buf = memoryview(data).toreadonly()
-    packet, offset = _decode_at(buf, 0, copy)
-    if offset != len(buf):
-        raise WireFormatError(
-            f"{len(buf) - offset} trailing bytes after the frame")
-    return packet
-
-
-def _decode_at(buf: memoryview, offset: int,
-               copy: bool = True) -> tuple[UplinkPacket, int]:
-    """Decode one frame starting at ``offset``; return (packet, end)."""
-    if offset + _HEAD.size > len(buf):
+    buf = memoryview(data)
+    if len(buf) < _HEAD.size:
         raise WireFormatError("truncated frame: header missing")
-    magic, version, flags = _HEAD.unpack_from(buf, offset)
+    magic, version, flags = _HEAD.unpack_from(buf, 0)
     if magic != WIRE_MAGIC:
         raise WireFormatError(f"bad magic {magic!r}")
     if version != WIRE_VERSION:
         raise WireFormatError(f"unsupported wire version {version}")
-    offset += _HEAD.size
+    offset = _HEAD.size
     kind, offset = _unpack_str(buf, offset)
     mode, offset = _unpack_str(buf, offset)
     patient_id, offset = _unpack_str(buf, offset)
@@ -269,7 +230,7 @@ def _decode_at(buf: memoryview, offset: int,
             m, scale, window_bits, additions = _WINDOW.unpack_from(
                 buf, offset)
             offset += _WINDOW.size
-            measurements, offset = _unpack_buffer(buf, offset, m, copy)
+            measurements, offset = _unpack_buffer(buf, offset, m)
             frame.append(EncodedWindow(measurements=measurements,
                                        scale=scale,
                                        payload_bits=window_bits,
@@ -286,10 +247,12 @@ def _decode_at(buf: memoryview, offset: int,
         shape = struct.unpack_from(f"<{ndim}I", buf, offset)
         offset += 4 * ndim
         flat, offset = _unpack_buffer(buf, offset,
-                                      int(np.prod(shape, dtype=np.int64)),
-                                      copy)
+                                      int(np.prod(shape, dtype=np.int64)))
         reference = flat.reshape(shape)
-    packet = UplinkPacket(
+    if offset != len(buf):
+        raise WireFormatError(
+            f"{len(buf) - offset} trailing bytes after the frame")
+    return UplinkPacket(
         patient_id=patient_id,
         seq=seq,
         timestamp_s=timestamp_s,
@@ -308,56 +271,6 @@ def _decode_at(buf: memoryview, offset: int,
         mode=mode,
         soc=soc,
     )
-    return packet, offset
-
-
-def encode_packets(packets) -> bytes:
-    """Serialize a packet sequence as one length-prefixed stream.
-
-    Layout: u32 packet count, then per packet a u32 frame length
-    followed by the :func:`encode_packet` frame — the shard workers'
-    result transport, and the natural on-disk capture format.
-    """
-    packets = list(packets)
-    out = bytearray(struct.pack("<I", len(packets)))
-    for packet in packets:
-        length_at = len(out)
-        out += b"\x00\x00\x00\x00"
-        length = encode_packet_into(packet, out)
-        struct.pack_into("<I", out, length_at, length)
-    return bytes(out)
-
-
-def decode_packets(data: bytes | bytearray | memoryview, *,
-                   copy: bool | None = None) -> list[UplinkPacket]:
-    """Parse a :func:`encode_packets` stream back into packets.
-
-    ``copy`` follows the :func:`decode_packet` view discipline: the
-    default aliases immutable ``bytes`` sources and copies mutable
-    ones.
-    """
-    if copy is None:
-        copy = not is_aliasable(data)
-    buf = memoryview(data).toreadonly()
-    if len(buf) < 4:
-        raise WireFormatError("truncated stream: count missing")
-    (count,) = struct.unpack_from("<I", buf, 0)
-    offset = 4
-    packets = []
-    for _ in range(count):
-        if offset + 4 > len(buf):
-            raise WireFormatError("truncated stream: frame length missing")
-        (length,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        if offset + length > len(buf):
-            raise WireFormatError("truncated stream: frame body missing")
-        packets.append(decode_packet(buf[offset:offset + length],
-                                     copy=copy))
-        offset += length
-    if offset != len(buf):
-        raise WireFormatError(
-            f"{len(buf) - offset} trailing bytes after the stream")
-    return packets
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +331,8 @@ class StreamDecoder:
     ``max_frame_bytes`` is rejected *from its length prefix alone*,
     before any body bytes arrive, bounding per-connection memory.
 
-    **Frame lifetime**: :meth:`feed` returns read-only ``memoryview``
-    slices over a per-call buffer instead of copied ``bytes`` — when
-    the chunk is ``bytes`` and no tail was pending, the bodies are
-    zero-copy windows into the chunk itself.  The views are guaranteed
-    valid only until the next :meth:`feed` (or :meth:`finish`) call:
-    consume them synchronously, or take ``bytes(frame)`` before
-    crossing an ``await`` / queue / retention boundary (exactly what
-    :mod:`repro.fleet.serve` and the client inbox do).
+    Frames come back as ``bytes`` that own their memory, so a caller
+    may queue or retain them across later :meth:`feed` calls.
 
     Args:
         max_frame_bytes: Upper bound on one frame body's length.
@@ -444,44 +351,35 @@ class StreamDecoder:
         """Bytes buffered that do not yet form a complete frame."""
         return len(self._tail)
 
-    def feed(self, data: bytes | bytearray | memoryview,
-             ) -> list[memoryview]:
+    def feed(self, data: bytes | bytearray | memoryview) -> list[bytes]:
         """Absorb one chunk; return every frame body it completed.
-
-        The bodies are read-only views valid until the next ``feed``
-        call (see the class docstring for the lifetime rule).
 
         Raises:
             WireFormatError: A length prefix announces an empty frame
-                or one larger than ``max_frame_bytes``.  The decoder
-                is poisoned afterwards — the connection is torn down,
-                never resumed.
+                or one larger than ``max_frame_bytes``.  The offending
+                prefix stays buffered, so every later feed raises
+                again; callers tear the connection down (the serve
+                pump and the client both do).
         """
-        if self._tail:
-            # A tail is pending: splice it with the chunk into one
-            # immutable buffer (single pass, no quadratic regrowth).
-            buf = b"".join((self._tail, data))
-        elif isinstance(data, bytes):
-            buf = data  # zero-copy fast path
-        else:
-            buf = bytes(data)
-        view = memoryview(buf)
-        frames: list[memoryview] = []
+        tail = self._tail
+        tail += data
+        frames: list[bytes] = []
         offset = 0
-        while len(buf) - offset >= _FRAME_LEN.size:
-            (length,) = _FRAME_LEN.unpack_from(buf, offset)
-            if length == 0:
-                raise WireFormatError("zero-length stream frame")
-            if length > self.max_frame_bytes:
-                raise WireFormatError(
-                    f"stream frame of {length} bytes exceeds the "
-                    f"{self.max_frame_bytes}-byte bound")
-            end = offset + _FRAME_LEN.size + length
-            if len(buf) < end:
-                break
-            frames.append(view[offset + _FRAME_LEN.size:end])
-            offset = end
-        self._tail = bytearray(view[offset:])
+        with memoryview(tail) as view:
+            while len(tail) - offset >= _FRAME_LEN.size:
+                (length,) = _FRAME_LEN.unpack_from(tail, offset)
+                if length == 0:
+                    raise WireFormatError("zero-length stream frame")
+                if length > self.max_frame_bytes:
+                    raise WireFormatError(
+                        f"stream frame of {length} bytes exceeds the "
+                        f"{self.max_frame_bytes}-byte bound")
+                end = offset + _FRAME_LEN.size + length
+                if len(tail) < end:
+                    break
+                frames.append(bytes(view[offset + _FRAME_LEN.size:end]))
+                offset = end
+        del tail[:offset]
         self.n_frames += len(frames)
         return frames
 

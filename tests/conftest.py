@@ -99,3 +99,20 @@ def svd_calls(monkeypatch):
     monkeypatch.setattr(linalg, "svd", counting)
     monkeypatch.setattr(np.linalg, "svd", counting)
     return calls
+
+
+@pytest.fixture()
+def non_utf8():
+    """Function corrupting one length-prefixed string of a wire blob.
+
+    ``non_utf8(blob, text)`` returns ``blob`` with the first byte of
+    the u8-length-prefixed string ``text`` replaced by ``0xff``, which
+    no UTF-8 sequence starts with.
+    """
+
+    def corrupt(blob: bytes, text: str) -> bytes:
+        raw = text.encode("utf-8")
+        at = blob.index(bytes([len(raw)]) + raw) + 1
+        return blob[:at] + b"\xff" + blob[at + 1:]
+
+    return corrupt

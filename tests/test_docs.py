@@ -1,18 +1,22 @@
-"""Documentation gates: docstring coverage and docs-tree link integrity.
+"""Documentation gates: docstring coverage and docs-tree integrity.
 
-Two locally-enforced mirrors of the CI lint job:
+Locally-enforced mirrors of the CI lint job:
 
 * a docstring-coverage floor over ``src/repro`` (the CI job runs the
   real ``interrogate`` with the config in ``pyproject.toml``; this AST
   walk applies the same counting rules so the gate cannot pass locally
   and fail in CI);
 * every relative markdown link in the documentation tree must resolve
-  to an existing file.
+  to an existing file;
+* every fully qualified ``repro.…`` name the documentation cites in
+  backticks must import and resolve (skipped where ``repro`` itself
+  cannot be imported, as in the stdlib-only lint job).
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -30,6 +34,9 @@ DOC_FILES = sorted([REPO_ROOT / "README.md", REPO_ROOT / "DESIGN.md",
                     *(REPO_ROOT / "docs").glob("*.md")])
 
 MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: A fully qualified name in backticks, e.g. `repro.fleet.wire`.
+QUALIFIED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def _is_magic(name: str) -> bool:
@@ -125,3 +132,32 @@ class TestDocsLinks:
                      "docs/governor.md", "docs/fleet.md",
                      "docs/benchmarks.md"):
             assert page in readme, f"README lost its link to {page}"
+
+
+def _resolve(name: str) -> object:
+    """Import the longest module prefix of ``name``, then walk the rest
+    as attributes; raise ImportError/AttributeError if it is gone."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            target = getattr(target, attr)
+        return target
+    raise ModuleNotFoundError(name)
+
+
+class TestDocsNames:
+    @pytest.mark.parametrize(
+        "doc", DOC_FILES, ids=lambda p: str(p.relative_to(REPO_ROOT)))
+    def test_qualified_names_resolve(self, doc: Path):
+        pytest.importorskip("repro")
+        broken = []
+        for name in sorted(set(QUALIFIED_NAME.findall(doc.read_text()))):
+            try:
+                _resolve(name)
+            except (ImportError, AttributeError) as exc:
+                broken.append(f"{name}: {exc}")
+        assert not broken, f"{doc.name}: unresolvable names {broken}"

@@ -88,13 +88,12 @@ class TestJournalConfig:
 
 
 class TestWriterReader:
-    def test_gather_write_bytes_identical_to_reference(self, tmp_path):
-        # The scatter/gather append (incremental CRC + two writes) must
-        # put the exact same bytes on disk as the historical
-        # single-concatenation build.
+    def test_record_bytes_identical_to_reference(self, tmp_path):
+        # Every appended record must be the exact bytes of the
+        # documented layout: u32 length | u32 CRC32(body) | body.
         import zlib
 
-        config = JournalConfig(dir=str(tmp_path), name="gather")
+        config = JournalConfig(dir=str(tmp_path), name="layout")
         writer = _write_sample(config, n_packets=3)
         data = config.segment_paths()[0].read_bytes()
         # Re-derive every record and check CRC/length against a
@@ -147,6 +146,13 @@ class TestWriterReader:
         packet = next(r for r in records if frame_kind(r.frame) == "packet")
         assert packet.subject == "jt0"
         assert packet.frame == _telemetry_frames(1)[0]
+
+    def test_record_frames_are_owned_bytes(self, tmp_path):
+        config = JournalConfig(dir=str(tmp_path), name="owned")
+        _write_sample(config, n_packets=2)
+        records = list(JournalReader(config).records())
+        assert records
+        assert all(type(record.frame) is bytes for record in records)
 
     def test_messages_advance_clock_packets_inherit_it(self, tmp_path):
         config = JournalConfig(dir=str(tmp_path), name="clk")
@@ -377,6 +383,49 @@ class TestReplaySources:
         replay = JournalReplayer(config.for_shard(0)).run()
         assert replay.summary.duplicate_packets == 0
         assert list(replay.rows) == [p.patient_id for p in cohort]
+
+
+class TestReplayRejectsHostileRecords:
+    """A CRC-valid record whose frame is malformed fails the replay
+    with :class:`JournalError`, never a bare decode exception."""
+
+    @staticmethod
+    def _replay(tmp_path, append) -> None:
+        config = JournalConfig(dir=str(tmp_path), name="hostile")
+        with JournalWriter(config, meta=journal_meta(60.0, 250.0),
+                           resume=False) as writer:
+            writer.append_message(ServeMessage("hello", "jt0"))
+            append(writer)
+        JournalReplayer(config).run()
+
+    def test_non_utf8_packet_frame(self, tmp_path, non_utf8):
+        frame = non_utf8(_telemetry_frames(1)[0], "jt0")
+        with pytest.raises(JournalError, match="UTF-8"):
+            self._replay(tmp_path,
+                         lambda writer: writer.append_packet(frame, "jt0"))
+
+    def test_non_utf8_message_frame(self, tmp_path, non_utf8):
+        frame = non_utf8(
+            encode_message(ServeMessage("sweep", "jt0", t_s=1.0)), "sweep")
+        with pytest.raises(JournalError, match="UTF-8"):
+            self._replay(tmp_path,
+                         lambda writer: writer.append_packet(frame, "jt0"))
+
+    @pytest.mark.parametrize("msg", [
+        ServeMessage("drain", "", t_s=1.0, fields={"budget": float("nan")}),
+        ServeMessage("drain", "jt0", t_s=1.0,
+                     fields={"budget": float("inf")}),
+        ServeMessage("report", "jt0", t_s=1.0,
+                     fields={"n_sent": float("nan")}),
+        ServeMessage("stats", "", t_s=1.0,
+                     fields={"link:lost": float("nan")}),
+        ServeMessage("hello", "jt1", fields={"index": float("inf")}),
+    ], ids=["fleet-drain-nan", "drain-inf", "report-nan", "stats-nan",
+            "hello-index-inf"])
+    def test_non_finite_count(self, tmp_path, msg):
+        with pytest.raises(JournalError, match="must be finite"):
+            self._replay(tmp_path,
+                         lambda writer: writer.append_message(msg))
 
 
 class TestDecoderAccounting:

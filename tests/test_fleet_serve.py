@@ -15,6 +15,7 @@ from repro.fleet import (
     FleetScheduler,
     Gateway,
     GatewayConfig,
+    GatewaySession,
     NodeProxy,
     NodeProxyConfig,
     PatientProfile,
@@ -28,9 +29,8 @@ from repro.fleet import (
     StreamDecoder,
     WireFormatError,
     decode_message,
-    decode_packets,
+    decode_packet,
     encode_message,
-    encode_packets,
     encode_stream_frame,
     make_cohort,
     run_served_fleet,
@@ -250,6 +250,68 @@ class TestConnectionSemantics:
                 transport.recv_message()
             transport.close()
 
+    def test_non_utf8_hello_is_counted_rejected(self, non_utf8):
+        hello = encode_message(ServeMessage("hello", "px"))
+        with FleetGatewayServer(ServeConfig()) as server:
+            transport = _Transport("127.0.0.1", server.port)
+            transport.send_frame(non_utf8(hello, "px"))
+            with pytest.raises(ServeError, match="closed"):
+                transport.recv_message()
+            transport.close()
+        assert server.stats()["connections"] == {"rejected": 1}
+
+    def test_non_utf8_command_gets_error_downlink_and_close(self, non_utf8):
+        sweep = encode_message(ServeMessage("sweep", "pu", t_s=1.0))
+        with FleetGatewayServer(ServeConfig()) as server:
+            transport = _hello(server, "pu")
+            transport.send_frame(non_utf8(sweep, "sweep"))
+            with pytest.raises(ServeError, match="UTF-8"):
+                transport.recv_message()
+            with pytest.raises(ServeError, match="closed"):
+                transport.recv_message()
+            transport.close()
+        assert server.stats()["connections"] == {"closed": 1, "open": 1}
+
+    def test_non_finite_budget_gets_error_downlink_and_close(self):
+        with FleetGatewayServer(ServeConfig()) as server:
+            transport = _hello(server, "pn")
+            transport.send_message(ServeMessage(
+                "drain", "pn", t_s=1.0, fields={"budget": float("nan")}))
+            with pytest.raises(ServeError, match="finite"):
+                transport.recv_message()
+            with pytest.raises(ServeError, match="closed"):
+                transport.recv_message()
+            transport.close()
+        assert server.stats()["connections"] == {"closed": 1, "open": 1}
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+class TestNonFiniteCounts:
+    """Integer command fields arrive as floats; NaN/inf are rejected."""
+
+    @pytest.mark.parametrize("kind,fields", [
+        ("drain", {"budget": _NAN}),
+        ("drain", {"budget": _INF}),
+        ("drain", {"budget": -_INF}),
+        ("report", {"n_sent": _NAN}),
+        ("report", {"n_node_alarms": _INF}),
+        ("report", {"governor_switches": _NAN}),
+        ("report", {"link:lost": _NAN}),
+    ], ids=["budget-nan", "budget-inf", "budget-neg-inf", "n_sent-nan",
+            "n_node_alarms-inf", "governor_switches-nan", "link-nan"])
+    def test_error_reply_and_close(self, kind, fields):
+        session = GatewaySession("pn")
+        replies, close = session.handle_frame(encode_message(
+            ServeMessage(kind, "pn", t_s=1.0, fields=fields)))
+        assert close
+        (reply,) = replies
+        error = decode_message(reply)
+        assert error.kind == "error"
+        assert "must be finite" in error.info["error"]
+        assert session.row is None
+
 
 class TestBackpressure:
     def test_saturated_queue_loses_nothing(self):
@@ -330,6 +392,13 @@ class TestStreamDecoder:
         with pytest.raises(WireFormatError, match="zero-length"):
             StreamDecoder().feed(b"\x00\x00\x00\x00")
 
+    def test_framing_error_is_sticky(self):
+        decoder = StreamDecoder()
+        with pytest.raises(WireFormatError, match="zero-length"):
+            decoder.feed(b"\x00\x00\x00\x00")
+        with pytest.raises(WireFormatError, match="zero-length"):
+            decoder.feed(encode_stream_frame(b"next"))
+
     def test_oversized_frame_rejected_from_prefix_alone(self):
         decoder = StreamDecoder(max_frame_bytes=8)
         with pytest.raises(WireFormatError, match="bound"):
@@ -347,18 +416,18 @@ class TestStreamDecoder:
             encode_stream_frame(b"")
 
 
-PACKET_STREAM = encode_packets(_telemetry_packets(3, "fz"))
+PACKET_FRAME = _telemetry_packets(1, "fz")[0].to_bytes()
 
 
-class TestPacketStreamTruncation:
+class TestPacketFrameTruncation:
     @settings(max_examples=200, deadline=None)
     @given(cut=st.integers(min_value=0,
-                           max_value=len(PACKET_STREAM) - 1))
+                           max_value=len(PACKET_FRAME) - 1))
     def test_every_truncation_raises(self, cut):
-        # The count header promises 3 packets, so *every* strict
+        # The frame declares every field it carries, so *every* strict
         # prefix must fail loudly — no silent short reads.
         with pytest.raises(WireFormatError):
-            decode_packets(PACKET_STREAM[:cut])
+            decode_packet(PACKET_FRAME[:cut])
 
-    def test_full_stream_decodes(self):
-        assert len(decode_packets(PACKET_STREAM)) == 3
+    def test_full_frame_decodes(self):
+        assert decode_packet(PACKET_FRAME).patient_id == "fz"

@@ -255,6 +255,39 @@ class TestShardResultCodec:
         with pytest.raises(WireFormatError, match="magic"):
             decode_shard_result(bytes(blob))
 
+    @pytest.mark.parametrize("text", ["p0", "watch", "raw", "offered"])
+    def test_non_utf8_string_raises_wire_error(self, text, non_utf8):
+        blob = non_utf8(encode_shard_result(self._result()), text)
+        with pytest.raises(WireFormatError, match="UTF-8"):
+            decode_shard_result(blob)
+
+
+class TestOwnedMergeRows:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_merge_folds_list_snrs(self, transport, monkeypatch):
+        # The rows the merge folds — not just the rows the report
+        # keeps — hold owned list[float] SNRs on either fabric.
+        import repro.fleet.sharding as sharding
+
+        def snr_types(rows) -> list[set[type]]:
+            return [{type(row.channel.snrs),
+                     *(type(s) for s in row.channel.snrs)}
+                    for row in rows]
+
+        seen = []
+        fold = sharding.merge_patient_rows
+
+        def spy(cohort, rows, *args, **kwargs):
+            # Snapshot now: later steps must not be what makes it pass.
+            seen.extend(snr_types(rows.values()))
+            return fold(cohort, rows, *args, **kwargs)
+
+        monkeypatch.setattr(sharding, "merge_patient_rows", spy)
+        report = ShardedFleetRunner(COHORT[:2], n_shards=2,
+                                    transport=transport, **RUN_KW).run()
+        seen.extend(snr_types(report.rows.values()))
+        assert seen == [{list, float}] * 4
+
 
 class TestMergeGuards:
     def test_missing_patient_detected(self):

@@ -1,4 +1,4 @@
-"""Tests for the zero-copy payload transport (`repro.fleet.transport`)."""
+"""Tests for the shard-result transport (`repro.fleet.transport`)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.fleet.transport import (
     PickleTransport,
     SharedMemoryTransport,
     TransportError,
-    is_aliasable,
     make_transport,
 )
 
@@ -22,60 +21,12 @@ needs_shm = pytest.mark.skipif(
     not SHM_AVAILABLE, reason="multiprocessing.shared_memory unavailable")
 
 
-class TestIsAliasable:
-    def test_bytes_are_aliasable(self):
-        assert is_aliasable(b"abc")
-
-    def test_bytearray_is_not(self):
-        assert not is_aliasable(bytearray(b"abc"))
-
-    def test_readonly_view_over_bytes_is_aliasable(self):
-        view = memoryview(b"abcdef")[2:]
-        assert is_aliasable(view)
-
-    def test_view_over_bytearray_is_not(self):
-        source = bytearray(b"abc")
-        assert not is_aliasable(memoryview(source))
-        # Even a read-only view cannot hide that the exporter is
-        # writable storage someone else can still mutate.
-        assert not is_aliasable(memoryview(source).toreadonly())
-
-    def test_other_objects_are_not(self):
-        assert not is_aliasable("text")
-        assert not is_aliasable(np.zeros(3))
-
-
 class TestPayloadView:
     def test_view_is_readonly(self):
         view = PayloadView(bytearray(b"abcd"))
         assert view.view.readonly
         assert len(view) == 4
-        assert view.tobytes() == b"abcd"
-
-    def test_array_aliases_and_is_readonly(self):
-        data = np.arange(5, dtype=np.float64).tobytes()
-        view = PayloadView(data)
-        arr = view.array(np.float64)
-        assert arr.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert not arr.flags.writeable
-        assert np.shares_memory(arr, np.frombuffer(data, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            arr[0] = 9.0
-
-    def test_array_offset_and_count(self):
-        data = np.arange(6, dtype=np.int32).tobytes()
-        view = PayloadView(data)
-        assert view.array(np.int32, count=2, offset=8).tolist() == [2, 3]
-
-    def test_array_span_overflow_raises(self):
-        view = PayloadView(b"\x00" * 8)
-        with pytest.raises(TransportError):
-            view.array(np.float64, count=2)
-
-    def test_array_ragged_tail_raises(self):
-        view = PayloadView(b"\x00" * 7)
-        with pytest.raises(TransportError):
-            view.array(np.float64)
+        assert bytes(view.view) == b"abcd"
 
 
 class TestPickleTransport:
@@ -83,7 +34,7 @@ class TestPickleTransport:
         transport = PickleTransport()
         handle = transport.publish(b"payload bytes", "s0")
         view = transport.open(handle)
-        assert view.tobytes() == b"payload bytes"
+        assert bytes(view.view) == b"payload bytes"
         # The view windows the handle itself — no second copy.
         assert view.view.obj is handle
         transport.close()
@@ -117,7 +68,7 @@ class TestSharedMemoryTransport:
         handle = transport.publish(payload, "s0")
         assert len(handle) < 64  # only the name + size travel
         view = transport.open(handle)
-        assert view.tobytes() == payload
+        assert bytes(view.view) == payload
         assert view.view.readonly
         transport.close()
         assert transport.leaked_segments() == []
@@ -131,7 +82,7 @@ class TestSharedMemoryTransport:
             handle = pool.apply(_publish_blob,
                                 (transport.spec, payload, "s0"))
         view = transport.open(handle)
-        assert view.array(np.float64).tolist() == list(range(1000))
+        assert bytes(view.view) == payload
         transport.close()
         assert transport.leaked_segments() == []
 
@@ -178,7 +129,7 @@ class TestSharedMemoryTransport:
         transport.close(unlink=False)
         assert transport.leaked_segments() == [f"{transport.prefix}.s0"]
         reopened = SharedMemoryTransport(prefix=transport.prefix)
-        assert reopened.open(handle).tobytes() == b"sticky"
+        assert bytes(reopened.open(handle).view) == b"sticky"
         reopened.close()
         assert reopened.leaked_segments() == []
 

@@ -10,21 +10,24 @@ from hypothesis import strategies as st
 from repro.compression.encoder import EncodedWindow
 from repro.fleet import (
     Gateway,
+    JournalConfig,
+    JournalReader,
+    JournalWriter,
     NodeProxy,
     NodeProxyConfig,
     PatientProfile,
+    ServeMessage,
     StreamDecoder,
     UplinkPacket,
     WIRE_MAGIC,
     WireFormatError,
+    decode_message,
     decode_packet,
-    decode_packets,
+    encode_message,
     encode_packet,
-    encode_packets,
     encode_stream_frame,
     synthesize_patient,
 )
-from repro.fleet.wire import encode_packet_into
 from repro.power.governor import MODES
 
 PROXY_CONFIG = NodeProxyConfig(stream_telemetry=False,
@@ -136,17 +139,6 @@ class TestRoundTrip:
         assert_packets_equal(packet,
                              UplinkPacket.from_bytes(packet.to_bytes()))
 
-    def test_stream_round_trip(self):
-        rng = np.random.default_rng(5)
-        packets = [_synthetic_packet(rng) for _ in range(7)]
-        decoded = decode_packets(encode_packets(packets))
-        assert len(decoded) == len(packets)
-        for a, b in zip(packets, decoded):
-            assert_packets_equal(a, b)
-
-    def test_empty_stream(self):
-        assert decode_packets(encode_packets([])) == []
-
 
 class TestDecodeErrors:
     def test_every_truncation_raises(self):
@@ -173,13 +165,6 @@ class TestDecodeErrors:
         blob = encode_packet(_synthetic_packet(np.random.default_rng(6)))
         with pytest.raises(WireFormatError, match="trailing"):
             decode_packet(blob + b"\x00")
-
-    def test_truncated_stream_raises(self):
-        rng = np.random.default_rng(8)
-        stream = encode_packets([_synthetic_packet(rng)
-                                 for _ in range(3)])
-        with pytest.raises(WireFormatError):
-            decode_packets(stream[:-5])
 
 
 class TestGatewayIngestBytes:
@@ -239,15 +224,6 @@ class TestGatewayIngestBytes:
             assert a.snr_db == b.snr_db
             assert a.signal.tobytes() == b.signal.tobytes()
 
-    def test_zero_copy_ingest_batch(self):
-        # Bytes ingest aliases the frame; drain's batched
-        # reconstruction then reads measurements straight out of it.
-        packet = _synthetic_packet(np.random.default_rng(21))
-        decoded = decode_packet(encode_packet(packet))
-        for frame in decoded.frames:
-            for window in frame:
-                assert not window.measurements.flags.writeable
-
     def test_hostile_dtype_token_rejected(self):
         # A crafted frame carrying an object dtype must fail as a
         # format error, never reach numpy's object-array path.
@@ -278,15 +254,15 @@ def _packet_of_kind(kind: str, seed: int) -> UplinkPacket:
     raise AssertionError(f"no {kind!r} packet in 64 draws")  # pragma: no cover
 
 
-class TestZeroCopyAliasing:
-    """The decode aliasing rule: views from immutable sources only."""
+class TestOwnedDecode:
+    """One buffer rule: a decoded value owns its memory."""
 
     @pytest.mark.parametrize("kind", ["excerpt", "alarm", "telemetry"])
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_mutating_source_never_corrupts_held_packet(self, kind, seed):
-        # Decoding from a *writable* buffer must copy: scribbling over
-        # the source afterwards cannot reach into the held packet.
+        # Scribbling over a writable source after decode cannot reach
+        # into the held packet.
         packet = _packet_of_kind(kind, seed)
         source = bytearray(encode_packet(packet))
         decoded = decode_packet(source)
@@ -297,85 +273,99 @@ class TestZeroCopyAliasing:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_decoded_arrays_are_read_only(self, kind, seed):
-        # Both the copy path (bytearray source) and the aliasing path
-        # (bytes source) hand out non-writeable arrays.
         packet = _packet_of_kind(kind, seed)
         blob = encode_packet(packet)
-        for source in (blob, bytearray(blob)):
+        for source in (blob, bytearray(blob), memoryview(blob)):
             decoded = decode_packet(source)
-            arrays = [w.measurements for f in decoded.frames for w in f]
-            if decoded.reference is not None:
-                arrays.append(decoded.reference)
-            for arr in arrays:
+            for arr in _decoded_arrays(decoded):
                 assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr.setflags(write=True)
                 if arr.size:
                     with pytest.raises(ValueError):
                         arr[..., 0] = 0
 
-    def test_bytes_decode_aliases_the_frame(self):
-        # Measurement arrays decoded from immutable bytes are windows
-        # into the frame itself — the zero-copy contract.
-        packet = _packet_of_kind("excerpt", 33)
-        blob = encode_packet(packet)
-        decoded = decode_packet(blob)
-        frame_bytes = np.frombuffer(blob, dtype=np.uint8)
-        shared = [w.measurements
-                  for f in decoded.frames for w in f if w.measurements.size]
-        if decoded.reference is not None and decoded.reference.size:
-            shared.append(decoded.reference)
-        for arr in shared:
-            assert np.shares_memory(arr, frame_bytes)
+    @pytest.mark.parametrize("wrap", [
+        bytes, bytearray, memoryview,
+        lambda blob: memoryview(bytearray(blob)),
+        lambda blob: memoryview(blob).toreadonly(),
+    ], ids=["bytes", "bytearray", "memoryview", "memoryview-bytearray",
+            "readonly-memoryview"])
+    def test_decoded_arrays_never_share_memory_with_the_source(self, wrap):
+        source = wrap(encode_packet(_packet_with_arrays()))
+        arrays = _decoded_arrays(decode_packet(source))
+        frame = np.frombuffer(source, dtype=np.uint8)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, frame)
 
-    def test_views_keep_the_buffer_alive(self):
+    def test_journal_record_decode_owns_its_arrays(self, tmp_path):
+        # Replay decodes straight from scanned journal records; the
+        # packets must not hold on to the loaded segment.
+        packet = _packet_with_arrays()
+        config = JournalConfig(dir=str(tmp_path), name="owned")
+        with JournalWriter(config) as writer:
+            writer.append_packet(encode_packet(packet), packet.patient_id)
+        (record,) = JournalReader(config).records()
+        decoded = decode_packet(record.frame)
+        assert_packets_equal(packet, decoded)
+        frame = np.frombuffer(record.frame, dtype=np.uint8)
+        for arr in _decoded_arrays(decoded):
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, frame)
+
+    def test_decoded_packet_outlives_its_frame(self):
         packet = _packet_of_kind("excerpt", 5)
         decoded = decode_packet(encode_packet(packet))  # blob dropped
         assert_packets_equal(packet, decode_packet(encode_packet(decoded)))
 
-    def test_explicit_copy_flag_overrides_the_auto_rule(self):
-        packet = _packet_of_kind("excerpt", 9)
-        blob = encode_packet(packet)
-        copied = decode_packet(blob, copy=True)
-        frame_bytes = np.frombuffer(blob, dtype=np.uint8)
-        for frame in copied.frames:
-            for window in frame:
-                if window.measurements.size:
-                    assert not np.shares_memory(window.measurements,
-                                                frame_bytes)
+
+def _packet_with_arrays() -> UplinkPacket:
+    """A drawn packet carrying non-empty measurements and reference."""
+    rng = np.random.default_rng(33)
+    for _ in range(256):
+        packet = _synthetic_packet(rng)
+        if all(arr.size for arr in _decoded_arrays(packet)) \
+                and packet.frames and packet.reference is not None:
+            return packet
+    raise AssertionError("no array-carrying packet in 256 draws")  # pragma: no cover
 
 
-class TestEncodeInto:
-    def test_pooled_encode_is_byte_identical(self):
-        rng = np.random.default_rng(12)
-        out = bytearray()
-        for _ in range(20):
-            packet = _synthetic_packet(rng)
-            del out[:]  # pooled-buffer reuse
-            n = encode_packet_into(packet, out)
-            assert n == len(out)
-            assert bytes(out) == encode_packet(packet)
-
-    def test_appends_after_existing_content(self):
-        packet = _synthetic_packet(np.random.default_rng(13))
-        out = bytearray(b"prefix")
-        n = encode_packet_into(packet, out)
-        assert out[:6] == b"prefix"
-        assert bytes(out[6:]) == encode_packet(packet)
-        assert n == len(out) - 6
+def _decoded_arrays(packet: UplinkPacket) -> list[np.ndarray]:
+    """Every array a decoded packet holds (measurements + reference)."""
+    arrays = [w.measurements for f in packet.frames for w in f]
+    if packet.reference is not None:
+        arrays.append(packet.reference)
+    return arrays
 
 
-class TestStreamDecoderViews:
-    def test_frames_are_zero_copy_views_over_a_bytes_chunk(self):
+class TestNonUtf8Strings:
+    """A string field that is not UTF-8 is a format error, not a crash."""
+
+    @pytest.mark.parametrize("field", ["kind", "mode", "patient_id"])
+    def test_decode_packet(self, field, non_utf8):
+        packet = _packet_of_kind("excerpt", 33)
+        blob = non_utf8(encode_packet(packet), getattr(packet, field))
+        with pytest.raises(WireFormatError, match="UTF-8"):
+            decode_packet(blob)
+
+    @pytest.mark.parametrize("text", ["sweep", "p7", "key", "value"])
+    def test_decode_message(self, text, non_utf8):
+        blob = encode_message(ServeMessage(
+            "sweep", "p7", t_s=1.0, fields={"key": 1.0},
+            info={"state": "value"}))
+        with pytest.raises(WireFormatError, match="UTF-8"):
+            decode_message(non_utf8(blob, text))
+
+
+class TestStreamDecoderFrames:
+    def test_frames_are_owned_bytes(self):
         bodies = [b"frame-one", b"frame-two longer"]
         chunk = b"".join(encode_stream_frame(b) for b in bodies)
         decoder = StreamDecoder()
         frames = decoder.feed(chunk)
-        assert [bytes(f) for f in frames] == bodies
-        for frame in frames:
-            assert isinstance(frame, memoryview)
-            assert frame.readonly
-            # No tail was pending and the chunk is bytes: the views
-            # window the chunk itself.
-            assert frame.obj is chunk
+        assert frames == bodies
+        assert all(type(frame) is bytes for frame in frames)
         assert decoder.pending_bytes == 0
 
     def test_split_feeds_reassemble(self):
@@ -384,18 +374,23 @@ class TestStreamDecoderViews:
         decoder = StreamDecoder()
         collected = []
         for i in range(0, len(stream), 7):
-            collected += [bytes(f) for f in decoder.feed(stream[i:i + 7])]
+            collected += decoder.feed(stream[i:i + 7])
         assert collected == [body]
         decoder.finish()
 
-    def test_views_survive_until_next_feed(self):
+    def test_frames_stay_intact_across_later_feeds(self):
+        # Frames may be queued or retained: later feeds, and reuse of
+        # the chunk buffer the socket filled, must not touch them.
         decoder = StreamDecoder()
-        first = decoder.feed(encode_stream_frame(b"alpha"))
-        held = first[0]
-        assert bytes(held) == b"alpha"  # valid now
-        decoder.feed(encode_stream_frame(b"beta"))
-        # The lifetime contract ends at the next feed; callers that
-        # retain must copy first (serve/client do exactly that).
+        beta = encode_stream_frame(b"beta")
+        chunk = bytearray(encode_stream_frame(b"alpha") + beta[:3])
+        held = decoder.feed(chunk)
+        chunk[:] = b"\xff" * len(chunk)
+        rest = memoryview(beta[3:] + encode_stream_frame(b"gamma"))
+        held += decoder.feed(rest)
+        decoder.feed(encode_stream_frame(b"delta") * 3)
+        assert held == [b"alpha", b"beta", b"gamma"]
+        assert all(type(frame) is bytes for frame in held)
 
     def test_pending_bytes_tracks_the_tail(self):
         stream = encode_stream_frame(b"0123456789")
