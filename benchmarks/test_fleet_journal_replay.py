@@ -8,11 +8,14 @@ Two contracts gate unconditionally: the replayed `FleetSummary` must
 be **byte-identical** to the recorded run's, and the replay must beat
 the live run by at least 5x — replay skips node-side synthesis, CS
 encoding and the link entirely, so anything slower means the recovery
-path regressed.
+path regressed.  The replay runs ``N_REPLAYS`` times: each must be
+byte-identical, and the speedup uses their median wall time, so one
+replay slowed by a busy host cannot fail the gate.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from conftest import print_table
@@ -35,10 +38,11 @@ N_PATIENTS = 8
 DURATION_S = 120.0
 FS = 250.0
 MIN_SPEEDUP = 5.0
+N_REPLAYS = 3
 
 
 def run_all(journal_dir: str):
-    """Plain live run, journaled live run, then the journal replay."""
+    """Plain live run, journaled live run, then the journal replays."""
     cohort = make_cohort(CohortConfig(n_patients=N_PATIENTS, seed=7))
     config = SchedulerConfig(duration_s=DURATION_S, fs=FS)
     node_config = NodeProxyConfig(stream_telemetry=True)
@@ -59,16 +63,18 @@ def run_all(journal_dir: str):
                        resume=False) as journal:
         recorded = live(journal)
     wall_recorded = time.perf_counter() - t0
-    replay = JournalReplayer(journal_config).run()
-    return plain, wall_plain, recorded, wall_recorded, journal, replay
+    replays = [JournalReplayer(journal_config).run()
+               for _ in range(N_REPLAYS)]
+    return plain, wall_plain, recorded, wall_recorded, journal, replays
 
 
 def test_fleet_journal_replay(benchmark, tmp_path):
-    plain, wall_plain, recorded, wall_recorded, journal, replay = \
+    plain, wall_plain, recorded, wall_recorded, journal, replays = \
         benchmark.pedantic(run_all, args=(str(tmp_path),), rounds=1,
                            iterations=1)
-    wall_replay = replay.timings_s["total"]
+    wall_replay = statistics.median(r.timings_s["total"] for r in replays)
     speedup = wall_recorded / wall_replay
+    replay = replays[0]
 
     print_table(
         f"Journal replay ({N_PATIENTS} patients x {DURATION_S:.0f} s)",
@@ -76,7 +82,7 @@ def test_fleet_journal_replay(benchmark, tmp_path):
         [
             ("plain live wall [s]", wall_plain),
             ("journaled live wall [s]", wall_recorded),
-            ("replay wall [s]", wall_replay),
+            (f"replay wall, median of {N_REPLAYS} [s]", wall_replay),
             ("write tax [x]", wall_recorded / wall_plain),
             ("replay speedup [x]", speedup),
             ("journal records", journal.n_records),
@@ -89,9 +95,10 @@ def test_fleet_journal_replay(benchmark, tmp_path):
     # The determinism contracts gate unconditionally.
     assert recorded.summary.to_json() == plain.summary.to_json(), \
         "journaling perturbed the live run"
-    assert replay.summary.to_json() == recorded.summary.to_json(), \
-        "replayed FleetSummary diverged from the recorded run"
-    assert replay.n_packets == recorded.packets_sent
-    assert replay.torn_tail_bytes == 0
+    for run in replays:
+        assert run.summary.to_json() == recorded.summary.to_json(), \
+            "replayed FleetSummary diverged from the recorded run"
+        assert run.n_packets == recorded.packets_sent
+        assert run.torn_tail_bytes == 0
     assert speedup >= MIN_SPEEDUP, \
         f"journal replay only {speedup:.1f}x faster than live"

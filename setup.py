@@ -16,5 +16,7 @@ setup(
     # pytest-benchmark: the tier-1 command also collects benchmarks/.
     # pytest-cov: CI enforces the coverage floor (see ci.yml); the
     # plain tier-1 command runs without it.
-    extras_require={"test": ["pytest", "pytest-benchmark", "pytest-cov"]},
+    # hypothesis: the property-based tests under tests/.
+    extras_require={"test": ["pytest", "pytest-benchmark", "pytest-cov",
+                             "hypothesis"]},
 )

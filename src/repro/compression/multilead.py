@@ -343,8 +343,9 @@ class JointCsDecoder:
                     f"got {len(frame)}")
             for lead, item in enumerate(frame):
                 # Direct assignment casts straight into the float64
-                # batch row — wire decode views (read-only ints over
-                # the frame buffer) are consumed without a temporary.
+                # batch row, so integer measurements (such as the wire
+                # decoder's owned read-only arrays) need no float
+                # temporary.
                 ys[w, lead, :] = (item.measurements
                                   if isinstance(item, EncodedWindow)
                                   else item)

@@ -114,7 +114,7 @@ def _scan_boundary(w: np.ndarray, start: int, threshold: float,
                 if rises >= 2 and valley != start:
                     return valley
         i += step
-    return int(np.clip(i, 0, n - 1))
+    return min(max(i, 0), n - 1)
 
 
 def _zero_crossing(w: np.ndarray, lo: int, hi: int) -> int:
@@ -123,6 +123,31 @@ def _zero_crossing(w: np.ndarray, lo: int, hi: int) -> int:
         if w[i] == 0.0 or (w[i] > 0) != (w[i + 1] > 0):
             return i
     return (lo + hi) // 2
+
+
+def _lower_quartile(values: np.ndarray) -> float:
+    """``np.percentile(values, 25)`` of a 1-D float array of at least two
+    elements, bit for bit, without numpy's per-call overhead.
+
+    It repeats numpy's ``linear`` method step by step: the same
+    partition points (``0``, ``-1`` and the two neighbours of the
+    virtual index ``(n - 1) / 4``), the same two-sided lerp, and NaN
+    whenever the partition's last element is NaN.
+    """
+    n = values.shape[0]
+    k = (n - 1) // 4
+    k1 = k + 1
+    part = np.partition(values, sorted({-1, 0, k, k1}))
+    top = part[-1]
+    if top != top:
+        return float(top)
+    lo = float(part[k])
+    hi = float(part[k1])
+    gamma = (n - 1) * 0.25 - k
+    diff = hi - lo
+    if gamma >= 0.5:
+        return hi - diff * (1 - gamma)
+    return lo + diff * gamma
 
 
 def _clamp_p_end(p_wave: WaveFiducials, qrs: WaveFiducials) -> WaveFiducials:
@@ -174,24 +199,32 @@ class WaveletDelineator:
         return atrous_swt(x, levels=self.config.levels)
 
     def delineate(self, x: np.ndarray,
-                  r_peaks: np.ndarray | None = None) -> list[BeatAnnotation]:
-        """Delineate every beat of a single-lead waveform.
+                  r_peaks: np.ndarray | None = None, *,
+                  select: slice = slice(None)) -> list[BeatAnnotation]:
+        """Delineate the beats of a single-lead waveform.
 
         Args:
             x: Input waveform (ideally conditioned; the wavelet transform
                 itself suppresses baseline wander at the scales used).
             r_peaks: Known R-peak positions; when omitted the shared
                 Pan-Tompkins detector runs first, as on the node.
+            select: The beats to delineate, as a slice over ``r_peaks``
+                (default: every beat).  A beat's fiducials depend only
+                on the transform of ``x``, its own R peak, its two
+                neighbouring R peaks and the QRS noise floor of the
+                whole of ``x``, so each selected beat is annotated
+                exactly as the full call annotates it.
 
         Returns:
-            One :class:`BeatAnnotation` per beat with detected fiducials
-            (absent waves are marked with :data:`ABSENT_WAVE`).
+            One :class:`BeatAnnotation` per selected beat with detected
+            fiducials (absent waves are marked with :data:`ABSENT_WAVE`).
         """
         x = np.asarray(x, dtype=float)
         if r_peaks is None:
             r_peaks = RPeakDetector(self.fs).detect(x)
         r_peaks = np.asarray(r_peaks, dtype=int)
-        if r_peaks.shape[0] == 0:
+        chosen = range(r_peaks.shape[0])[select]
+        if not chosen:
             return []
         w = self.transform(x)
         w_qrs = w[self.config.qrs_scale]
@@ -202,7 +235,8 @@ class WaveletDelineator:
         # below the noise and run away from the complex.
         qrs_noise_floor = robust_noise_level(w_qrs)
         annotations = []
-        for idx, r in enumerate(r_peaks):
+        for idx in chosen:
+            r = r_peaks[idx]
             rr_prev = (r - r_peaks[idx - 1]) / self.fs if idx > 0 else 0.8
             rr_next = ((r_peaks[idx + 1] - r) / self.fs
                        if idx + 1 < r_peaks.shape[0] else 0.8)
@@ -243,9 +277,15 @@ class WaveletDelineator:
         peak_mod = float(window.max())
         if peak_mod <= 0:
             return ABSENT_WAVE
-        local_maxima = np.flatnonzero(
-            (window >= np.roll(window, 1)) & (window >= np.roll(window, -1))
-        )
+        # Wrap-around neighbours: the first sample's left neighbour is
+        # the last sample, and the last sample's right one the first.
+        before = np.empty_like(window)
+        before[0] = window[-1]
+        before[1:] = window[:-1]
+        after = np.empty_like(window)
+        after[-1] = window[0]
+        after[:-1] = window[1:]
+        local_maxima = np.flatnonzero((window >= before) & (window >= after))
         significant = local_maxima[
             window[local_maxima] >= self.config.gamma_qrs * peak_mod]
         if significant.shape[0] == 0:
@@ -290,7 +330,7 @@ class WaveletDelineator:
         # A real monophasic wave yields a *balanced* modulus pair, so the
         # presence statistic is the weaker lobe versus the local background.
         pair_strength = float(min(segment[pos_idx], -segment[neg_idx]))
-        background = float(np.percentile(np.abs(segment), 25))
+        background = _lower_quartile(np.abs(segment))
         floor = max(background, 1e-4)
         if pair_strength < self.config.presence_factor * floor:
             return ABSENT_WAVE

@@ -66,6 +66,10 @@ class StreamingMonitor:
             raise ValueError("buffer must be longer than the hop")
         self._capacity = int(cfg.buffer_s * cfg.fs)
         self._hop = int(cfg.hop_s * cfg.fs)
+        if self._hop < 1:
+            # A zero-sample hop would burst on every push and never
+            # advance push_block.
+            raise ValueError("hop must span at least one sample")
         self._margin = int(cfg.confirm_margin_s * cfg.fs)
         # Preallocated circular buffer: O(1) per sample, the ordered view
         # is materialized only once per burst.
@@ -160,16 +164,20 @@ class StreamingMonitor:
             return []
         offset = self._total - window.shape[0]
         peaks = self._detector.detect(window)
-        beats = self._delineator.delineate(window, peaks)
         horizon = window.shape[0] if final else \
             window.shape[0] - self._margin
-        fresh: list[BeatAnnotation] = []
-        for beat in beats:
-            absolute = beat.r_peak + offset
-            if absolute <= self._emitted_up_to or beat.r_peak >= horizon:
-                continue
-            fresh.append(beat.shifted(offset))
-            self._emitted_up_to = absolute
+        # Emit filter first, on the (sorted, unique) peak positions: skip
+        # beats already emitted and beats too close to the leading edge.
+        # The kept beats are one contiguous run, and only they are
+        # delineated; the transform still covers the whole window.
+        first = int(np.searchsorted(peaks, self._emitted_up_to - offset,
+                                    side="right"))
+        stop = int(np.searchsorted(peaks, horizon, side="left"))
+        beats = self._delineator.delineate(window, peaks,
+                                           select=slice(first, stop))
+        fresh = [beat.shifted(offset) for beat in beats]
+        if fresh:
+            self._emitted_up_to = fresh[-1].r_peak
         return fresh
 
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.delineation import (
     RPeakDetector,
@@ -9,7 +12,10 @@ from repro.delineation import (
     WaveletDelineatorConfig,
     evaluate_delineation,
 )
-from repro.delineation.wavelet_delineator import robust_noise_level
+from repro.delineation.wavelet_delineator import (
+    _lower_quartile,
+    robust_noise_level,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +105,55 @@ class TestInterfaces:
     def test_robust_noise_level_tracks_sigma(self, rng):
         x = rng.normal(0.0, 0.5, 100_000)
         assert robust_noise_level(x) == pytest.approx(0.5, rel=0.05)
+
+
+class TestBeatSelection:
+    """A selected beat is annotated exactly as the full call annotates
+    it: its fiducials depend on the whole-signal transform, its own and
+    its neighbours' R peaks, and the signal-wide QRS noise floor."""
+
+    @pytest.mark.parametrize("record", ["nsr_record", "af_record",
+                                        "ectopy_record"])
+    @pytest.mark.parametrize("select", [
+        slice(None), slice(3, 9), slice(0, 1), slice(-4, None),
+        slice(1, None, 3),
+    ])
+    def test_selection_equals_slice_of_full_call(self, request, record,
+                                                 select):
+        ecg = request.getfixturevalue(record).lead(1)
+        peaks = RPeakDetector(ecg.fs).detect(ecg.signal)
+        delineator = WaveletDelineator(ecg.fs)
+        full = delineator.delineate(ecg.signal, peaks)
+        got = delineator.delineate(ecg.signal, peaks, select=select)
+        assert got == full[select]
+
+    def test_empty_selection_skips_the_transform(self, nsr_record,
+                                                 monkeypatch):
+        ecg = nsr_record.lead(1)
+        peaks = RPeakDetector(ecg.fs).detect(ecg.signal)
+        delineator = WaveletDelineator(ecg.fs)
+
+        def no_transform(x):
+            raise AssertionError("transform computed for no beats")
+
+        monkeypatch.setattr(delineator, "transform", no_transform)
+        assert delineator.delineate(ecg.signal, peaks,
+                                    select=slice(5, 5)) == []
+        assert delineator.delineate(ecg.signal, peaks,
+                                    select=slice(9, 4)) == []
+
+
+class TestLowerQuartile:
+    """The per-beat P/T background must be ``np.percentile(a, 25)``
+    bit for bit, so swapping it in cannot move a fiducial."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=hnp.arrays(
+        np.float64, st.integers(2, 400),
+        elements=st.one_of(st.floats(),
+                           st.sampled_from([0.0, -0.0, 1.0, np.inf]))))
+    def test_matches_numpy_percentile_bit_for_bit(self, values):
+        with np.errstate(all="ignore"):  # inf - inf, huge spans
+            expected = np.percentile(values, 25)
+        got = _lower_quartile(values)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()

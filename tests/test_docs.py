@@ -10,7 +10,7 @@ Locally-enforced mirrors of the CI lint job:
   to an existing file;
 * every fully qualified ``repro.…`` name the documentation cites in
   backticks must import and resolve (skipped where ``repro`` itself
-  cannot be imported, as in the stdlib-only lint job).
+  cannot be imported).
 """
 
 from __future__ import annotations

@@ -7,6 +7,52 @@ from repro.delineation import RPeakDetector, WaveletDelineator
 from repro.pipeline import StreamingConfig, StreamingMonitor, stream_record
 
 
+class _FullWindowMonitor(StreamingMonitor):
+    """Reference burst: delineate the whole window, then keep the beats
+    after the last emitted one and before the confirm horizon."""
+
+    def _burst(self, final):
+        window = self._window()
+        if window.shape[0] < int(1.5 * self.config.fs):
+            return []
+        offset = self._total - window.shape[0]
+        peaks = self._detector.detect(window)
+        beats = self._delineator.delineate(window, peaks)
+        horizon = window.shape[0] if final else \
+            window.shape[0] - self._margin
+        fresh = []
+        for beat in beats:
+            absolute = beat.r_peak + offset
+            if absolute <= self._emitted_up_to or beat.r_peak >= horizon:
+                continue
+            fresh.append(beat.shifted(offset))
+            self._emitted_up_to = absolute
+        return fresh
+
+
+def _run(monitor, signal):
+    beats = monitor.push_block(signal)
+    beats.extend(monitor.flush())
+    return beats
+
+
+class TestStreamedFiducials:
+    """Each burst delineates only the beats it emits; every streamed
+    fiducial must equal the whole-window reference, bit for bit."""
+
+    @pytest.mark.parametrize("record", ["nsr_record", "af_record",
+                                        "ectopy_record"])
+    @pytest.mark.parametrize("buffer_s,hop_s", [(8.0, 2.0), (9.0, 3.0)])
+    def test_equal_to_whole_window_reference(self, request, record,
+                                             buffer_s, hop_s):
+        ecg = request.getfixturevalue(record).lead(1)
+        config = StreamingConfig(fs=ecg.fs, buffer_s=buffer_s, hop_s=hop_s)
+        expected = _run(_FullWindowMonitor(config), ecg.signal)
+        got = _run(StreamingMonitor(config), ecg.signal)
+        assert len(expected) > 10
+        assert got == expected
+
+
 class TestStreamingEquivalence:
     def test_matches_batch_beats(self, nsr_record):
         ecg = nsr_record.lead(1)
@@ -75,6 +121,12 @@ class TestMechanics:
     def test_buffer_must_exceed_hop(self):
         with pytest.raises(ValueError, match="longer than the hop"):
             StreamingMonitor(StreamingConfig(buffer_s=1.0, hop_s=2.0))
+
+    @pytest.mark.parametrize("hop_s", [0.0, 0.001])
+    def test_hop_must_span_one_sample(self, hop_s):
+        # A zero-sample hop would never advance push_block.
+        with pytest.raises(ValueError, match="at least one sample"):
+            StreamingMonitor(StreamingConfig(fs=250.0, hop_s=hop_s))
 
 
 class TestEdgeCases:
