@@ -87,6 +87,8 @@ def main() -> None:
           f"(speedup {wall_live / replay.timings_s['total']:.1f}x)")
     print(f"replayed {replay.n_packets} packets / "
           f"{replay.n_messages} control records")
+    print(f"replay recover: {replay.timings_s['recover']:.2f} s   "
+          f"undrained frames: {replay.n_undrained_frames}")
     print(f"replay byte-identical: {identical}")
     if not identical:
         raise SystemExit("journal replay determinism violated!")

@@ -11,6 +11,7 @@ speedup that caused it.
 
 from __future__ import annotations
 
+import statistics
 import tempfile
 import time
 
@@ -413,6 +414,8 @@ def fleet_serve_throughput(ctx: BenchContext) -> dict:
 
 #: Required journal-replay advantage over the recorded live run (5x).
 MIN_REPLAY_SPEEDUP = 5.0
+#: Replays timed per run; the speedup uses their median wall.
+N_REPLAYS = 3
 
 
 @register("fleet-journal-replay",
@@ -430,7 +433,10 @@ def fleet_journal_replay(ctx: BenchContext) -> dict:
     and the replay must finish at least `MIN_REPLAY_SPEEDUP`x faster
     than the live run it reproduces (replay skips node-side synthesis
     entirely, so anything slower means the recovery path regressed).
-    Either violation fails the bench — and the CI quick gate.
+    The journal replays `N_REPLAYS` times; each is byte-checked and the
+    speedup uses their median wall, so one replay slowed by a busy host
+    cannot fail the gate.  Either violation fails the bench — and the
+    CI quick gate.
     """
     n_patients = 4 if ctx.quick else 8
     duration = 60.0 if ctx.quick else 120.0
@@ -457,13 +463,16 @@ def fleet_journal_replay(ctx: BenchContext) -> dict:
             recorded = live_run(journal)
         wall_recorded = time.perf_counter() - t0
         journal_bytes = journal.n_bytes
-        replay = JournalReplayer(journal_config).run()
-    wall_replay = replay.timings_s["total"]
+        replays = [JournalReplayer(journal_config).run()
+                   for _ in range(N_REPLAYS)]
+    wall_replay = statistics.median(r.timings_s["total"] for r in replays)
+    replay = replays[0]
     if recorded.summary.to_json() != plain.summary.to_json():
         raise AssertionError(
             "journaled FleetSummary diverged from the plain run — "
             "the journal write tax is not out-of-band")
-    if replay.summary.to_json() != recorded.summary.to_json():
+    if any(r.summary.to_json() != recorded.summary.to_json()
+           for r in replays):
         raise AssertionError(
             "replayed FleetSummary diverged from the recorded run — "
             "journal replay determinism regression")

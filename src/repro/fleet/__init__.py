@@ -42,7 +42,6 @@ from .gateway import (
     GatewayConfig,
     PatientChannel,
     ReconstructedExcerpt,
-    recover_queued,
 )
 from .journal import (
     GatewaySession,
@@ -196,7 +195,6 @@ __all__ = [
     "make_cohort",
     "merge_patient_rows",
     "partition_cohort",
-    "recover_queued",
     "run_served_fleet",
     "serve",
     "synthesize_patient",

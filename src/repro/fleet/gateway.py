@@ -31,19 +31,21 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
 from ..compression.encoder import MultiLeadCsEncoder
-from ..compression.metrics import reconstruction_snr_db
+from ..compression.metrics import measurements_for_cr, reconstruction_snr_db
 from ..compression.multilead import JointCsDecoder, MultiLeadRecovery
 from ..delineation.rpeak import RPeakDetector
+from ..dsp.wavelets import max_dwt_levels
 from ..obs import (ANOMALY_ALARM_BURST, ANOMALY_NAN_GUARD,
                    ANOMALY_REASSEMBLY_STALL, ANOMALY_WIRE_ERROR,
                    Observability, SCOPE_SHARD)
 from ..power.governor import MODE_MULTI_LEAD_CS, MODE_RAW
 from .node_proxy import PACKET_ALARM, PACKET_TELEMETRY, UplinkPacket
+from .wire import WireFormatError, decode_packet
 
 #: Most written-off sequence numbers one reassembly hole may keep
 #: recoverable (late-recovery bookkeeping).  Bounds the memory a
@@ -443,10 +445,14 @@ class Gateway:
 
         Raises:
             ~repro.fleet.wire.WireFormatError: A bytes-like payload
-                does not parse as a valid packet frame.
+                does not parse as a valid packet frame, or the packet's
+                CS frames do not fit its declared geometry
+                (:func:`check_geometry`).  Nothing is journaled or
+                queued.
         """
         if isinstance(payload, (bytes, bytearray, memoryview)):
             return self._ingest_frame(payload)
+        check_geometry(payload, self.config.wavelet)
         if self._journal is not None:
             self._journal.append_packet(payload.to_bytes(),
                                         payload.patient_id)
@@ -508,31 +514,28 @@ class Gateway:
                                        event=event)
 
     def _ingest_frame(self, data: bytes | bytearray | memoryview) -> bool:
-        """Frame-path ingest: decode, flight-record, then object path.
+        """Frame-path ingest: decode, check, flight-record, object path.
 
         Raises:
             ~repro.fleet.wire.WireFormatError: The buffer does not
-                parse as a valid packet frame (recorded as a wire-error
-                anomaly when observability is attached, then re-raised).
+                parse as a valid packet frame or fails
+                :func:`check_geometry` (recorded as a wire-error anomaly
+                when observability is attached, then re-raised).
         """
-        from .wire import decode_packet, WireFormatError
-
-        if self._m is None:
-            packet = decode_packet(data)
-            if self._journal is not None:
-                self._journal.append_packet(data, packet.patient_id)
-            return self._ingest_packet(packet)
         try:
-            packet = decode_packet(data)
+            packet = check_geometry(decode_packet(data),
+                                    self.config.wavelet)
         except WireFormatError as exc:
-            import base64
+            if self._m is not None:
+                import base64
 
-            self.obs.flight.anomaly(
-                ANOMALY_WIRE_ERROR, "unknown", self.obs.virtual_time_s,
-                error=str(exc),
-                frame_b64=base64.b64encode(bytes(data)).decode("ascii"))
+                self.obs.flight.anomaly(
+                    ANOMALY_WIRE_ERROR, "unknown", self.obs.virtual_time_s,
+                    error=str(exc),
+                    frame_b64=base64.b64encode(bytes(data)).decode("ascii"))
             raise
-        self.obs.flight.record_frame(packet.patient_id, bytes(data))
+        if self._m is not None:
+            self.obs.flight.record_frame(packet.patient_id, bytes(data))
         if self._journal is not None:
             self._journal.append_packet(data, packet.patient_id)
         return self._ingest_packet(packet)
@@ -631,12 +634,22 @@ class Gateway:
                ) -> list[UplinkPacket]:
         """The packets ``drain(max_packets)`` would pop, in order.
 
-        Leaves the queue as it is; :func:`recover_queued` reads it to
-        batch the next drains of several gateways together.
+        Leaves the queue as it is.
         """
         budget = len(self._queue) if max_packets is None \
             else min(max_packets, len(self._queue))
         return list(islice(self._queue, max(budget, 0)))
+
+    def held_packets(self) -> Iterator[UplinkPacket]:
+        """Every accepted packet a later drain may still pop.
+
+        The ingest queue in order, then each patient's reassembly
+        buffer.  A packet dropped at the full queue or as a duplicate
+        is in neither.
+        """
+        yield from self._queue
+        for buffer in self._reassembly.values():
+            yield from buffer.buffer.values()
 
     def drain(self, max_packets: int | None = None,
               recoveries: list[list[MultiLeadRecovery]] | None = None,
@@ -652,9 +665,10 @@ class Gateway:
         Args:
             max_packets: Packet budget (``None`` drains the queue).
             recoveries: Per-packet frame recoveries of exactly the
-                packets this call pops, from a :func:`recover_queued`
-                batch that spanned several gateways; the gateway
-                recovers its own when omitted.
+                packets this call pops, recovered ahead of the drain
+                (a journal replay's lookahead, via
+                :func:`recover_packets`); the gateway recovers its own
+                when omitted.
 
         Raises:
             ValueError: ``recoveries`` does not hold one entry per
@@ -662,8 +676,8 @@ class Gateway:
         """
         packets = self.queued(max_packets)
         if recoveries is None:
-            recoveries = _recover_packets(packets, self._decoders,
-                                          self.config, self._m)
+            recoveries = recover_packets(packets, self._decoders,
+                                         self.config, self._m)
         elif len(recoveries) != len(packets):
             raise ValueError(f"{len(recoveries)} recoveries for "
                              f"{len(packets)} drained packets")
@@ -842,54 +856,63 @@ class Gateway:
         return cv >= self.config.rr_cv_confirm
 
 
-def recover_queued(gateways: Sequence[Gateway],
-                   max_packets: int | None = None,
-                   decoders: dict[tuple, JointCsDecoder] | None = None,
-                   ) -> list[list[list[MultiLeadRecovery]]]:
-    """Batch-reconstruct what each gateway's next drain will pop.
+def check_geometry(packet: UplinkPacket, wavelet: str) -> UplinkPacket:
+    """Return ``packet`` if a decoder can recover its CS frames.
 
-    Gathers the packets ``gateway.drain(max_packets)`` would pop from
-    every gateway and recovers all their CS frames with one
-    :meth:`JointCsDecoder.recover_batch` call per encoder geometry.
-    A window's recovery is a function of its own measurements alone
-    (:func:`~repro.compression.multilead.group_fista_batch` is
-    bit-identical under any batch partition), so handing gateway ``i``
-    entry ``i`` through ``drain(max_packets, recoveries=...)`` yields
-    exactly the excerpts it would have computed draining alone.
-
-    Args:
-        gateways: Gateways sharing one :class:`GatewayConfig`, whose
-            wavelet and FISTA budget build the decoders.
-        max_packets: Drain budget applied to every gateway.
-        decoders: Geometry-keyed decoder cache to use and fill; the
-            caller owns its lifetime.  Defaults to the first gateway's
-            own cache.
-
-    Returns:
-        Per gateway, per queued packet, the per-frame recoveries.
+    A frame the decoder cannot take would pass reassembly and then fail
+    every later drain of its queue, so ingest rejects it up front.
+    Packets without CS frames carry no geometry to check.
 
     Raises:
-        ValueError: The gateways do not share one configuration.
+        ~repro.fleet.wire.WireFormatError: The CR lies outside
+            [0, 100); the leads, word size or seed cannot build sensing
+            matrices; ``wavelet`` has no basis for ``window_n`` samples;
+            or a window is not a numeric vector of
+            ``measurements_for_cr(window_n, cr_percent)`` measurements.
     """
-    if not gateways:
-        return []
-    first = gateways[0]
-    if any(gateway.config != first.config for gateway in gateways):
-        raise ValueError("batched gateways must share one GatewayConfig")
-    queued = [gateway.queued(max_packets) for gateway in gateways]
-    recovered = iter(_recover_packets(
-        [packet for packets in queued for packet in packets],
-        first._decoders if decoders is None else decoders,
-        first.config, first._m))
-    return [[next(recovered) for _ in packets] for packets in queued]
+    if not packet.frames:
+        return packet
+    if not 0.0 <= packet.cr_percent < 100.0:
+        raise WireFormatError(
+            f"CR {packet.cr_percent!r} % lies outside [0, 100)")
+    if packet.n_leads < 1 or packet.quant_bits < 2 or packet.cs_seed < 0:
+        raise WireFormatError(
+            f"no sensing matrices for {packet.n_leads} leads, "
+            f"{packet.quant_bits}-bit words and seed {packet.cs_seed}")
+    if max_dwt_levels(packet.window_n, wavelet) < 1:
+        raise WireFormatError(
+            f"no {wavelet} basis for {packet.window_n}-sample windows")
+    m = measurements_for_cr(packet.window_n, packet.cr_percent)
+    for frame in packet.frames:
+        for window in frame:
+            y = window.measurements
+            if y.shape != (m,) or y.dtype.kind not in "biuf":
+                raise WireFormatError(
+                    f"window carries {y.shape} {y.dtype} measurements; "
+                    f"{packet.window_n} samples at CR "
+                    f"{packet.cr_percent} % need {m} numbers")
+    return packet
 
 
-def _recover_packets(packets: list[UplinkPacket],
-                     decoders: dict[tuple, JointCsDecoder],
-                     config: GatewayConfig,
-                     metrics: _GatewayMetrics | None,
-                     ) -> list[list[MultiLeadRecovery]]:
+def recover_packets(packets: list[UplinkPacket],
+                    decoders: dict[tuple, JointCsDecoder],
+                    config: GatewayConfig,
+                    metrics: _GatewayMetrics | None = None,
+                    ) -> list[list[MultiLeadRecovery]]:
     """Batch-reconstruct every frame of ``packets`` by geometry.
+
+    One :meth:`JointCsDecoder.recover_batch` call per encoder geometry.
+    A window's recovery is a function of its own measurements alone
+    (:func:`~repro.compression.multilead.group_fista_batch` is
+    bit-identical under any batch partition), so frames may be
+    recovered ahead of, and across, the drains that pop them.
+
+    Args:
+        packets: Packets whose frames to recover.
+        decoders: Geometry-keyed decoder cache to use and fill; the
+            caller owns its lifetime.
+        config: Wavelet and FISTA budget of any decoder built here.
+        metrics: Gateway metrics observing the batch shapes.
 
     Returns:
         Per-packet lists of per-frame recoveries, aligned with the

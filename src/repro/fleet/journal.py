@@ -53,7 +53,7 @@ from struct import Struct
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .gateway import Gateway, GatewayConfig, recover_queued
+from .gateway import Gateway, GatewayConfig, check_geometry, recover_packets
 from .kernel import (
     PRIO_DRAIN,
     PRIO_REASSEMBLY,
@@ -61,6 +61,7 @@ from .kernel import (
     EventKernel,
     KernelError,
 )
+from .node_proxy import UplinkPacket
 from .sharding import ShardPatientRow, merge_patient_rows
 from .triage import TriageBoard
 from .wire import (
@@ -68,6 +69,7 @@ from .wire import (
     ServeMessage,
     WireFormatError,
     decode_message,
+    decode_packet,
     encode_message,
     frame_kind,
 )
@@ -110,6 +112,14 @@ _KIND_PRIO = {
     "report": PRIO_TRIAGE,
     "stats": PRIO_TRIAGE,
 }
+
+#: CS windows a replay reads ahead of its drains: each chunk of the
+#: record stream is decoded and its frames recovered together, one
+#: ``recover_batch`` per encoder geometry, before its records replay.
+_LOOKAHEAD_WINDOWS = 128
+#: Most records one lookahead chunk holds, so a stretch of journal with
+#: few or no CS frames (raw or telemetry uplink) stays bounded too.
+_LOOKAHEAD_RECORDS = 1024
 
 #: Message kinds a served session journals (client-driven protocol
 #: traffic that mutates gateway/board state).  ``hello``/``bye`` are
@@ -777,7 +787,7 @@ class GatewaySession:
         _drain_sessions([self], msg)
 
     def _drain_at(
-        self, t_s: float, max_packets: int | None, recoveries: list
+        self, t_s: float, max_packets: int | None, recoveries: list | None
     ) -> None:
         """Drain into triage as this session's ``PRIO_DRAIN`` event."""
 
@@ -852,36 +862,125 @@ def _count_field(
 def _drain_sessions(
     sessions: Sequence[GatewaySession],
     msg: ServeMessage,
-    decoders: dict | None = None,
+    lookahead: _Lookahead | None = None,
 ) -> None:
-    """Apply one ``drain`` command to ``sessions`` with batched FISTA.
+    """Apply one ``drain`` command to ``sessions``.
 
-    Every CS frame the sessions' drains will pop is recovered up front
-    with one ``recover_batch`` per encoder geometry
-    (:func:`~repro.fleet.gateway.recover_queued`); then each session
-    drains its own queue through ``Gateway.drain`` with its share,
-    inside its own ``PRIO_DRAIN`` kernel event.  Order, budgets, triage
-    and kernel events are those of draining each session alone.
+    Each session drains its own queue through ``Gateway.drain`` inside
+    its own ``PRIO_DRAIN`` kernel event.  A replay hands the recoveries
+    its ``lookahead`` computed for exactly the packets each drain pops;
+    without one (a served session) the gateway recovers its own.
 
     Args:
-        sessions: Sessions sharing one gateway configuration.
+        sessions: Sessions the command addresses.
         msg: The ``drain`` command (``budget`` < 0 drains everything).
-        decoders: Geometry-keyed decoder cache shared by the batch; a
-            lone session defaults to its gateway's own.
+        lookahead: The replay's store of frames recovered ahead.
 
     Raises:
         WireFormatError: The budget is not finite.
         KernelError: The command's time is invalid for a session clock
-            (checked before any reconstruction).
+            (checked before any session drains).
     """
     budget = _count_field(msg.fields, "budget", -1.0)
     max_packets = None if budget < 0 else budget
     times = [session.kernel.advance_to(msg.t_s) for session in sessions]
-    recovered = recover_queued(
-        [session.gateway for session in sessions], max_packets, decoders
-    )
-    for session, t_s, recoveries in zip(sessions, times, recovered):
+    for session, t_s in zip(sessions, times):
+        recoveries = None
+        if lookahead is not None:
+            recoveries = lookahead.take(session.gateway.queued(max_packets))
         session._drain_at(t_s, max_packets, recoveries)
+
+
+class _Lookahead:
+    """Replays a record stream a chunk ahead, with its frames recovered.
+
+    :meth:`replay` reads records until a chunk holds at least
+    :data:`_LOOKAHEAD_WINDOWS` CS windows, decodes its packet frames
+    once, recovers all of their frames with one ``recover_batch`` per
+    encoder geometry, then yields the chunk's records in order.  A
+    decoded packet's recoveries are held until a drain pops it
+    (:meth:`take`) or the packet is found neither queued nor buffered
+    by any session; those released frames are counted on
+    :attr:`n_undrained_frames`.  Batching holds the bytes: a window's
+    recovery depends on its own measurements alone.
+    """
+
+    def __init__(self, config: GatewayConfig):
+        self.config = config
+        #: One decoder per encoder geometry for this replay.
+        self.decoders: dict = {}
+        #: Decoded packets (by identity) with their frame recoveries.
+        self.held: dict[int, tuple[UplinkPacket, list]] = {}
+        #: Frames recovered ahead that no drain popped.
+        self.n_undrained_frames = 0
+        #: Wall seconds spent recovering frames.
+        self.recover_s = 0.0
+
+    def replay(
+        self, records: Iterator[tuple], sessions: dict[str, GatewaySession]
+    ) -> Iterator[tuple[tuple, UplinkPacket | None]]:
+        """Yield ``(entry, packet)`` per record of ``records``, in order.
+
+        ``packet`` is the record's pre-decoded packet, or ``None`` for a
+        control record or a frame that failed to decode or to pass
+        :func:`~repro.fleet.gateway.check_geometry` — it is left as
+        bytes so its own record raises in order.  An error reading the
+        stream is raised after the records before it.
+        """
+        error: Exception | None = None
+        done = False
+        while not done:
+            chunk: list[tuple[tuple, UplinkPacket | None]] = []
+            n_windows = 0
+            while n_windows < _LOOKAHEAD_WINDOWS and len(chunk) < _LOOKAHEAD_RECORDS:
+                try:
+                    entry = next(records)
+                except StopIteration:
+                    done = True
+                    break
+                except Exception as exc:  # raised once the chunk replays
+                    error, done = exc, True
+                    break
+                packet = self._decode(entry[-1].frame)
+                if packet is not None:
+                    n_windows += packet.n_frames
+                chunk.append((entry, packet))
+            self._release(
+                packet
+                for session in sessions.values()
+                for packet in session.gateway.held_packets()
+            )
+            self._recover([packet for _, packet in chunk if packet is not None])
+            yield from chunk
+        self._release(())
+        if error is not None:
+            raise error
+
+    def take(self, packets: list[UplinkPacket]) -> list[list]:
+        """Hand over (and forget) the recoveries of ``packets``."""
+        return [self.held.pop(id(packet))[1] for packet in packets]
+
+    def _decode(self, frame: bytes) -> UplinkPacket | None:
+        try:
+            if frame_kind(frame) != "packet":
+                return None
+            return check_geometry(decode_packet(frame), self.config.wavelet)
+        except WireFormatError:
+            return None
+
+    def _recover(self, packets: list[UplinkPacket]) -> None:
+        t0 = perf_counter()
+        recovered = recover_packets(packets, self.decoders, self.config)
+        self.recover_s += perf_counter() - t0
+        for packet, recoveries in zip(packets, recovered):
+            self.held[id(packet)] = (packet, recoveries)
+
+    def _release(self, keep: Iterable[UplinkPacket]) -> None:
+        """Drop the recoveries of every held packet not in ``keep``."""
+        kept = {id(packet) for packet in keep}
+        for key in [key for key in self.held if key not in kept]:
+            packet, _ = self.held.pop(key)
+            self.n_undrained_frames += packet.n_frames
 
 
 @dataclass
@@ -906,7 +1005,12 @@ class ReplayReport:
     n_journals: int = 0
     #: Torn-tail bytes skipped across all source journals.
     torn_tail_bytes: int = 0
-    #: Wall-clock accounting of the replay.
+    #: CS frames recovered ahead of the drains that no drain popped:
+    #: packets dropped at a full queue or as duplicates, or still
+    #: queued or buffered when the journals end.
+    n_undrained_frames: int = 0
+    #: Wall-clock accounting of the replay (``recover`` is the part of
+    #: ``replay`` spent recovering CS frames ahead of the drains).
     timings_s: dict = field(default_factory=dict)
 
 
@@ -929,7 +1033,9 @@ class JournalReplayer:
     be omitted for journals that carry ``hello`` records (in-process
     and sharded runs); served journals never log hellos, so their
     cohort order — which the float-summing merge depends on — must be
-    passed explicitly.
+    passed explicitly.  Records are read a chunk ahead, so CS frames
+    are recovered in large batches before the drains that pop them
+    (:data:`_LOOKAHEAD_WINDOWS`).
     """
 
     def __init__(
@@ -974,9 +1080,8 @@ class JournalReplayer:
 
         sessions: dict[str, GatewaySession] = {}
         per_source: list[dict[str, GatewaySession]] = [{} for _ in readers]
-        # One decoder per encoder geometry for this replay's fleet-wide
-        # drains (each replay builds its own; nothing outlives run()).
-        decoders: dict = {}
+        # Each replay builds its own decoders; nothing outlives run().
+        lookahead = _Lookahead(gateway_config)
         hello_order: dict[str, int] = {}
         link_stats: dict[str, int] = {}
         origin: dict[str, int] = {}
@@ -1005,11 +1110,14 @@ class JournalReplayer:
                 yield (record.t_s, record.prio, source, ordinal, record)
 
         streams = [stream(i, reader) for i, reader in enumerate(readers)]
-        for t_s, prio, source, ordinal, record in heapq.merge(*streams):
+        for entry, packet in lookahead.replay(heapq.merge(*streams), sessions):
+            _, _, source, ordinal, record = entry
             try:
                 if frame_kind(record.frame) == "packet":
                     session = session_for(record.subject, source)
-                    session.gateway.ingest(record.frame)
+                    session.gateway.ingest(
+                        record.frame if packet is None else packet
+                    )
                     session.n_frames += 1
                     n_packets += 1
                     continue
@@ -1025,10 +1133,13 @@ class JournalReplayer:
                             name = key[5:]
                             count = _count_field(msg.fields, key)
                             link_stats[name] = link_stats.get(name, 0) + count
-                elif msg.patient_id == "" and msg.kind == "drain":
-                    _drain_sessions(
-                        list(per_source[source].values()), msg, decoders
+                elif msg.kind == "drain":
+                    targets = (
+                        list(per_source[source].values())
+                        if msg.patient_id == ""
+                        else [session_for(msg.patient_id, source)]
                     )
+                    _drain_sessions(targets, msg, lookahead)
                 elif msg.patient_id == "":
                     for session in per_source[source].values():
                         session.handle_message(msg)
@@ -1082,8 +1193,10 @@ class JournalReplayer:
             n_messages=n_messages,
             n_journals=len(readers),
             torn_tail_bytes=sum(r.torn_tail_bytes for r in readers),
+            n_undrained_frames=lookahead.n_undrained_frames,
             timings_s={
                 "replay": t_replayed - t_start,
+                "recover": lookahead.recover_s,
                 "merge": t_done - t_replayed,
                 "total": t_done - t_start,
             },

@@ -116,3 +116,35 @@ def non_utf8():
         return blob[:at] + b"\xff" + blob[at + 1:]
 
     return corrupt
+
+
+@pytest.fixture()
+def cs_packet():
+    """Function building one CS excerpt packet from noise (no synthesis).
+
+    ``cs_packet(patient_id, seq=0, n_measurements=None)`` returns a
+    valid one-lead packet of a 256-sample window at CR 60 %; passing
+    ``n_measurements`` truncates its measurement vector, which is the
+    malformed geometry the gateway must reject at ingest.
+    """
+    from dataclasses import replace
+
+    from repro.fleet import (PACKET_EXCERPT, NodeProxy, NodeProxyConfig,
+                             PatientProfile)
+
+    def build(patient_id: str, seq: int = 0,
+              n_measurements: int | None = None):
+        proxy = NodeProxy(PatientProfile(patient_id=patient_id, n_leads=1,
+                                         seed=3),
+                          NodeProxyConfig(stream_telemetry=False))
+        proxy._seq = seq
+        window = np.random.default_rng(seq).normal(
+            size=(1, proxy.config.window_n))
+        frame = proxy.encoder.encode(window)
+        if n_measurements is not None:
+            frame = [replace(w, measurements=w.measurements[:n_measurements])
+                     for w in frame]
+        return proxy.packet_from_frames(PACKET_EXCERPT, float(seq), 0,
+                                        [frame])
+
+    return build

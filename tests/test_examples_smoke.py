@@ -82,7 +82,8 @@ EXAMPLES = {
     ),
     "fleet_journal_replay.py": (
         ["--patients", "3", "--duration", "60"],
-        ["journal:", "recovered:", "replay byte-identical: True"],
+        ["journal:", "recovered:", "undrained frames:",
+         "replay byte-identical: True"],
     ),
 }
 

@@ -1,5 +1,7 @@
 """Tests for gateway ingest, reconstruction and alarm confirmation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from repro.fleet import (
     NodeProxy,
     NodeProxyConfig,
     PatientProfile,
-    recover_queued,
+    WireFormatError,
+    encode_packet,
     synthesize_patient,
 )
+from repro.fleet.gateway import recover_packets
 
 PROXY_CONFIG = NodeProxyConfig(stream_telemetry=False)
 
@@ -157,8 +161,8 @@ class TestBatchedDrain:
 
 
 class TestCrossGatewayBatch:
-    """recover_queued batches several gateways' drains by geometry; each
-    gateway must still get exactly what draining alone gives it."""
+    """Frames recovered ahead, in one batch across several gateways'
+    queues, must give each gateway exactly what draining alone gives."""
 
     CONFIG = GatewayConfig(n_iter=60)
 
@@ -185,9 +189,13 @@ class TestCrossGatewayBatch:
                                                  max_packets):
         alone, batched = self._loaded(uplinks), self._loaded(uplinks)
         decoders = {}
-        recovered = recover_queued(batched, max_packets, decoders)
-        got = [gateway.drain(max_packets, recoveries)
-               for gateway, recoveries in zip(batched, recovered)]
+        queued = [gateway.queued(max_packets) for gateway in batched]
+        recovered = iter(recover_packets(
+            [packet for packets in queued for packet in packets],
+            decoders, self.CONFIG))
+        got = [gateway.drain(max_packets,
+                             [next(recovered) for _ in packets])
+               for gateway, packets in zip(batched, queued)]
         want = [gateway.drain(max_packets) for gateway in alone]
         assert sorted(key[0] for key in decoders) == [1, 3]
         assert any(e.kind == "alarm" for e in want[0])
@@ -211,10 +219,76 @@ class TestCrossGatewayBatch:
             gateway.drain(2, [[]])
         assert gateway.pending == pending
 
-    def test_gateways_must_share_a_config(self, uplinks):
-        gateways = [Gateway(self.CONFIG), Gateway(GatewayConfig(n_iter=61))]
-        with pytest.raises(ValueError, match="GatewayConfig"):
-            recover_queued(gateways)
+
+def _with_measurements(packet, convert):
+    """``packet`` with ``convert`` applied to every measurement vector."""
+    return replace(packet, frames=tuple(
+        tuple(replace(w, measurements=convert(w.measurements))
+              for w in frame)
+        for frame in packet.frames))
+
+
+def _five(packet):
+    """The reported frame: 256 samples at CR 60 % need 102, it has 5."""
+    return _with_measurements(packet, lambda y: y[:5])
+
+
+#: Packets no decoder can recover, derived from a valid one, with a
+#: fragment of the error each must raise.
+MALFORMED_GEOMETRY = {
+    "measurement-count": (_five, "102"),
+    "window-2048": (lambda p: replace(_five(p), window_n=2048), "819"),
+    "cr-100": (lambda p: replace(p, cr_percent=100.0), "CR"),
+    "cr-negative": (lambda p: replace(p, cr_percent=-1.0), "CR"),
+    "cr-nan": (lambda p: replace(p, cr_percent=float("nan")), "CR"),
+    # 255 samples at CR 60 % still need 102 measurements, but are odd.
+    "no-basis": (lambda p: replace(p, window_n=255), "basis"),
+    "quant-bits": (lambda p: replace(p, quant_bits=1), "sensing"),
+    "negative-seed": (lambda p: replace(p, cs_seed=-1), "sensing"),
+    "bytes-dtype": (
+        lambda p: _with_measurements(p, lambda y: y.astype("S8")),
+        "numbers"),
+}
+
+
+class TestGeometryCheck:
+    """A CS packet the decoder cannot take is refused at ingest, before
+    the journal, reassembly or queue see it; it used to queue and then
+    fail every later drain of its gateway."""
+
+    @pytest.mark.parametrize("as_frame", [True, False],
+                             ids=["frame", "object"])
+    @pytest.mark.parametrize("case", list(MALFORMED_GEOMETRY))
+    def test_rejected_at_ingest(self, cs_packet, case, as_frame):
+        malform, match = MALFORMED_GEOMETRY[case]
+        bad = malform(cs_packet("geo", seq=1))
+        journaled: list[str] = []
+
+        class _Journal:
+            @staticmethod
+            def append_packet(_frame, patient_id):
+                journaled.append(patient_id)
+
+        gateway = Gateway(GatewayConfig(n_iter=30))
+        gateway.attach_journal(_Journal())
+        assert gateway.ingest(cs_packet("geo", seq=0))
+        with pytest.raises(WireFormatError, match=match):
+            gateway.ingest(encode_packet(bad) if as_frame else bad)
+        assert gateway.pending == 1
+        assert journaled == ["geo"]
+        # Reassembly never saw seq 1, so a valid copy is not a duplicate
+        # and the gateway still drains.
+        assert gateway.ingest(cs_packet("geo", seq=1))
+        excerpts = gateway.drain()
+        assert [e.timestamp_s for e in excerpts] == [0.0, 1.0]
+        assert gateway.channels["geo"].n_duplicates == 0
+
+    def test_frameless_packets_carry_no_geometry(self):
+        proxy = NodeProxy(PatientProfile(patient_id="tl", seed=1),
+                          PROXY_CONFIG)
+        telemetry = replace(proxy.telemetry_packet(0.0), cr_percent=100.0,
+                            window_n=0)
+        assert Gateway().ingest(telemetry)
 
 
 def _seq_packet(seq: int) -> object:

@@ -29,6 +29,7 @@ from repro.fleet import (
     make_cohort,
 )
 from repro.fleet.cohort import CohortConfig
+from repro.fleet import journal as journal_module
 from repro.fleet.journal import _BODY_HEAD, _REC_HEAD
 from repro.fleet.serve import FleetGatewayServer
 from repro.obs import ANOMALY_JOURNAL_TRUNCATED, Observability, ObsConfig
@@ -411,6 +412,20 @@ class TestReplayRejectsHostileRecords:
             self._replay(tmp_path,
                          lambda writer: writer.append_packet(frame, "jt0"))
 
+    def test_malformed_geometry_packet_frame(self, tmp_path, cs_packet):
+        # Recovered ahead of its drain, the frame would fail the batch;
+        # instead its own record fails, as a JournalError.
+        frame = cs_packet("jt0", n_measurements=5).to_bytes()
+        drain = ServeMessage("drain", "", t_s=1.0, fields={"budget": -1.0})
+
+        def append(writer):
+            writer.append_packet(frame, "jt0")
+            writer.append_message(drain)
+
+        with pytest.raises(JournalError,
+                           match="record 1 of journal 'hostile'.*102"):
+            self._replay(tmp_path, append)
+
     @pytest.mark.parametrize("msg", [
         ServeMessage("drain", "", t_s=1.0, fields={"budget": float("nan")}),
         ServeMessage("drain", "jt0", t_s=1.0,
@@ -426,6 +441,63 @@ class TestReplayRejectsHostileRecords:
         with pytest.raises(JournalError, match="must be finite"):
             self._replay(tmp_path,
                          lambda writer: writer.append_message(msg))
+
+
+class TestReplayReadsAhead:
+    """The replay decodes a chunk of records ahead of replaying them,
+    yet every failure still surfaces at its own record."""
+
+    def test_corrupt_record_raises_after_the_records_before_it(
+            self, tmp_path, monkeypatch):
+        config = JournalConfig(dir=str(tmp_path), name="ahead")
+        _write_sample(config, n_packets=4)
+        path = config.segment_paths()[0]
+        data = bytearray(path.read_bytes())
+        data[data.index(_telemetry_frames(4)[2]) + 8] ^= 0x40
+        path.write_bytes(bytes(data))
+        ingested: list[int] = []
+        real_ingest = Gateway.ingest
+
+        def counting_ingest(gateway, payload):
+            ingested.append(1)
+            return real_ingest(gateway, payload)
+
+        monkeypatch.setattr(Gateway, "ingest", counting_ingest)
+        with pytest.raises(JournalError, match="CRC"):
+            JournalReplayer(config).run()
+        # The two packets before the corrupt third one were replayed.
+        assert len(ingested) == 2
+
+    def test_frameless_stretch_reads_a_bounded_chunk(self, tmp_path,
+                                                     monkeypatch):
+        # Telemetry (like raw-mode uplink) carries no CS window, so only
+        # the record bound ends a chunk.
+        monkeypatch.setattr(journal_module, "_LOOKAHEAD_RECORDS", 4)
+        config = JournalConfig(dir=str(tmp_path), name="bounded")
+        _write_sample(config, n_packets=6)
+        read: list[int] = []
+        read_before_ingest: list[int] = []
+        real_records = JournalReader.records
+        real_ingest = Gateway.ingest
+
+        def counting_records(reader):
+            for record in real_records(reader):
+                read.append(1)
+                yield record
+
+        def counting_ingest(gateway, payload):
+            read_before_ingest.append(len(read))
+            return real_ingest(gateway, payload)
+
+        monkeypatch.setattr(JournalReader, "records", counting_records)
+        monkeypatch.setattr(Gateway, "ingest", counting_ingest)
+        with pytest.raises(JournalError, match="hello"):
+            JournalReplayer(config).run()
+        # Packet k is record 3k + 1.  When it replays, the records read
+        # from it on all sit in its chunk: 4 at most.
+        assert len(read_before_ingest) == 6
+        assert max(n - (3 * k + 1)
+                   for k, n in enumerate(read_before_ingest)) == 4
 
 
 class TestDecoderAccounting:

@@ -11,6 +11,7 @@ total event order.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -37,11 +38,13 @@ from repro.fleet import (
     ShardHooks,
     ShardedFleetRunner,
     decode_message,
+    decode_packet,
     frame_kind,
     journal_meta,
     make_cohort,
     run_served_fleet,
 )
+from repro.fleet import journal as journal_module
 from repro.fleet.client import _Transport
 from repro.power import Battery, BatteryModel
 from repro.power.governor import (
@@ -105,7 +108,8 @@ class TestInProcessReplay:
         assert replay.n_journals == 1
         assert replay.torn_tail_bytes == 0
         assert list(replay.rows) == [p.patient_id for p in COHORT]
-        assert set(replay.timings_s) == {"replay", "merge", "total"}
+        assert set(replay.timings_s) == {"replay", "recover", "merge",
+                                         "total"}
 
     def test_journaled_run_summary_unchanged_by_journaling(self,
                                                            tmp_path):
@@ -141,10 +145,10 @@ class TestInProcessReplay:
 
 
 class TestReplayBatching:
-    """A fleet-wide drain recovers all its sessions' frames together."""
+    """A replay recovers a lookahead's frames together, ahead of drains."""
 
-    def test_one_recover_batch_per_drain_per_geometry(self, tmp_path,
-                                                      monkeypatch):
+    def test_one_recover_batch_per_geometry_per_lookahead(self, tmp_path,
+                                                          monkeypatch):
         cohort = [replace(profile, n_leads=n_leads)
                   for profile, n_leads in zip(COHORT, (3, 1, 3))]
         run_config = SchedulerConfig(duration_s=24.0, fs=250.0)
@@ -174,21 +178,166 @@ class TestReplayBatching:
                 cohort, run_config, node_config=dense,
                 gateway=Gateway(RUN_KW["gateway_config"]),
                 journal=journal).run()
-        # The live gateway queues the whole fleet, so each of its drains
-        # made exactly one call per geometry present in that drain.
-        live_calls = sorted(calls)
-        calls.clear()
-        built.clear()
-        replay = JournalReplayer(config).run()
-        assert replay.summary.to_json() == live.summary.to_json()
+        # The live gateway recovers per drain, one call per geometry
+        # present in that drain.
+        windows: dict[int, int] = {}
+        for n_leads, n_windows in calls:
+            windows[n_leads] = windows.get(n_leads, 0) + n_windows
         drains = [msg for msg in (decode_message(record.frame)
                                   for record in JournalReader(config).records()
                                   if frame_kind(record.frame) != "packet")
                   if msg.kind == "drain"]
         assert drains and all(msg.patient_id == "" for msg in drains)
-        assert sorted(calls) == live_calls
-        assert len(drains) < len(calls) <= 2 * len(drains)
+        assert len(calls) > len(drains)
+        calls.clear()
+        built.clear()
+        replay = JournalReplayer(config).run()
+        assert replay.summary.to_json() == live.summary.to_json()
+        # The whole journal is smaller than one lookahead: every window
+        # is recovered in a single call per geometry.
+        assert sum(windows.values()) < journal_module._LOOKAHEAD_WINDOWS
+        assert sorted(calls) == sorted(windows.items())
         assert sorted(built) == [1, 3]
+        assert replay.n_undrained_frames == 0
+
+
+DENSE_KW = dict(RUN_KW, node_config=NodeProxyConfig(excerpt_period_s=4.0,
+                                                    stream_telemetry=False))
+
+
+def _record_plain(config: JournalConfig):
+    with JournalWriter(config, meta=journal_meta(
+            60.0, 250.0, DENSE_KW["gateway_config"]),
+            resume=False) as journal:
+        live = FleetScheduler(
+            COHORT, DENSE_KW["config"], node_config=DENSE_KW["node_config"],
+            gateway=Gateway(DENSE_KW["gateway_config"]),
+            journal=journal).run()
+    return [config], {}, live
+
+
+def _record_impaired(config: JournalConfig):
+    # One patient, so the live gateway's queue is the session's queue.
+    spec = LinkSpec(loss_rate=0.15, duplicate_rate=0.2, reorder_rate=0.3,
+                    jitter_s=2.0, reorder_delay_s=9.0)
+    gateway_config = GatewayConfig(n_iter=40, queue_capacity=1)
+    link = PerPatientLink(lambda pid: ImpairedLink(
+        spec, seed=derive_seed(5, "link", pid)))
+    with JournalWriter(config, meta=journal_meta(60.0, 250.0,
+                                                 gateway_config),
+                       resume=False) as journal:
+        live = FleetScheduler(
+            COHORT[:1], DENSE_KW["config"],
+            node_config=DENSE_KW["node_config"],
+            gateway=Gateway(gateway_config), link=link,
+            journal=journal).run()
+    return [config], {}, live
+
+
+def _record_sharded(config: JournalConfig):
+    live = ShardedFleetRunner(COHORT, n_shards=4, journal=config,
+                              **DENSE_KW).run()
+    return [config.for_shard(i) for i in range(4)], {}, live
+
+
+def _record_served(config: JournalConfig):
+    live = run_served_fleet(COHORT, serve_config=ServeConfig(journal=config),
+                            **DENSE_KW)
+    return [config], dict(cohort=COHORT,
+                          gateway_config=DENSE_KW["gateway_config"],
+                          duration_s=60.0, fs=250.0), live
+
+
+class TestLookahead:
+    """Replays read ahead in chunks of `_LOOKAHEAD_WINDOWS` CS windows;
+    the chunk size must not move a byte or leak a recovery."""
+
+    RECORDERS = {"plain": _record_plain, "impaired": _record_impaired,
+                 "sharded": _record_sharded, "served": _record_served}
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        out = {}
+        for leg, record in self.RECORDERS.items():
+            config = JournalConfig(dir=str(tmp_path_factory.mktemp(leg)),
+                                   name=leg)
+            sources, replay_kw, live = record(config)
+            frames = sum(decode_packet(r.frame).n_frames
+                         for source in sources
+                         for r in JournalReader(source).records()
+                         if frame_kind(r.frame) == "packet")
+            out[leg] = (sources, replay_kw, live.summary.to_json(), frames)
+        return out
+
+    @pytest.mark.parametrize(
+        "lookahead", [1, 7, journal_module._LOOKAHEAD_WINDOWS])
+    @pytest.mark.parametrize("leg", list(RECORDERS))
+    def test_replay_matches_live(self, recorded, leg, lookahead,
+                                 monkeypatch):
+        sources, replay_kw, live_json, frames = recorded[leg]
+        monkeypatch.setattr(journal_module, "_LOOKAHEAD_WINDOWS", lookahead)
+        drained: list[int] = []
+        self_recovered: list[int] = []
+        real_drain = Gateway.drain
+
+        def counting_drain(gateway, max_packets=None, recoveries=None):
+            popped = gateway.queued(max_packets)
+            drained.append(sum(packet.n_frames for packet in popped))
+            if recoveries is None:
+                self_recovered.append(len(popped))
+            return real_drain(gateway, max_packets, recoveries)
+
+        # Recoveries still alive versus frames a later drain may pop:
+        # equal at every lookahead refill, and none left at the fold.
+        gateways: dict[int, Gateway] = {}
+        recovered: list[weakref.ref] = []
+        excess_at_refill: list[int] = []
+        alive_at_fold: list[int] = []
+        real_ingest = Gateway.ingest
+        real_batch = JointCsDecoder.recover_batch
+        real_recover = journal_module._Lookahead._recover
+        real_merge = journal_module.merge_patient_rows
+
+        def alive() -> int:
+            return sum(ref() is not None for ref in recovered)
+
+        def tracking_ingest(gateway, payload):
+            gateways[id(gateway)] = gateway
+            return real_ingest(gateway, payload)
+
+        def tracking_batch(decoder, batch):
+            out = real_batch(decoder, batch)
+            recovered.extend(weakref.ref(recovery) for recovery in out)
+            return out
+
+        def checking_recover(lookahead, packets):
+            pending = sum(packet.n_frames for gateway in gateways.values()
+                          for packet in gateway.held_packets())
+            excess_at_refill.append(alive() - pending)
+            return real_recover(lookahead, packets)
+
+        def checking_merge(*args, **kwargs):
+            alive_at_fold.append(alive())
+            return real_merge(*args, **kwargs)
+
+        monkeypatch.setattr(Gateway, "drain", counting_drain)
+        monkeypatch.setattr(Gateway, "ingest", tracking_ingest)
+        monkeypatch.setattr(JointCsDecoder, "recover_batch", tracking_batch)
+        monkeypatch.setattr(journal_module._Lookahead, "_recover",
+                            checking_recover)
+        monkeypatch.setattr(journal_module, "merge_patient_rows",
+                            checking_merge)
+        replay = JournalReplayer(sources, **replay_kw).run()
+        assert replay.summary.to_json() == live_json
+        assert self_recovered == []
+        assert len(recovered) == frames
+        assert replay.n_undrained_frames == frames - sum(drained)
+        assert set(excess_at_refill) == {0}
+        assert alive_at_fold == [0]
+        if leg == "impaired":
+            assert replay.dropped_packets > 0
+            assert replay.summary.duplicate_packets > 0
+            assert replay.n_undrained_frames > 0
 
 
 class TestShardedReplay:

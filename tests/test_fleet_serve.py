@@ -284,6 +284,32 @@ class TestConnectionSemantics:
             transport.close()
         assert server.stats()["connections"] == {"closed": 1, "open": 1}
 
+    def test_malformed_geometry_packet_gets_error_downlink_and_close(
+            self, cs_packet):
+        # 5 of the 102 measurements a 256-sample window at CR 60 % needs:
+        # it used to queue, then fail every later drain of the session.
+        bad = cs_packet("pg", seq=0, n_measurements=5)
+        drain = ServeMessage("drain", "pg", t_s=1.0,
+                             fields={"budget": -1.0})
+        with FleetGatewayServer(ServeConfig()) as server:
+            transport = _hello(server, "pg")
+            transport.send_frame(bad.to_bytes())
+            transport.send_message(drain)
+            with pytest.raises(ServeError, match="102"):
+                transport.recv_message()
+            with pytest.raises(ServeError, match="closed"):
+                transport.recv_message()
+            transport.close()
+            # The session survives: a valid packet still drains.
+            transport = _hello(server, "pg")
+            transport.send_frame(cs_packet("pg", seq=0).to_bytes())
+            transport.send_message(drain)
+            transport.send_message(ServeMessage("sweep", "pg", t_s=2.0))
+            assert transport.recv_message().kind == "feedback"
+            transport.close()
+            assert server.sessions["pg"].n_reconstructed == 1
+            assert server.sessions["pg"].gateway.pending == 0
+
 
 _NAN, _INF = float("nan"), float("inf")
 

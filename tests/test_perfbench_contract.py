@@ -82,3 +82,36 @@ def test_traced_replay_attributes_drain_and_batched_recovery(tmp_path):
     metrics = tracing.layer_metrics(tracer, 1)
     assert metrics["gateway.drain.calls"] > 0
     assert metrics["compression.recover.windows_per_call"] > 1
+
+
+def test_traced_replay_decodes_each_record_once(tmp_path):
+    # The replay decodes packet frames ahead of their records; it must
+    # do so through the `decode_packet` name the tracer patches, once
+    # per record, or `wire.decode` would silently undercount.
+    tracing = _load_tracing()
+    from repro.fleet import (CohortConfig, FleetScheduler, Gateway,
+                             GatewayConfig, JournalConfig, JournalReplayer,
+                             JournalWriter, NodeProxyConfig,
+                             SchedulerConfig, journal_meta, make_cohort)
+
+    gateway_config = GatewayConfig(n_iter=20)
+    config = JournalConfig(dir=str(tmp_path), name="decoded")
+    with JournalWriter(config, meta=journal_meta(12.0, 250.0,
+                                                 gateway_config),
+                       resume=False) as journal:
+        FleetScheduler(
+            make_cohort(CohortConfig(n_patients=2, seed=3)),
+            SchedulerConfig(duration_s=12.0, fs=250.0),
+            node_config=NodeProxyConfig(excerpt_period_s=2.0,
+                                        stream_telemetry=False),
+            gateway=Gateway(gateway_config), journal=journal).run()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = JournalReplayer(config).run()
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer, 1)
+    assert report.n_packets > 0
+    assert metrics["wire.decode.calls"] == report.n_records
+    assert metrics["journal.read.records"] == report.n_records
