@@ -93,7 +93,6 @@ from .sharding import (
     ShardedFleetRunner,
     ShardHookFactory,
     ShardHooks,
-    ShardPatientRow,
     merge_patient_rows,
     partition_cohort,
 )
@@ -103,6 +102,7 @@ from .triage import (
     STATE_WATCH,
     FleetSummary,
     PatientTriage,
+    ShardPatientRow,
     TriageBoard,
     TriageConfig,
     fleet_summary,

@@ -20,9 +20,9 @@ replaced by remote adapters:
 Node-side work (synthesis, delineation, CS encoding, channel
 impairment, governor decisions) runs locally, exactly as a shard
 worker's scheduler would run it; everything gateway-side happens on the
-server.  The end-of-run ``report`` ships the node-side aggregates of a
-:class:`~repro.fleet.sharding.ShardPatientRow`, and the server fills in
-the gateway-side half.
+server.  The end-of-run ``report`` ships the node-side half of the
+patient's row; the server session builds the row with the same
+:func:`~repro.fleet.triage.row_from_report` as the in-process run.
 """
 
 from __future__ import annotations

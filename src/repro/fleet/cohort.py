@@ -93,6 +93,19 @@ class PatientProfile:
         )
 
 
+def check_unique_ids(cohort: list[PatientProfile]) -> None:
+    """Raise ``ValueError`` naming the first patient id listed twice.
+
+    Channels, triage machines and rows are keyed by patient id, so a
+    repeated id would merge two nodes into one patient.
+    """
+    seen: set[str] = set()
+    for pid in (profile.patient_id for profile in cohort):
+        if pid in seen:
+            raise ValueError(f"patient id {pid!r} appears twice in the cohort")
+        seen.add(pid)
+
+
 def synthesize_patient(profile: PatientProfile, duration_s: float = 60.0,
                        fs: float = 250.0) -> MultiLeadEcg:
     """Synthesize one patient's annotated recording.

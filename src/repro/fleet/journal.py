@@ -33,7 +33,8 @@ mismatch, impossible length, undecodable body — raises
 
 :class:`JournalReplayer` streams one or more journals back through
 fresh per-patient :class:`GatewaySession` cores (the same construction
-the serve layer uses) and folds the resulting rows with
+the serve layer uses), each of which turns its journaled ``report``
+into a row with ``row_from_report``, and folds the rows with
 ``merge_patient_rows``, producing a ``FleetSummary`` whose ``to_json``
 is byte-identical to the original live run.
 """
@@ -42,17 +43,19 @@ from __future__ import annotations
 
 import heapq
 import json
+import numbers
 import os
 import re
 import threading
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from math import isfinite
 from pathlib import Path
 from struct import Struct
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .cohort import check_unique_ids
 from .gateway import Gateway, GatewayConfig, check_geometry, recover_packets
 from .kernel import (
     PRIO_DRAIN,
@@ -62,12 +65,13 @@ from .kernel import (
     KernelError,
 )
 from .node_proxy import UplinkPacket
-from .sharding import ShardPatientRow, merge_patient_rows
-from .triage import TriageBoard
+from .sharding import merge_patient_rows
+from .triage import ShardPatientRow, TriageBoard, row_from_report
 from .wire import (
     MAX_FRAME_BYTES,
     ServeMessage,
     WireFormatError,
+    _count_field,
     decode_message,
     decode_packet,
     encode_message,
@@ -132,6 +136,46 @@ SESSION_JOURNALED_KINDS = frozenset(
 
 class JournalError(RuntimeError):
     """A journal is corrupt, incomplete, or used inconsistently."""
+
+
+#: Keys a journal's ``gateway`` metadata may carry.
+_GATEWAY_FIELDS = frozenset(f.name for f in fields(GatewayConfig))
+
+
+def _run_param(readers: list[JournalReader], key: str, given):
+    """One run parameter of a replay: ``given``, else the journal metadata.
+
+    Raises:
+        JournalError: Naming ``key``: the sources' metadata disagree, or
+            the value is unusable (see :class:`JournalReplayer`).
+    """
+    if len({json.dumps(r.meta.get(key), sort_keys=True) for r in readers}) > 1:
+        names = ", ".join(repr(r.config.name) for r in readers)
+        raise JournalError(f"journals {names} disagree on {key}")
+    value = readers[0].meta.get(key) if given is None else given
+    if key == "gateway":
+        if value is None:
+            return GatewayConfig()
+        if isinstance(value, GatewayConfig):
+            return value
+        if isinstance(value, dict) and set(value) <= _GATEWAY_FIELDS:
+            try:
+                return GatewayConfig(**value)
+            except (TypeError, ValueError):
+                pass
+        raise JournalError(
+            f"gateway must be a mapping of GatewayConfig fields, got {value!r:.80}"
+        )
+    if value is None:
+        raise JournalError(f"{key} is neither in the journal metadata nor given")
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not isfinite(value)
+        or value <= 0
+    ):
+        raise JournalError(f"{key} must be a finite number > 0, got {value!r:.80}")
+    return value
 
 
 def journal_meta(
@@ -815,48 +859,18 @@ class GatewaySession:
         )
 
     def _on_report(self, msg: ServeMessage) -> ServeMessage:
-        fields = msg.fields
-        mode_seconds = {
-            key[5:]: value
-            for key, value in fields.items()
-            if key.startswith("mode:")
-        }
-        link_stats = {
-            key[5:]: _count_field(fields, key)
-            for key in fields
-            if key.startswith("link:")
-        }
-        self.row = ShardPatientRow(
-            patient_id=self.patient_id,
-            n_sent=_count_field(fields, "n_sent"),
-            n_reconstructed=self.n_reconstructed,
-            n_node_alarms=_count_field(fields, "n_node_alarms"),
-            average_power_w=fields.get("average_power_w", float("nan")),
-            battery_days=fields.get("battery_days", float("nan")),
-            channel=self.gateway.channels.get(self.patient_id),
-            triage=self.board.patients[self.patient_id],
-            governed=msg.info.get("governed") == "1",
-            mode_seconds=mode_seconds,
-            governor_switches=_count_field(fields, "governor_switches"),
-            final_soc=fields.get("final_soc", float("nan")),
-            projected_hours=fields.get("projected_hours", float("nan")),
-            link_stats=link_stats,
+        if msg.patient_id != self.patient_id:
+            raise WireFormatError(
+                f"report for {msg.patient_id!r} on the session of "
+                f"{self.patient_id!r}"
+            )
+        self.row = row_from_report(
+            msg,
+            self.gateway.channels.get(self.patient_id),
+            self.board.patients[self.patient_id],
+            self.n_reconstructed,
         )
         return ServeMessage("report-ack", self.patient_id, t_s=msg.t_s)
-
-
-def _count_field(
-    fields: dict[str, float], key: str, default: float = 0.0
-) -> int:
-    """Read one count of a control message's float map as an ``int``.
-
-    Raises:
-        WireFormatError: The value is NaN or infinite.
-    """
-    value = fields.get(key, default)
-    if not isfinite(value):
-        raise WireFormatError(f"{key!r} must be finite, got {value!r}")
-    return int(value)
 
 
 def _drain_sessions(
@@ -1033,9 +1047,14 @@ class JournalReplayer:
     be omitted for journals that carry ``hello`` records (in-process
     and sharded runs); served journals never log hellos, so their
     cohort order — which the float-summing merge depends on — must be
-    passed explicitly.  Records are read a chunk ahead, so CS frames
-    are recovered in large batches before the drains that pop them
-    (:data:`_LOOKAHEAD_WINDOWS`).
+    passed explicitly, without a repeated patient id.  Records are
+    read a chunk ahead, so CS frames are recovered in large batches
+    before the drains that pop them (:data:`_LOOKAHEAD_WINDOWS`).
+    ``duration_s``, ``fs`` and ``gateway_config`` default to the
+    metadata every source must share; ``duration_s`` and ``fs`` must be
+    finite and > 0, the gateway a :class:`GatewayConfig` or a mapping
+    of its fields (default ``GatewayConfig()``), or :meth:`run` raises
+    :class:`JournalError`.
     """
 
     def __init__(
@@ -1052,6 +1071,11 @@ class JournalReplayer:
         if not self.sources:
             raise JournalError("replayer needs at least one journal source")
         self.cohort = list(cohort) if cohort is not None else None
+        if self.cohort is not None:
+            try:
+                check_unique_ids(self.cohort)
+            except ValueError as exc:
+                raise JournalError(str(exc)) from exc
         self.gateway_config = gateway_config
         self.duration_s = duration_s
         self.fs = fs
@@ -1060,23 +1084,14 @@ class JournalReplayer:
         """Replay the journals and fold a merged ``FleetSummary``."""
         t_start = perf_counter()
         readers = [JournalReader(config) for config in self.sources]
-        meta = readers[0].meta
-        duration_s = self.duration_s
-        if duration_s is None:
-            duration_s = meta.get("duration_s")
-        if duration_s is None:
-            raise JournalError(
-                "duration_s is neither in the journal metadata nor given"
+        duration_s, fs, gateway_config = (
+            _run_param(readers, key, given)
+            for key, given in (
+                ("duration_s", self.duration_s),
+                ("fs", self.fs),
+                ("gateway", self.gateway_config),
             )
-        fs = self.fs if self.fs is not None else meta.get("fs")
-        if fs is None:
-            raise JournalError("fs is neither in the journal metadata nor given")
-        gateway_config = self.gateway_config
-        if gateway_config is None:
-            raw = meta.get("gateway")
-            gateway_config = (
-                GatewayConfig(**raw) if raw is not None else GatewayConfig()
-            )
+        )
 
         sessions: dict[str, GatewaySession] = {}
         per_source: list[dict[str, GatewaySession]] = [{} for _ in readers]

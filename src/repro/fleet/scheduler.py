@@ -24,6 +24,7 @@ the uplink run on stacked matrix products instead of per-patient loops.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol
 
@@ -43,7 +44,7 @@ from ..power.governor import (
     GovernorDecision,
 )
 from ..signals.types import MultiLeadEcg
-from .cohort import PatientProfile, synthesize_patient
+from .cohort import PatientProfile, check_unique_ids, synthesize_patient
 from .gateway import Gateway, GatewayConfig, ReconstructedExcerpt
 from .kernel import (
     PRIO_ALARM_EARLY,
@@ -57,7 +58,8 @@ from .kernel import (
     EventKernel,
 )
 from .node_proxy import PACKET_EXCERPT, NodeProxy, NodeProxyConfig, UplinkPacket
-from .triage import FleetSummary, TriageBoard, fleet_summary
+from .triage import (FleetSummary, ShardPatientRow, TriageBoard,
+                     fleet_summary, row_from_report)
 from .wire import ServeMessage, encode_packet
 
 #: Simulation clocks :class:`SchedulerConfig.engine` may name.
@@ -223,6 +225,8 @@ class FleetReport:
         timings_s: Wall-clock seconds per phase (``synthesis+node``,
             ``uplink+gateway``, ``total``).
         link_stats: Channel-model counters (empty on a perfect link).
+        rows: One :class:`~repro.fleet.triage.ShardPatientRow` per
+            patient, in cohort order — what ``summary`` folds.
     """
 
     profiles: list[PatientProfile]
@@ -232,6 +236,7 @@ class FleetReport:
     packets_sent: int = 0
     timings_s: dict[str, float] = field(default_factory=dict)
     link_stats: dict[str, int] = field(default_factory=dict)
+    rows: dict[str, ShardPatientRow] = field(default_factory=dict)
     #: Per-patient governors of a governed run (empty when ungoverned);
     #: each carries its decision history and final battery state.
     governors: dict[str, EnergyGovernor] = field(default_factory=dict)
@@ -356,6 +361,7 @@ class FleetScheduler:
                  journal_indexes: dict[str, int] | None = None) -> None:
         if not cohort:
             raise ValueError("cohort must not be empty")
+        check_unique_ids(cohort)
         self.cohort = cohort
         self.config = config or SchedulerConfig()
         if self.config.engine not in ENGINES:
@@ -470,10 +476,17 @@ class FleetScheduler:
                 "sweep", "", t_s=cfg.duration_s))
         self.board.tick(cfg.duration_s)
         self._fold_governed_power(reports)
+        reconstructed = Counter(e.patient_id for e in state.excerpts)
+        rows: dict[str, ShardPatientRow] = {}
+        for profile in self.cohort:
+            pid = profile.patient_id
+            msg = self.report_message(pid, reports)
+            if self.journal is not None:
+                self.journal.append_message(msg)
+            rows[pid] = row_from_report(
+                msg, self.gateway.channels.get(pid),
+                self.board.patients[pid], reconstructed[pid])
         if self.journal is not None:
-            for profile in self.cohort:
-                self.journal.append_message(
-                    self.report_message(profile.patient_id, reports))
             link_stats = dict(getattr(self.link, "stats", {}) or {})
             self.journal.append_message(ServeMessage(
                 "stats", "", t_s=cfg.duration_s,
@@ -481,9 +494,8 @@ class FleetScheduler:
                         for key, value in link_stats.items()}))
         t_end = time.perf_counter()
 
-        summary = fleet_summary(reports, self.gateway, self.board,
-                                cfg.duration_s,
-                                governors=self.governors or None)
+        summary = fleet_summary(list(rows.values()), cfg.duration_s,
+                                dropped=self.gateway.dropped)
         timings = {
             "synthesis+node": t_node - t_start,
             "uplink+gateway": t_end - t_node,
@@ -500,6 +512,7 @@ class FleetScheduler:
             packets_sent=state.packets_sent,
             timings_s=timings,
             link_stats=dict(getattr(self.link, "stats", {}) or {}),
+            rows=rows,
             governors=dict(self.governors),
             kernel_stats=state.kernel_stats,
         )
@@ -508,15 +521,12 @@ class FleetScheduler:
                        reports: dict[str, NodeReport]) -> ServeMessage:
         """Build one patient's end-of-run ``report`` message.
 
-        The single construction of the node-side row aggregates, shared
-        by the serve client (which ships it over the wire) and the
-        journal (which logs it as the run's last per-patient record).
-        Field names mirror
-        :class:`~repro.fleet.sharding.ShardPatientRow` exactly;
-        governor dwell times go out as ``mode:<name>`` keys *in
-        insertion order* (the codec preserves it), so the fleet-wide
-        mode-seconds fold downstream sums in the same order as the
-        in-process engine — float-exactly.
+        The node-side half of every patient row: :meth:`run` (and the
+        serve session the client ships it to) builds the row from it
+        with :func:`~repro.fleet.triage.row_from_report`.  Governor
+        dwell times go out as ``mode:<name>`` keys *in insertion
+        order* (the codec preserves it), so every runtime's
+        mode-seconds fold sums in the same order — float-exactly.
         """
         report = reports[pid]
         governor = self.governors.get(pid)

@@ -67,15 +67,14 @@ from dataclasses import dataclass, field, replace
 
 from ..classification.afib import AfDetector
 from ..obs import Observability, SCOPE_SERVE
-from .cohort import PatientProfile
+from .cohort import PatientProfile, check_unique_ids
 from .gateway import GatewayConfig
 from .journal import GatewaySession, JournalConfig, JournalWriter, \
     journal_meta
 from .node_proxy import NodeProxyConfig
 from .scheduler import SchedulerConfig
-from .sharding import ShardHookFactory, ShardHooks, ShardPatientRow, \
-    merge_patient_rows
-from .triage import FleetSummary
+from .sharding import ShardHookFactory, ShardHooks, merge_patient_rows
+from .triage import FleetSummary, ShardPatientRow
 from .wire import (
     MAX_FRAME_BYTES,
     ServeMessage,
@@ -603,9 +602,14 @@ def run_served_fleet(cohort: list[PatientProfile],
         client_workers: Concurrent client connections (default: cohort
             size, capped at 8).
         obs: Optional observability bundle for the **server** side.
+
+    Raises:
+        ValueError: A patient id is listed twice in ``cohort`` (checked
+            before the server starts).
     """
     from .client import FleetClient
 
+    check_unique_ids(cohort)
     config = config or SchedulerConfig()
     node_config = node_config or NodeProxyConfig()
     serve_config = serve_config or ServeConfig()

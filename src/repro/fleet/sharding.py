@@ -23,10 +23,10 @@ Determinism contract (tested, and gated in CI by the
   the master seed and the patient id, never from the shard index;
 * the batched encode/recover paths are row-independent, so a patient's
   numbers do not depend on who shares its batch;
-* the merge rebuilds per-patient channels, triage machines, reports
-  and governor aggregates **in cohort order** and folds them with the
-  same :func:`~repro.fleet.triage.fleet_summary` as the single-process
-  path.
+* workers ship the rows their ``FleetScheduler`` built with
+  :func:`~repro.fleet.triage.row_from_report`, and the merge folds them
+  **in cohort order** with the same
+  :func:`~repro.fleet.triage.fleet_summary` as the single-process path.
 
 Together these make the merged summary byte-identical
 (`FleetSummary.to_json`) across any shard count — ``n_shards=4`` equals
@@ -49,8 +49,7 @@ import numpy as np
 from ..classification.afib import AfDetector
 from ..obs import (Observability, ObsConfig, SCOPE_SHARD,
                    canonical_bundle_json, canonical_view, merge_bundles)
-from ..pipeline.node_app import NodeReport
-from .cohort import PatientProfile
+from .cohort import PatientProfile, check_unique_ids
 from .gateway import Gateway, GatewayConfig, PatientChannel
 from .node_proxy import NodeProxyConfig, UplinkPacket
 from .scheduler import (
@@ -63,7 +62,8 @@ from .scheduler import (
     UplinkChannel,
 )
 from .transport import make_transport
-from .triage import FleetSummary, PatientTriage, TriageBoard, fleet_summary
+from .triage import FleetSummary, PatientTriage, ShardPatientRow, \
+    fleet_summary
 from .wire import WireFormatError, _pack_str, _unpack_str
 
 #: First bytes of a shard-result blob.
@@ -187,32 +187,6 @@ class PerPatientLink:
 
 
 @dataclass(frozen=True)
-class ShardPatientRow:
-    """Everything one shard reports about one patient.
-
-    The wire-level unit of the shard result: channel counters and SNR
-    samples, triage state, node-report aggregates, governor aggregates
-    and per-patient link statistics — all the merge (and the scenario
-    campaign's fold) needs, and nothing heavier.
-    """
-
-    patient_id: str
-    n_sent: int
-    n_reconstructed: int
-    n_node_alarms: int
-    average_power_w: float
-    battery_days: float
-    channel: PatientChannel | None
-    triage: PatientTriage
-    governed: bool
-    mode_seconds: dict[str, float]
-    governor_switches: int
-    final_soc: float
-    projected_hours: float
-    link_stats: dict[str, int]
-
-
-@dataclass(frozen=True)
 class ShardResult:
     """Decoded outcome of one shard worker.
 
@@ -244,12 +218,14 @@ def partition_cohort(cohort: list[PatientProfile],
     never depends on the layout, only on cohort order.
 
     Raises:
-        ValueError: ``n_shards`` below 1 or an empty cohort.
+        ValueError: ``n_shards`` below 1, an empty cohort, or a patient
+            id listed twice.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
     if not cohort:
         raise ValueError("cohort must not be empty")
+    check_unique_ids(cohort)
     n_shards = min(n_shards, len(cohort))
     return [cohort[i::n_shards] for i in range(n_shards)]
 
@@ -466,49 +442,6 @@ def decode_shard_result(data: bytes | bytearray | memoryview) -> ShardResult:
         rows=rows, obs_bundle=obs_bundle)
 
 
-@dataclass(frozen=True)
-class _SocView:
-    """Battery stand-in carrying only the final state of charge."""
-
-    soc: float
-
-
-@dataclass(frozen=True)
-class _GovernorView:
-    """Merged-side stand-in for one shard patient's governor.
-
-    Duck-types exactly what :func:`~repro.fleet.triage.fleet_summary`
-    reads from a live :class:`~repro.power.EnergyGovernor`: mode dwell
-    (insertion-ordered), switch count, final SoC and the projected
-    hours-to-empty.
-    """
-
-    mode_seconds: dict[str, float]
-    n_switches: int
-    battery: _SocView
-    _projected_hours: float
-
-    def projected_hours_to_empty(self) -> float:
-        """The worker-side projection, carried over the wire."""
-        return self._projected_hours
-
-
-def _node_report_view(duration_s: float, fs: float, n_alarms: int,
-                      average_power_w: float,
-                      battery_days: float) -> NodeReport:
-    """A :class:`NodeReport` carrying the merged-side aggregates.
-
-    Only ``len(alarms)``, ``average_power_w`` and ``battery_days`` are
-    read by :func:`~repro.fleet.triage.fleet_summary`; the alarm list
-    holds placeholders purely so its length is right.
-    """
-    return NodeReport(
-        duration_s=duration_s, beats=[], alarms=[None] * n_alarms,
-        periodic_excerpts=0, transmitted_bits=0, processing_cycles=0.0,
-        average_power_w=average_power_w, battery_days=battery_days,
-        fs=fs)
-
-
 def merge_patient_rows(cohort: list[PatientProfile],
                        rows: dict[str, ShardPatientRow],
                        gateway_config: GatewayConfig,
@@ -516,51 +449,31 @@ def merge_patient_rows(cohort: list[PatientProfile],
                        dropped: int = 0) -> FleetSummary:
     """Fold per-patient rows (in cohort order) into one fleet summary.
 
-    The single merge path shared by :class:`ShardedFleetRunner` and the
-    socket gateway service (:mod:`repro.fleet.serve`): channels, triage
-    machines, node reports and governor views are rebuilt **in cohort
-    order** and folded with the very same
-    :func:`~repro.fleet.triage.fleet_summary` the single-process
-    scheduler uses — so any runtime that produces correct per-patient
-    rows is byte-identical to the in-process engine by construction.
+    The merge of the sharded runner, the gateway service and the
+    journal replayer: it hands the rows **in cohort order** to the
+    :func:`~repro.fleet.triage.fleet_summary` the in-process scheduler
+    folds its own rows with, so correct rows give the in-process bytes.
 
     Args:
         cohort: Patient profiles in canonical (merge) order.
         rows: One :class:`ShardPatientRow` per cohort member.
-        gateway_config: Gateway parameters of the run (queue capacity
-            feeds the summary's queue diagnostics).
+        gateway_config: Unused: the rows carry everything the fold
+            reads.  Kept for the callers that pass it positionally.
         duration_s: Simulated duration each row covers.
-        fs: Node sampling rate (node-report view reconstruction).
+        fs: Unused, like ``gateway_config``.
         dropped: Bounded-queue drops summed across every worker.
 
     Raises:
+        ValueError: A patient id is listed twice in ``cohort``.
         WireFormatError: A cohort member has no row.
     """
+    check_unique_ids(cohort)
     missing = [p.patient_id for p in cohort if p.patient_id not in rows]
     if missing:
         raise WireFormatError(
             f"shard results missing patients: {missing[:5]}")
-    gateway = Gateway(gateway_config)
-    gateway.dropped = dropped
-    board = TriageBoard()
-    reports: dict[str, NodeReport] = {}
-    governors: dict[str, _GovernorView] = {}
-    for profile in cohort:
-        row = rows[profile.patient_id]
-        if row.channel is not None:
-            gateway.channels[row.patient_id] = row.channel
-        board.patients[row.patient_id] = row.triage
-        reports[row.patient_id] = _node_report_view(
-            duration_s, fs, row.n_node_alarms, row.average_power_w,
-            row.battery_days)
-        if row.governed:
-            governors[row.patient_id] = _GovernorView(
-                mode_seconds=row.mode_seconds,
-                n_switches=row.governor_switches,
-                battery=_SocView(row.final_soc),
-                _projected_hours=row.projected_hours)
-    return fleet_summary(reports, gateway, board, duration_s,
-                         governors=governors or None)
+    return fleet_summary([rows[p.patient_id] for p in cohort], duration_s,
+                         dropped=dropped)
 
 
 @dataclass
@@ -744,45 +657,12 @@ def _run_shard(shard_index: int, profiles: list[PatientProfile],
             "Simulated seconds covered by one shard scheduler.",
             scope=SCOPE_SHARD).set(config.duration_s,
                                    shard=str(shard_index))
-    reconstructed: dict[str, int] = {}
-    for excerpt in fleet.excerpts:
-        reconstructed[excerpt.patient_id] = \
-            reconstructed.get(excerpt.patient_id, 0) + 1
-    link = hooks.link
-    rows = []
-    for profile in profiles:
-        pid = profile.patient_id
-        report = fleet.node_reports[pid]
-        governor = scheduler.governors.get(pid)
-        if isinstance(link, PerPatientLink):
-            link_stats = link.stats_for(pid)
-        else:
-            link_stats = {}
-        rows.append(ShardPatientRow(
-            patient_id=pid,
-            n_sent=scheduler.sent_by_patient.get(pid, 0),
-            n_reconstructed=reconstructed.get(pid, 0),
-            n_node_alarms=len(report.alarms),
-            average_power_w=report.average_power_w,
-            battery_days=report.battery_days,
-            channel=scheduler.gateway.channels.get(pid),
-            triage=scheduler.board.patients[pid],
-            governed=governor is not None,
-            mode_seconds=(dict(governor.mode_seconds)
-                          if governor is not None else {}),
-            governor_switches=(governor.n_switches
-                               if governor is not None else 0),
-            final_soc=(governor.battery.soc
-                       if governor is not None else float("nan")),
-            projected_hours=(governor.projected_hours_to_empty()
-                             if governor is not None else float("nan")),
-            link_stats=link_stats))
     result = ShardResult(
         shard_index=shard_index,
         packets_sent=fleet.packets_sent,
         dropped=scheduler.gateway.dropped,
         timings_s=dict(fleet.timings_s),
-        rows=rows,
+        rows=list(fleet.rows.values()),
         obs_bundle=(obs.snapshot_bundle() if obs is not None else None))
     transport = make_transport(transport_spec)
     return transport.publish(encode_shard_result(result),

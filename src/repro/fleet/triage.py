@@ -4,8 +4,13 @@ Turns the gateway's reconstructed-excerpt stream into the thing a
 monitoring service actually shows a clinician: a per-patient state
 (``ok`` / ``watch`` / ``alert``) with hysteresis, and fleet statistics —
 alarm rates, reconstruction-SNR distribution, uplink bandwidth and
-battery projections built on :class:`~repro.power.NodeEnergyModel`
-through each node's :class:`~repro.pipeline.NodeReport`.
+battery projections.
+
+Every runtime (in-process, sharded, served, replayed) reports one
+:class:`ShardPatientRow` per patient, built by :func:`row_from_report`
+from the node's end-of-run ``report`` message plus the gateway channel
+and triage machine of that patient.  :func:`fleet_summary` folds those
+rows, in cohort order, into the one :class:`FleetSummary`.
 
 State machine:
 
@@ -26,12 +31,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from ..pipeline.node_app import NodeReport
-from .gateway import Gateway, ReconstructedExcerpt
+from .gateway import PatientChannel, ReconstructedExcerpt
 from .node_proxy import PACKET_ALARM
+from .wire import ServeMessage, _count_field
 
 STATE_OK = "ok"
 STATE_WATCH = "watch"
@@ -237,6 +243,65 @@ class TriageBoard:
 
 
 @dataclass(frozen=True)
+class ShardPatientRow:
+    """Everything a runtime reports about one patient.
+
+    Channel counters and SNR samples, triage state, node and governor
+    aggregates, and per-patient link statistics.  Built by
+    :func:`row_from_report`, folded by :func:`fleet_summary`.
+    """
+
+    patient_id: str
+    n_sent: int
+    n_reconstructed: int
+    n_node_alarms: int
+    average_power_w: float
+    battery_days: float
+    channel: PatientChannel | None
+    triage: PatientTriage
+    governed: bool
+    mode_seconds: dict[str, float]
+    governor_switches: int
+    final_soc: float
+    projected_hours: float
+    link_stats: dict[str, int]
+
+
+def row_from_report(msg: ServeMessage, channel: PatientChannel | None,
+                    triage: PatientTriage,
+                    n_reconstructed: int) -> ShardPatientRow:
+    """Build one patient's row from its end-of-run ``report`` message.
+
+    ``msg`` (:meth:`~repro.fleet.FleetScheduler.report_message`) is the
+    node side; the gateway side is the patient's channel (``None`` when
+    no packet arrived), triage machine and reconstructed-output count.
+
+    Raises:
+        WireFormatError: A count field is NaN or infinite.
+    """
+    fields = msg.fields
+    nan = float("nan")
+    return ShardPatientRow(
+        patient_id=msg.patient_id,
+        n_sent=_count_field(fields, "n_sent"),
+        n_reconstructed=n_reconstructed,
+        n_node_alarms=_count_field(fields, "n_node_alarms"),
+        average_power_w=fields.get("average_power_w", nan),
+        battery_days=fields.get("battery_days", nan),
+        channel=channel,
+        triage=triage,
+        governed=msg.info.get("governed") == "1",
+        mode_seconds={key[5:]: value for key, value in fields.items()
+                      if key.startswith("mode:")},
+        governor_switches=_count_field(fields, "governor_switches"),
+        final_soc=fields.get("final_soc", nan),
+        projected_hours=fields.get("projected_hours", nan),
+        link_stats={key[5:]: _count_field(fields, key) for key in fields
+                    if key.startswith("link:")},
+    )
+
+
+@dataclass(frozen=True)
 class FleetSummary:
     """Aggregate fleet statistics over one simulated stretch.
 
@@ -373,76 +438,66 @@ class FleetSummary:
         ] if self.governed else []))
 
 
-def fleet_summary(reports: dict[str, NodeReport], gateway: Gateway,
-                  board: TriageBoard, duration_s: float,
-                  governors: dict | None = None) -> FleetSummary:
-    """Fold per-node reports, gateway channels and triage into one view.
+def fleet_summary(rows: Sequence[ShardPatientRow], duration_s: float,
+                  dropped: int = 0) -> FleetSummary:
+    """Fold one row per cohort member, in cohort order, into one view.
+
+    The fold of every runtime.  The power, battery and mode-dwell folds
+    are float sums, so two runtimes agree byte for byte only on rows in
+    the same order; everything else is an integer or order-free.
 
     Args:
-        reports: Per-patient node reports (energy/bandwidth accounting
-            from :class:`~repro.power.NodeEnergyModel`).
-        gateway: The gateway after draining (channels + drop counter).
-        board: The triage board after the run.
-        duration_s: Simulated duration each report covers.
-        governors: Per-patient :class:`~repro.power.EnergyGovernor`
-            instances of a governed run (``None`` = ungoverned fleet);
-            folds mode dwell, switch counts, final SoC and projected
-            battery lifetime into the summary.
+        rows: The patient rows, in cohort order.
+        duration_s: Simulated duration each row covers.
+        dropped: Packets lost to bounded gateway queues across the run.
+
+    Raises:
+        ValueError: ``rows`` is empty.
     """
-    n = len(reports)
+    n = len(rows)
     if n == 0:
-        raise ValueError("need at least one node report")
-    governed = bool(governors)
+        raise ValueError("need at least one patient row")
+    nan = float("nan")
+    governed = [row for row in rows if row.governed]
     mode_seconds: dict[str, float] = {}
-    switches = 0
-    socs: list[float] = []
-    lifetimes: list[float] = []
-    for governor in (governors or {}).values():
-        for mode, sec in governor.mode_seconds.items():
+    for row in governed:
+        for mode, sec in row.mode_seconds.items():
             mode_seconds[mode] = mode_seconds.get(mode, 0.0) + sec
-        switches += governor.n_switches
-        socs.append(governor.battery.soc)
-        lifetimes.append(governor.projected_hours_to_empty())
-    scale_day = 86400.0 / duration_s
-    node_alarms = sum(len(r.alarms) for r in reports.values())
-    # Link-health counters come through the gateway's supported
-    # diagnostics surface (same integers as the channel attributes, so
-    # the summary bytes are unchanged by the indirection).
-    diagnostics = gateway.diagnostics()
-    totals = diagnostics["totals"]
-    confirmed = totals["n_confirmed"]
-    payload_bits = totals["payload_bits"]
-    snrs = np.array([s for ch in gateway.channels.values()
-                     for s in ch.snrs], dtype=float)
+    channels = [row.channel for row in rows if row.channel is not None]
+    snrs = np.array([s for ch in channels for s in ch.snrs], dtype=float)
     p10, p50, p90 = (np.percentile(snrs, (10, 50, 90)) if snrs.size
-                     else (float("nan"),) * 3)
-    powers = [r.average_power_w for r in reports.values()]
-    batteries = [r.battery_days for r in reports.values()]
-    stale = sum(1 for p in board.patients.values() if p.stale)
-    duplicates = totals["n_duplicates"]
-    gaps = totals["n_gaps"]
+                     else (nan,) * 3)
+    state_counts = {state: 0 for state in STATES}
+    for row in rows:
+        state_counts[row.triage.state] += 1
+    scale_day = 86400.0 / duration_s
+    node_alarms = sum(row.n_node_alarms for row in rows)
+    payload_bits = sum(ch.payload_bits for ch in channels)
     return FleetSummary(
         n_patients=n,
         duration_s=duration_s,
-        state_counts=board.counts(),
+        state_counts=state_counts,
         node_alarms=node_alarms,
-        confirmed_alarms=confirmed,
+        confirmed_alarms=sum(ch.n_confirmed for ch in channels),
         alarm_rate_per_patient_day=node_alarms / n * scale_day,
         snr_p10_db=float(p10),
         snr_p50_db=float(p50),
         snr_p90_db=float(p90),
         uplink_bytes_per_patient_day=payload_bits / 8.0 / n * scale_day,
-        mean_node_power_uw=1e6 * float(np.mean(powers)),
-        mean_battery_days=float(np.mean(batteries)),
-        dropped_packets=gateway.dropped,
-        stale_patients=stale,
-        duplicate_packets=duplicates,
-        reassembly_gaps=gaps,
-        governed=governed,
+        mean_node_power_uw=1e6 * float(np.mean(
+            [row.average_power_w for row in rows])),
+        mean_battery_days=float(np.mean([row.battery_days for row in rows])),
+        dropped_packets=dropped,
+        stale_patients=sum(1 for row in rows if row.triage.stale),
+        duplicate_packets=sum(ch.n_duplicates for ch in channels),
+        reassembly_gaps=sum(ch.n_gaps for ch in channels),
+        governed=bool(governed),
         mode_seconds=mode_seconds,
-        governor_switches=switches,
-        mean_final_soc=(float(np.mean(socs)) if socs else float("nan")),
+        governor_switches=sum(row.governor_switches for row in governed),
+        mean_final_soc=(float(np.mean([row.final_soc for row in governed]))
+                        if governed else nan),
         projected_lifetime_h_p50=(
-            float(np.percentile(np.asarray(lifetimes), 50))
-            if lifetimes else float("nan")),
+            float(np.percentile(np.asarray(
+                [row.projected_hours for row in governed]), 50))
+            if governed else nan),
     )

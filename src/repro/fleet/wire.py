@@ -66,6 +66,7 @@ one TCP stream.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -423,6 +424,19 @@ class ServeMessage:
     t_s: float = 0.0
     fields: dict[str, float] = field(default_factory=dict)
     info: dict[str, str] = field(default_factory=dict)
+
+
+def _count_field(fields: dict[str, float], key: str,
+                 default: float = 0.0) -> int:
+    """Read one count of a control message's float map as an ``int``.
+
+    Raises:
+        WireFormatError: The value is NaN or infinite.
+    """
+    value = fields.get(key, default)
+    if not math.isfinite(value):
+        raise WireFormatError(f"{key!r} must be finite, got {value!r}")
+    return int(value)
 
 
 def encode_message(message: ServeMessage) -> bytes:

@@ -48,10 +48,9 @@ from ..fleet.sharding import (
     PerPatientLink,
     ShardedFleetRunner,
     ShardHooks,
-    ShardPatientRow,
     partition_cohort,
 )
-from ..fleet.triage import STATE_ALERT, FleetSummary
+from ..fleet.triage import STATE_ALERT, FleetSummary, ShardPatientRow
 from ..obs import Observability, SCOPE_SHARD
 from ..power.battery import Battery, BatteryModel
 from ..power.governor import EnergyGovernor, GovernorConfig, ModePowerTable

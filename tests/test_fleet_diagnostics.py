@@ -66,8 +66,8 @@ class TestDiagnostics:
                                 for ch in diag["channels"].values())
 
     def test_totals_match_summary_surface(self):
-        # fleet_summary() now reads these totals; cross-check against
-        # the numbers the summary reports.
+        # fleet_summary() folds the same channel counters from the
+        # patient rows; cross-check against the numbers it reports.
         scheduler, fleet = run_fleet()
         totals = scheduler.gateway.diagnostics()["totals"]
         assert totals["n_confirmed"] == fleet.summary.confirmed_alarms

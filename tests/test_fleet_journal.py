@@ -7,6 +7,7 @@ import pytest
 from repro.fleet import (
     Gateway,
     GatewayConfig,
+    GatewaySession,
     FleetScheduler,
     JournalConfig,
     JournalError,
@@ -441,6 +442,82 @@ class TestReplayRejectsHostileRecords:
         with pytest.raises(JournalError, match="must be finite"):
             self._replay(tmp_path,
                          lambda writer: writer.append_message(msg))
+
+
+class TestSessionReport:
+    def test_report_for_another_patient_is_refused(self):
+        # The row takes its id from the report, so a session must not
+        # accept a report naming someone else.
+        session = GatewaySession("p0")
+        replies, close = session.handle_frame(encode_message(
+            ServeMessage("report", "p1", t_s=60.0)))
+        assert close
+        assert decode_message(replies[0]).kind == "error"
+        assert session.row is None
+
+
+class TestReplayRejectsHostileMetadata:
+    """Run parameters a replay cannot use — from the journal metadata or
+    from the replayer's arguments — fail with :class:`JournalError`
+    naming the key, never a bare exception or a blank summary."""
+
+    GOOD = journal_meta(60.0, 250.0, GatewayConfig())
+
+    @staticmethod
+    def _journal(tmp_path, meta: dict, name: str = "meta",
+                 pid: str = "jt0") -> JournalConfig:
+        """A one-patient journal: hello, then the end-of-run report."""
+        config = JournalConfig(dir=str(tmp_path), name=name)
+        with JournalWriter(config, meta=meta, resume=False) as writer:
+            writer.append_message(ServeMessage("hello", pid))
+            writer.append_message(ServeMessage(
+                "report", pid, t_s=60.0, fields={"n_sent": 0.0}))
+        return config
+
+    def test_well_formed_metadata_replays(self, tmp_path):
+        replay = JournalReplayer(self._journal(tmp_path, self.GOOD)).run()
+        assert replay.summary.n_patients == 1
+        assert replay.summary.duration_s == 60.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("gateway", {"bogus": 1}),
+        ("gateway", [1, 2]),
+        ("duration_s", "ten"),
+        ("duration_s", 0.0),
+        ("duration_s", float("nan")),
+        ("fs", "x"),
+    ], ids=["gateway-unknown-field", "gateway-list", "duration-text",
+            "duration-zero", "duration-nan", "fs-text"])
+    def test_hostile_metadata(self, tmp_path, key, value):
+        meta = dict(self.GOOD, **{key: value})
+        with pytest.raises(JournalError, match=f"^{key} "):
+            JournalReplayer(self._journal(tmp_path, meta)).run()
+
+    @pytest.mark.parametrize("kwargs, key", [
+        (dict(duration_s=-1.0), "duration_s"),
+        (dict(duration_s=True), "duration_s"),
+        (dict(fs=float("inf")), "fs"),
+        (dict(gateway_config={"bogus": 1}), "gateway"),
+    ], ids=["duration-negative", "duration-bool", "fs-inf",
+            "gateway-unknown-field"])
+    def test_hostile_arguments(self, tmp_path, kwargs, key):
+        config = self._journal(tmp_path, self.GOOD)
+        with pytest.raises(JournalError, match=f"^{key} "):
+            JournalReplayer(config, **kwargs).run()
+
+    @pytest.mark.parametrize("key, value", [
+        ("duration_s", 30.0),
+        ("fs", 500.0),
+        ("gateway", journal_meta(gateway=GatewayConfig(n_iter=7))
+         ["gateway"]),
+    ], ids=["duration", "fs", "gateway"])
+    def test_sources_disagree(self, tmp_path, key, value):
+        first = self._journal(tmp_path, self.GOOD, name="a", pid="p0")
+        second = self._journal(tmp_path, dict(self.GOOD, **{key: value}),
+                               name="b", pid="p1")
+        with pytest.raises(JournalError,
+                           match=f"journals 'a', 'b' disagree on {key}"):
+            JournalReplayer([first, second]).run()
 
 
 class TestReplayReadsAhead:

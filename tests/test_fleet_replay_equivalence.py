@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -46,6 +46,12 @@ from repro.fleet import (
 )
 from repro.fleet import journal as journal_module
 from repro.fleet.client import _Transport
+from repro.fleet.sharding import (
+    ShardResult,
+    decode_shard_result,
+    encode_shard_result,
+)
+from repro.fleet.triage import row_from_report
 from repro.power import Battery, BatteryModel
 from repro.power.governor import (
     EnergyGovernor,
@@ -142,6 +148,78 @@ class TestInProcessReplay:
         assert replay.summary.governed
         assert any(row.link_stats for row in replay.rows.values())
         assert replay.link_stats  # folded from the shard stats record
+
+
+def _plain(row) -> list:
+    """A row as nested ``(key, value)`` lists: order-sensitive, and NaN
+    written as ``"nan"`` so equal rows compare equal."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return [(key, plain(item)) for key, item in value.items()]
+        if isinstance(value, list):
+            return [plain(item) for item in value]
+        if isinstance(value, float) and value != value:
+            return "nan"
+        return value
+
+    return plain(asdict(row))
+
+
+class TestOneRowType:
+    """Every runtime reports the same row, and the row survives the
+    shard codec."""
+
+    SPEC = LinkSpec(loss_rate=0.1, duplicate_rate=0.1, reorder_rate=0.1,
+                    jitter_s=3.0)
+
+    def _scheduler(self, cohort, **kwargs) -> FleetScheduler:
+        hooks = _impaired_governed_hooks(self.SPEC, cohort, 99)
+        return FleetScheduler(
+            cohort, RUN_KW["config"], node_config=RUN_KW["node_config"],
+            gateway=Gateway(RUN_KW["gateway_config"]), link=hooks.link,
+            governor_factory=hooks.governor_factory, **kwargs)
+
+    def test_in_process_rows_equal_shard_and_replay_rows(self, tmp_path):
+        config = JournalConfig(dir=str(tmp_path), name="rows")
+        with JournalWriter(
+                config,
+                meta=journal_meta(RUN_KW["config"].duration_s,
+                                  RUN_KW["config"].fs,
+                                  RUN_KW["gateway_config"]),
+                resume=False) as journal:
+            live = self._scheduler(COHORT, journal=journal).run()
+        sharded = ShardedFleetRunner(
+            COHORT, n_shards=1, master_seed=99,
+            hook_factory=functools.partial(_impaired_governed_hooks,
+                                           self.SPEC),
+            **RUN_KW).run()
+        replay = JournalReplayer(config).run()
+        assert live.summary.governed
+        assert any(row.link_stats for row in live.rows.values())
+        assert list(live.rows) == [p.patient_id for p in COHORT]
+        expected = [_plain(row) for row in live.rows.values()]
+        assert [_plain(row) for row in sharded.rows.values()] == expected
+        assert [_plain(row) for row in replay.rows.values()] == expected
+        assert sharded.summary.to_json() == live.summary.to_json()
+        assert replay.summary.to_json() == live.summary.to_json()
+
+    def test_report_row_survives_the_shard_codec(self):
+        scheduler = self._scheduler(COHORT[:2])
+        fleet = scheduler.run()
+        rows = [row_from_report(
+                    scheduler.report_message(pid, fleet.node_reports),
+                    scheduler.gateway.channels.get(pid),
+                    scheduler.board.patients[pid],
+                    fleet.rows[pid].n_reconstructed)
+                for pid in fleet.rows]
+        assert any(row.governed and row.link_stats for row in rows)
+        blob = encode_shard_result(ShardResult(
+            shard_index=0, packets_sent=fleet.packets_sent, dropped=0,
+            timings_s={}, rows=rows))
+        decoded = decode_shard_result(blob).rows
+        assert [_plain(row) for row in decoded] \
+            == [_plain(row) for row in rows]
 
 
 class TestReplayBatching:

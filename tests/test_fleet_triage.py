@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from repro.fleet import (
-    Gateway,
     ReconstructedExcerpt,
     STATE_ALERT,
     STATE_OK,
     STATE_WATCH,
+    ServeMessage,
     TriageBoard,
     TriageConfig,
     fleet_summary,
 )
 from repro.fleet.gateway import PatientChannel
-from repro.pipeline import NodeReport
+from repro.fleet.triage import row_from_report
 
 
 def _excerpt(pid="p0", t=0.0, kind="excerpt", snr=25.0, confirmed=None):
@@ -23,15 +23,14 @@ def _excerpt(pid="p0", t=0.0, kind="excerpt", snr=25.0, confirmed=None):
         signal=np.zeros((3, 256)), snr_db=snr, confirmed=confirmed)
 
 
-def _report(n_alarms=0, duration_s=120.0):
-    from repro.pipeline.node_app import AlarmEvent
-
-    alarms = [AlarmEvent(start=0, stop=100, kind="AF", excerpt_bits=1000)
-              for _ in range(n_alarms)]
-    return NodeReport(duration_s=duration_s, beats=[], alarms=alarms,
-                      periodic_excerpts=2, transmitted_bits=10000,
-                      processing_cycles=1e6, average_power_w=4e-4,
-                      battery_days=20.0)
+def _row(board, pid, channel=None, n_alarms=0):
+    """One ungoverned patient row, built from its ``report`` message."""
+    report = ServeMessage("report", pid, t_s=120.0, fields={
+        "n_sent": 3.0, "n_node_alarms": float(n_alarms),
+        "average_power_w": 4e-4, "battery_days": 20.0,
+        "governor_switches": 0.0, "final_soc": float("nan"),
+        "projected_hours": float("nan")}, info={"governed": "0"})
+    return row_from_report(report, channel, board.patient(pid), 2)
 
 
 class TestStateMachine:
@@ -94,11 +93,6 @@ class TestStateMachine:
 
 
 class TestFleetSummary:
-    def _gateway_with(self, channels):
-        gateway = Gateway()
-        gateway.channels = channels
-        return gateway
-
     def test_aggregates(self):
         channels = {
             "a": PatientChannel("a", n_excerpts=2, n_alarms=1,
@@ -111,9 +105,9 @@ class TestFleetSummary:
         board = TriageBoard()
         board.observe(_excerpt(pid="a", kind="alarm", confirmed=True))
         board.observe(_excerpt(pid="b", snr=15.0))
-        reports = {"a": _report(n_alarms=1), "b": _report()}
-        summary = fleet_summary(reports, self._gateway_with(channels),
-                                board, duration_s=120.0)
+        rows = [_row(board, "a", channels["a"], n_alarms=1),
+                _row(board, "b", channels["b"])]
+        summary = fleet_summary(rows, duration_s=120.0)
         assert summary.n_patients == 2
         assert summary.node_alarms == 1
         assert summary.confirmed_alarms == 1
@@ -127,10 +121,8 @@ class TestFleetSummary:
         assert summary.state_counts[STATE_ALERT] == 1
 
     def test_describe_mentions_key_figures(self):
-        channels = {"a": PatientChannel("a", snrs=[20.0])}
-        summary = fleet_summary({"a": _report()},
-                                self._gateway_with(channels),
-                                TriageBoard(), duration_s=120.0)
+        row = _row(TriageBoard(), "a", PatientChannel("a", snrs=[20.0]))
+        summary = fleet_summary([row], duration_s=120.0)
         text = summary.describe()
         assert "triage" in text
         assert "kB/patient/day" in text
@@ -138,4 +130,4 @@ class TestFleetSummary:
 
     def test_empty_reports_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            fleet_summary({}, Gateway(), TriageBoard(), 60.0)
+            fleet_summary([], 60.0)
