@@ -52,8 +52,12 @@ class _Transport:
     """Blocking socket transport speaking length-delimited frames.
 
     One instance per connection: owns the socket, the incremental
-    :class:`~repro.fleet.wire.StreamDecoder` and an inbox of downlink
-    frames that arrived ahead of the reply being waited on.
+    :class:`~repro.fleet.wire.StreamDecoder`, an inbox of downlink
+    frames that arrived ahead of the reply being waited on, and an
+    outbox of uplink frames not yet written.  Buffered frames go out in
+    one ``sendall`` before every blocking receive, on :meth:`close` and
+    whenever ``RECV_CHUNK`` bytes wait — so a tick's packets and
+    commands reach the server together, as one queued batch.
     """
 
     def __init__(self, host: str, port: int,
@@ -63,10 +67,19 @@ class _Transport:
                                               timeout=timeout_s)
         self._decoder = StreamDecoder(max_frame_bytes)
         self._inbox: deque[bytes] = deque()
+        self._outbox = bytearray()
 
     def send_frame(self, body: bytes) -> None:
-        """Uplink one frame body (blocking; TCP backpressure applies)."""
-        self._sock.sendall(encode_stream_frame(body))
+        """Buffer one frame body for uplink."""
+        self._outbox += encode_stream_frame(body)
+        if len(self._outbox) >= RECV_CHUNK:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Write every buffered frame (blocking; TCP backpressure applies)."""
+        if self._outbox:
+            self._sock.sendall(self._outbox)
+            self._outbox.clear()
 
     def send_message(self, msg: ServeMessage) -> None:
         """Uplink one control message."""
@@ -79,6 +92,7 @@ class _Transport:
             ServeError: The server replied ``error``, closed the
                 connection, or the socket timed out.
         """
+        self._flush()
         while not self._inbox:
             try:
                 chunk = self._sock.recv(RECV_CHUNK)
@@ -94,8 +108,13 @@ class _Transport:
         return msg
 
     def close(self) -> None:
-        """Close the socket."""
-        self._sock.close()
+        """Write the buffered frames (best effort) and close the socket."""
+        try:
+            self._flush()
+        except OSError:
+            pass  # the server already closed; nothing awaits them
+        finally:
+            self._sock.close()
 
 
 class RemoteGateway(Gateway):

@@ -13,8 +13,9 @@ whole cohort through real loopback sockets to a
 Architecture (one connection, left to right)::
 
     client ──TCP──> reader task ──bounded queue──> consumer task
-                                                        │
-                                         run_in_executor(session lane)
+                                                        │ one lane hop per
+                                                        │ queued batch
+                           run_in_executor(session lane, handle_batch)
                                                         │
                                        _PatientSession: Gateway +
                                        TriageBoard + EventKernel
@@ -28,6 +29,11 @@ Architecture (one connection, left to right)::
   :class:`asyncio.Queue`; when it fills, the reader task stops reading
   and the kernel's TCP window does the rest.  A slow consumer delays
   the client, it never loses frames.
+* **One lane hop per queued batch** — the consumer takes every frame
+  already waiting on the queue (at most ``queue_capacity``) and applies
+  them in order with one executor call, then writes their replies in
+  order under one ``drain``: a sweep's packets and commands cost one
+  pair of cross-thread wake-ups, not one per frame.
 * **Load balancing** — sessions are striped round-robin over
   ``n_lanes`` single-thread executors, so gateway reconstruction for
   different patients runs concurrently while each session stays
@@ -53,7 +59,8 @@ Sessions are keyed by patient id and **outlive their sockets**: a
 client that reconnects resumes its gateway channel, reassembly window
 and triage machine mid-stream (``hello-ack`` says ``resumed=1``), and a
 second live connection for the same patient is rejected with an
-``error`` downlink.
+``error`` downlink.  A peer that resets its connection has left: the
+connection is counted ``reset`` and its session waits for a reconnect.
 """
 
 from __future__ import annotations
@@ -79,6 +86,7 @@ from .wire import (
     MAX_FRAME_BYTES,
     ServeMessage,
     StreamDecoder,
+    StreamFrameError,
     WireFormatError,
     decode_message,
     encode_message,
@@ -158,11 +166,17 @@ class _ServeMetrics:
         self.connections = metrics.counter(
             "serve_connections_total",
             "Gateway-service connection lifecycle events "
-            "(open / resumed / rejected / closed).", scope=SCOPE_SERVE)
+            "(open / resumed / rejected / closed / reset).",
+            scope=SCOPE_SERVE)
         self.frames = metrics.counter(
             "serve_frames_total",
             "Stream frames consumed off client connections, by kind.",
             scope=SCOPE_SERVE)
+        self.lane_batch_frames = metrics.histogram(
+            "serve_lane_batch_frames",
+            "Queued frames handed to a session lane per executor hop.",
+            scope=SCOPE_SERVE,
+            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
         self.queue_depth = metrics.gauge(
             "serve_queue_depth",
             "High-water frame-queue depth per patient connection.",
@@ -178,7 +192,8 @@ class _PatientSession(GatewaySession):
     gateway/board pair, driven by the client's command stream, and the
     journal replayer drives the identical class from a log.  This
     subclass adds only the serving concerns: the lane executor the
-    session is pinned to, and the (optional) shared journal writer.
+    session is pinned to, the batch the lane runs per hop, and the
+    (optional) shared journal writer.
     The per-session :class:`~repro.fleet.kernel.EventKernel` pins every
     timed command to the session's virtual clock, so its
     no-time-travel guard enforces monotone command order across the
@@ -191,6 +206,27 @@ class _PatientSession(GatewaySession):
                  journal: JournalWriter | None = None) -> None:
         super().__init__(patient_id, config.gateway, journal=journal)
         self.lane = lane
+
+    def handle_batch(self, frames: list[bytes],
+                     ) -> tuple[list[bytes], int, bool]:
+        """Apply queued frames in order until one closes the session.
+
+        Every frame goes through :meth:`handle_frame`, the per-frame
+        entry point; the frames after one that closes the session are
+        not applied, as if they had stayed in the queue.
+
+        Returns:
+            ``(replies, n_applied, close)``: the applied frames'
+            replies in order, how many frames were applied, and
+            whether the last of them closed the session.
+        """
+        replies: list[bytes] = []
+        for n_applied, body in enumerate(frames, 1):
+            out, close = self.handle_frame(body)
+            replies += out
+            if close:
+                return replies, n_applied, True
+        return replies, len(frames), False
 
 
 class FleetGatewayServer:
@@ -224,6 +260,9 @@ class FleetGatewayServer:
         #: Highest partial-frame byte count buffered by any
         #: connection's stream decoder (frames split across reads).
         self.max_partial_bytes = 0
+        #: Frame batches handed to session lanes (one executor hop
+        #: each; at most ``queue_capacity`` frames per batch).
+        self.lane_batches = 0
         #: Shared journal writer, open while the server runs (``None``
         #: without :attr:`ServeConfig.journal`).
         self.journal: JournalWriter | None = None
@@ -299,6 +338,7 @@ class FleetGatewayServer:
             "connections": dict(sorted(self._counts.items())),
             "sessions": len(self.sessions),
             "frames": sum(s.n_frames for s in self.sessions.values()),
+            "lane_batches": self.lane_batches,
             "max_queue_depth": self.max_queue_depth,
             "max_partial_bytes": self.max_partial_bytes,
             "n_lanes": len(self._lanes),
@@ -361,12 +401,17 @@ class FleetGatewayServer:
         Swallows the shutdown ``CancelledError`` so the handler task
         always finishes clean: ``asyncio.streams`` probes it with
         ``task.exception()`` from a done-callback, which would re-raise
-        a cancellation into the event loop's exception handler.
+        a cancellation into the event loop's exception handler.  A
+        ``ConnectionError`` means the peer reset the connection: it
+        left, its session stays for a reconnect, and the event is
+        counted ``reset`` instead of logged.
         """
         try:
             await self._serve_conn(reader, writer)
         except asyncio.CancelledError:
             pass
+        except ConnectionError:
+            self._count("reset")
 
     async def _serve_conn(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
@@ -389,13 +434,14 @@ class FleetGatewayServer:
         self._active.add(pid)
         session, resumed = self._session_for(pid)
         self._count("resumed" if resumed else "open")
-        await self._send(writer, ServeMessage(
-            "hello-ack", pid, info={"resumed": "1" if resumed else "0"}))
         queue: asyncio.Queue = asyncio.Queue(
             maxsize=self.config.queue_capacity)
         pump = asyncio.ensure_future(
             self._pump(reader, decoder, backlog, queue, pid))
         try:
+            await self._send(writer, ServeMessage(
+                "hello-ack", pid,
+                info={"resumed": "1" if resumed else "0"}))
             await self._consume(queue, writer, session)
         finally:
             # Synchronous bookkeeping first: a shutdown cancellation
@@ -445,27 +491,32 @@ class FleetGatewayServer:
 
         ``await queue.put`` on a full queue suspends this task, which
         stops the socket reads — backpressure propagates to the client
-        through TCP flow control with zero frame loss.
+        through TCP flow control with zero frame loss.  The last item
+        queued is ``None`` at EOF, or the error that ended the stream:
+        a :class:`~repro.fleet.wire.StreamFrameError` (after the frames
+        its chunk completed) or the peer's ``ConnectionError``.
         """
+        end: Exception | None = None
         try:
             for body in backlog:
-                await queue.put(body)
-                self._note_depth(queue, pid)
-            while True:
-                chunk = await reader.read(RECV_CHUNK)
-                if not chunk:
-                    break
+                await self._enqueue(queue, body, pid)
+            while chunk := await reader.read(RECV_CHUNK):
                 frames = decoder.feed(chunk)
                 self._note_partial(decoder)
                 for body in frames:
-                    await queue.put(body)
-                    self._note_depth(queue, pid)
-            await queue.put(None)
-        except WireFormatError as exc:
-            await queue.put(("error", str(exc)))
+                    await self._enqueue(queue, body, pid)
+        except StreamFrameError as exc:
+            for body in exc.frames:
+                await self._enqueue(queue, body, pid)
+            end = exc
+        except ConnectionError as exc:
+            end = exc
+        await queue.put(end)
 
-    def _note_depth(self, queue: asyncio.Queue, pid: str) -> None:
-        """Track the per-connection queue high-water mark."""
+    async def _enqueue(self, queue: asyncio.Queue, body: bytes,
+                       pid: str) -> None:
+        """Queue one frame; track the per-connection high-water mark."""
+        await queue.put(body)
         depth = queue.qsize()
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
@@ -488,34 +539,55 @@ class FleetGatewayServer:
     async def _consume(self, queue: asyncio.Queue,
                        writer: asyncio.StreamWriter,
                        session: _PatientSession) -> None:
-        """Consumer task: frames -> the session's lane executor.
+        """Consumer task: queued frames -> the session's lane executor.
 
-        ``handle_frame`` runs on the session's single-thread lane, so
-        per-session ordering is strict while distinct lanes overlap.
+        Takes every frame queued behind the one it waited for, up to
+        the end of the stream, and applies the batch in one hop to the
+        session's single-thread lane, so per-session ordering is strict
+        while distinct lanes overlap.  The replies go out in order
+        under one ``drain``.
+
+        Raises:
+            ConnectionError: The peer reset the connection.
         """
         loop = asyncio.get_running_loop()
         throttle = self.config.throttle_s
         while True:
-            item = await queue.get()
-            if item is None:
-                return
-            if isinstance(item, tuple):  # stream decode error
+            frames = [await queue.get()]
+            while isinstance(frames[-1], bytes) and not queue.empty():
+                frames.append(queue.get_nowait())
+            more = isinstance(frames[-1], bytes)
+            end = None if more else frames.pop()
+            if frames:
+                if throttle > 0:
+                    await asyncio.sleep(throttle * len(frames))
+                self.lane_batches += 1
+                if self._m is not None:
+                    self._m.lane_batch_frames.observe(float(len(frames)))
+                replies, n_applied, close = await loop.run_in_executor(
+                    session.lane, session.handle_batch, frames)
+                if self._m is not None:
+                    for body in frames[:n_applied]:
+                        try:
+                            kind = frame_kind(body)
+                        except WireFormatError:  # answered with an error
+                            kind = "invalid"
+                        self._m.frames.inc(kind=kind)
+                if replies:
+                    writer.write(b"".join(
+                        encode_stream_frame(body) for body in replies))
+                    await writer.drain()
+                if close:
+                    return
+            if more:
+                continue
+            if isinstance(end, ConnectionError):
+                raise end
+            if end is not None:  # stream decode error
                 await self._send(writer, ServeMessage(
                     "error", session.patient_id,
-                    info={"error": item[1]}))
-                return
-            if throttle > 0:
-                await asyncio.sleep(throttle)
-            if self._m is not None:
-                self._m.frames.inc(kind=frame_kind(item))
-            replies, close = await loop.run_in_executor(
-                session.lane, session.handle_frame, item)
-            for body in replies:
-                writer.write(encode_stream_frame(body))
-            if replies:
-                await writer.drain()
-            if close:
-                return
+                    info={"error": str(end)}))
+            return
 
     @staticmethod
     async def _send(writer: asyncio.StreamWriter,

@@ -103,6 +103,21 @@ class WireFormatError(ValueError):
     """A buffer does not parse as a valid wire-format frame."""
 
 
+class StreamFrameError(WireFormatError):
+    """A stream length prefix announces an empty or oversized frame.
+
+    Attributes:
+        frames: Complete frame bodies the same :meth:`StreamDecoder.feed`
+            call decoded ahead of the bad prefix, in order, so a caller
+            can apply them before tearing the connection down, however
+            TCP chunked the stream.
+    """
+
+    def __init__(self, message: str, frames: list[bytes]) -> None:
+        super().__init__(message)
+        self.frames = frames
+
+
 def _pack_str(value: str) -> bytes:
     """Length-prefixed UTF-8 (u8 length; 255-byte ceiling)."""
     raw = value.encode("utf-8")
@@ -356,8 +371,9 @@ class StreamDecoder:
         """Absorb one chunk; return every frame body it completed.
 
         Raises:
-            WireFormatError: A length prefix announces an empty frame
-                or one larger than ``max_frame_bytes``.  The offending
+            StreamFrameError: A length prefix announces an empty frame
+                or one larger than ``max_frame_bytes``.  The error
+                carries the frames completed ahead of that prefix; the
                 prefix stays buffered, so every later feed raises
                 again; callers tear the connection down (the serve
                 pump and the client both do).
@@ -366,15 +382,17 @@ class StreamDecoder:
         tail += data
         frames: list[bytes] = []
         offset = 0
+        error = None
         with memoryview(tail) as view:
             while len(tail) - offset >= _FRAME_LEN.size:
                 (length,) = _FRAME_LEN.unpack_from(tail, offset)
                 if length == 0:
-                    raise WireFormatError("zero-length stream frame")
+                    error = "zero-length stream frame"
+                    break
                 if length > self.max_frame_bytes:
-                    raise WireFormatError(
-                        f"stream frame of {length} bytes exceeds the "
-                        f"{self.max_frame_bytes}-byte bound")
+                    error = (f"stream frame of {length} bytes exceeds "
+                             f"the {self.max_frame_bytes}-byte bound")
+                    break
                 end = offset + _FRAME_LEN.size + length
                 if len(tail) < end:
                     break
@@ -382,6 +400,8 @@ class StreamDecoder:
                 offset = end
         del tail[:offset]
         self.n_frames += len(frames)
+        if error is not None:
+            raise StreamFrameError(error, frames)
         return frames
 
     def finish(self) -> None:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import functools
+import logging
+import socket
+import struct
 import time
 
 import pytest
@@ -37,6 +40,8 @@ from repro.fleet import (
     serve,
 )
 from repro.fleet.client import _Transport
+from repro.fleet.wire import StreamFrameError
+from repro.obs import Observability
 from repro.power import Battery, BatteryModel
 from repro.power.governor import (
     EnergyGovernor,
@@ -242,13 +247,19 @@ class TestConnectionSemantics:
                 transport.recv_message()
             transport.close()
 
-    def test_garbage_frame_gets_error_downlink(self):
-        with FleetGatewayServer(ServeConfig()) as server:
+    @pytest.mark.parametrize("with_obs", [False, True],
+                             ids=["plain", "observed"])
+    def test_garbage_frame_gets_error_downlink(self, with_obs):
+        obs = Observability() if with_obs else None
+        with FleetGatewayServer(ServeConfig(), obs=obs) as server:
             transport = _hello(server, "gb")
             transport.send_frame(b"\xde\xad\xbe\xef not a frame")
             with pytest.raises(ServeError, match="magic"):
                 transport.recv_message()
             transport.close()
+        if obs is not None:
+            frames = obs.metrics.families()["serve_frames_total"]
+            assert frames.value(kind="invalid") == 1
 
     def test_non_utf8_hello_is_counted_rejected(self, non_utf8):
         hello = encode_message(ServeMessage("hello", "px"))
@@ -366,6 +377,150 @@ class TestBackpressure:
             assert row.n_sent == n_packets
 
 
+def _frames(*items) -> bytes:
+    """Stream bytes of packet bodies and messages, for one write."""
+    return b"".join(encode_stream_frame(
+        encode_message(item) if isinstance(item, ServeMessage) else item)
+        for item in items)
+
+
+def _wait_for(predicate, timeout_s: float = 10.0) -> None:
+    """Poll ``predicate`` until it holds; fail after ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def _reset(sock: socket.socket) -> None:
+    """Close with ``SO_LINGER`` 0: the server sees a reset, not EOF."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+    sock.close()
+
+
+class TestLaneBatches:
+    """One lane hop per queued batch, with per-frame semantics."""
+
+    N = 6
+
+    def _play(self, one_at_a_time: bool):
+        """N packets, a drain and a sweep, then a report; the outcome."""
+        pid = "lb"
+        t_s = float(self.N)
+        script = [p.to_bytes() for p in _telemetry_packets(self.N, pid)]
+        script += [ServeMessage("drain", pid, t_s=t_s,
+                                fields={"budget": -1.0}),
+                   ServeMessage("sweep", pid, t_s=t_s)]
+        with FleetGatewayServer(ServeConfig()) as server:
+            transport = _hello(server, pid)
+            for k, item in enumerate(script, 1):
+                if one_at_a_time:
+                    # Write a frame once the previous one left the queue.
+                    transport._sock.sendall(_frames(item))
+                    _wait_for(lambda: server.lane_batches == k)
+                elif isinstance(item, ServeMessage):
+                    transport.send_message(item)
+                else:
+                    transport.send_frame(item)
+            feedback = transport.recv_message()
+            hops = server.lane_batches
+            transport.send_message(ServeMessage(
+                "report", pid, t_s=t_s, fields={"n_sent": float(self.N)},
+                info={"governed": "0"}))
+            assert transport.recv_message().kind == "report-ack"
+            transport.close()
+        session = server.sessions[pid]
+        # repr, not ==: a row's unreported NaN power never equals itself.
+        return hops, feedback, (session.n_frames, session.n_reconstructed,
+                                repr(server.rows()[pid]))
+
+    def test_one_write_is_one_hop_with_per_frame_results(self):
+        hops, feedback, state = self._play(one_at_a_time=False)
+        ref_hops, ref_feedback, ref_state = self._play(one_at_a_time=True)
+        assert (hops, ref_hops) == (1, self.N + 2)
+        assert feedback.kind == "feedback"
+        assert feedback == ref_feedback
+        assert state == ref_state
+        assert state[0] == self.N
+
+    @pytest.mark.parametrize("closing,match", [
+        (ServeMessage("bye", "cb"), "closed"),
+        (ServeMessage("drain", "cb", t_s=1.0, fields={"budget": _NAN}),
+         "finite"),
+    ], ids=["bye", "error"])
+    def test_closing_frame_stops_the_batch(self, closing, match):
+        packets = [p.to_bytes() for p in _telemetry_packets(6, "cb")]
+        with FleetGatewayServer(ServeConfig()) as server:
+            transport = _hello(server, "cb")
+            transport._sock.sendall(
+                _frames(*packets[:3], closing, *packets[3:]))
+            with pytest.raises(ServeError, match=match):
+                transport.recv_message()
+            transport.close()
+        # The frames behind the closing one shared its hand-off but were
+        # never applied, as if they had stayed in the queue.
+        assert server.lane_batches == 1
+        assert server.sessions["cb"].n_frames == 3
+
+    def test_stream_error_after_good_frames_applies_them_first(self):
+        packets = [p.to_bytes() for p in _telemetry_packets(2, "se")]
+        sweep = ServeMessage("sweep", "se", t_s=1.0)
+        with FleetGatewayServer(ServeConfig()) as server:
+            transport = _hello(server, "se")
+            transport._sock.sendall(
+                _frames(*packets, sweep) + b"\x00\x00\x00\x00")
+            assert transport.recv_message().kind == "feedback"
+            with pytest.raises(ServeError, match="zero-length"):
+                transport.recv_message()
+            with pytest.raises(ServeError, match="closed"):
+                transport.recv_message()
+            transport.close()
+        assert server.lane_batches == 1
+        assert server.sessions["se"].n_frames == 2
+
+    def test_client_writes_each_tick_as_one_batch(self):
+        # The client buffers a tick's packets and commands until it
+        # blocks for the sweep's feedback, so they share a lane hop.
+        obs = Observability()
+        kw = dict(RUN_KW, node_config=NodeProxyConfig(
+            stream_telemetry=False, excerpt_period_s=2.0))
+        served = run_served_fleet(COHORT, obs=obs, **kw)
+        families = obs.metrics.families()
+        frames = sum(families["serve_frames_total"].series.values())
+        hops = served.server_stats["lane_batches"]
+        assert families["serve_lane_batch_frames"].count() == hops
+        assert 0 < hops <= frames / 2
+
+
+class TestPeerReset:
+    """A peer that resets its connection has left: counted, not logged."""
+
+    @pytest.mark.parametrize("n_sweeps", [200, 0],
+                             ids=["mid-reply", "idle"])
+    def test_reset_is_counted_and_session_resumes(self, caplog, n_sweeps):
+        n = 10
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with FleetGatewayServer(ServeConfig()) as server:
+                for i in range(n):
+                    transport = _hello(server, f"r{i}")
+                    transport._sock.sendall(_frames(*(
+                        ServeMessage("sweep", f"r{i}", t_s=float(k + 1))
+                        for k in range(n_sweeps))))
+                    _reset(transport._sock)
+                _wait_for(lambda: server.stats()["connections"].get(
+                    "reset") == n)
+                resumed = _hello(server, "r0")
+                resumed.send_message(ServeMessage("sweep", "r0",
+                                                  t_s=1000.0))
+                assert resumed.recv_message().kind == "feedback"
+                resumed.close()
+        assert [r for r in caplog.records
+                if r.levelno >= logging.ERROR] == []
+        assert server.stats()["connections"] == {
+            "closed": n + 1, "open": n, "reset": n, "resumed": 1}
+
+
 class TestServeMessageCodec:
     def test_round_trip_preserves_insertion_order(self):
         msg = ServeMessage(
@@ -419,11 +574,16 @@ class TestStreamDecoder:
             StreamDecoder().feed(b"\x00\x00\x00\x00")
 
     def test_framing_error_is_sticky(self):
+        # The frames completed ahead of the bad prefix ride on the
+        # error, once; the prefix itself stays buffered.
         decoder = StreamDecoder()
-        with pytest.raises(WireFormatError, match="zero-length"):
-            decoder.feed(b"\x00\x00\x00\x00")
-        with pytest.raises(WireFormatError, match="zero-length"):
+        with pytest.raises(StreamFrameError, match="zero-length") as err:
+            decoder.feed(self.STREAM + b"\x00\x00\x00\x00")
+        assert err.value.frames == self.FRAMES
+        assert decoder.n_frames == len(self.FRAMES)
+        with pytest.raises(StreamFrameError, match="zero-length") as err:
             decoder.feed(encode_stream_frame(b"next"))
+        assert err.value.frames == []
 
     def test_oversized_frame_rejected_from_prefix_alone(self):
         decoder = StreamDecoder(max_frame_bytes=8)
