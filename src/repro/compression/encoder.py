@@ -10,11 +10,16 @@ quantized to the transmission word size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .matrices import sparse_binary_matrix
+from .matrices import SensingMatrix, sparse_binary_matrix
 from .metrics import compression_ratio, measurements_for_cr
+
+#: Distinct sensing-matrix geometries :func:`_sensing_matrix_cached`
+#: keeps per process.
+SENSING_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -53,9 +58,7 @@ class CsEncoder:
         self.n = n
         self.quant_bits = quant_bits
         m = measurements_for_cr(n, cr_percent)
-        d = min(d, m)
-        self.sensing = sparse_binary_matrix(
-            m, n, d, rng=np.random.default_rng(seed))
+        self.sensing = _sensing_matrix_cached(m, n, min(d, m), seed)
 
     @property
     def m(self) -> int:
@@ -116,6 +119,21 @@ class CsEncoder:
         scale = peak / levels
         quantized = np.rint(y / scale) * scale
         return quantized, scale
+
+
+@lru_cache(maxsize=SENSING_CACHE_SIZE, typed=True)
+def _sensing_matrix_cached(m: int, n: int, d: int,
+                           seed: int) -> SensingMatrix:
+    """The seeded sparse-binary matrix of one geometry, built once.
+
+    The draw depends on ``(m, n, d, seed)`` alone, so every encoder and
+    decoder of a geometry shares one matrix, stored read-only because
+    it is shared.  The key is typed: a seed ``numpy.random.default_rng``
+    refuses (``7.0``) still raises instead of aliasing ``7``.
+    """
+    sensing = sparse_binary_matrix(m, n, d, rng=np.random.default_rng(seed))
+    sensing.matrix.setflags(write=False)
+    return sensing
 
 
 def raw_payload_bits(n_samples: int, sample_bits: int = 12) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sp_signal
 
 from ..dsp.windows import moving_average
@@ -92,45 +93,45 @@ class RPeakDetector:
 
         spki = float(np.percentile(integrated[candidates], 75)) * 0.5
         npki = float(np.percentile(integrated, 50))
+        fraction = self.config.threshold_fraction
         accepted: list[int] = []
-        rr_history: list[float] = []
-
-        def threshold() -> float:
-            return npki + self.config.threshold_fraction * (spki - npki)
-
-        pending: list[int] = []  # rejected candidates (search-back pool)
-        for peak in candidates:
-            value = integrated[peak]
-            if value > threshold():
+        # RR intervals are integer sample counts, so ``sum(rr) / len(rr)``
+        # is exact and rounds once, like ``np.mean``.
+        rr: list[int] = []
+        pending: list[tuple[int, float]] = []  # search-back pool
+        for peak, value in zip(candidates.tolist(),
+                               integrated[candidates].tolist()):
+            if value > npki + fraction * (spki - npki):
                 if accepted and peak - accepted[-1] < refractory:
                     continue
                 if accepted:
-                    rr_history.append(peak - accepted[-1])
-                    if len(rr_history) > 8:
-                        rr_history.pop(0)
-                accepted.append(int(peak))
+                    rr.append(peak - accepted[-1])
+                    if len(rr) > 8:
+                        rr.pop(0)
+                accepted.append(peak)
                 spki = 0.125 * value + 0.875 * spki
                 pending.clear()
             else:
                 npki = 0.125 * value + 0.875 * npki
-                pending.append(int(peak))
+                pending.append((peak, value))
                 # Search-back: if a long gap built up, re-examine rejected
                 # candidates with half the threshold.
-                if accepted and rr_history:
-                    mean_rr = float(np.mean(rr_history))
+                if accepted and rr:
+                    mean_rr = sum(rr) / len(rr)
                     gap = peak - accepted[-1]
                     if gap > self.config.searchback_factor * mean_rr:
+                        floor = 0.5 * (npki + fraction * (spki - npki))
                         viable = [
-                            p for p in pending
-                            if integrated[p] > 0.5 * threshold()
-                            and p - accepted[-1] >= refractory
+                            (p, v) for p, v in pending
+                            if v > floor and p - accepted[-1] >= refractory
                         ]
                         if viable:
-                            best = max(viable, key=lambda p: integrated[p])
-                            rr_history.append(best - accepted[-1])
+                            best, best_value = max(viable,
+                                                   key=lambda pv: pv[1])
+                            rr.append(best - accepted[-1])
                             accepted.append(best)
                             accepted.sort()
-                            spki = 0.25 * integrated[best] + 0.75 * spki
+                            spki = 0.25 * best_value + 0.75 * spki
                             pending.clear()
         refined = self._refine(x, bandpassed,
                                np.array(sorted(set(accepted)), dtype=int))
@@ -147,29 +148,19 @@ class RPeakDetector:
         """
         if peaks.shape[0] == 0:
             return peaks
-        n = x.shape[0]
         # Wide (ventricular) complexes delay the integrator peak by up to
         # the full window plus half the QRS width, so look back that far.
         lag = int(round((self.config.integration_window_s + 0.10) * self.fs))
         lead = int(round(0.05 * self.fs))
         half = int(round(self.config.refine_window_s * self.fs))
-        refined = []
         base_half = int(round(0.25 * self.fs))
-        for peak in peaks:
-            lo = max(0, peak - lag)
-            hi = min(n, peak + lead + 1)
-            coarse = lo + int(np.argmax(np.abs(bandpassed[lo:hi])))
-            # Baseline from a window much wider than any QRS: the median of
-            # the refine window itself is biased by wide (ventricular)
-            # complexes that fill it.
-            base_lo = max(0, coarse - base_half)
-            base_hi = min(n, coarse + base_half + 1)
-            baseline = float(np.median(x[base_lo:base_hi]))
-            lo = max(0, coarse - half)
-            hi = min(n, coarse + half + 1)
-            window = x[lo:hi]
-            refined.append(lo + int(np.argmax(np.abs(window - baseline))))
-        refined_arr = np.array(sorted(set(refined)), dtype=int)
+        coarse = _window_argmax(bandpassed, peaks - lag, lag + lead + 1)
+        # Baseline from a window much wider than any QRS: the median of
+        # the refine window itself is biased by wide (ventricular)
+        # complexes that fill it.
+        baseline = _window_median(x, coarse - base_half, 2 * base_half + 1)
+        refined = _window_argmax(x, coarse - half, 2 * half + 1, baseline)
+        refined_arr = np.unique(refined)
         # Refinement can merge two marks onto one extremum; keep spacing.
         keep = [0]
         refractory = int(round(self.config.refractory_s * self.fs))
@@ -177,6 +168,54 @@ class RPeakDetector:
             if refined_arr[i] - refined_arr[keep[-1]] >= refractory:
                 keep.append(i)
         return refined_arr[keep]
+
+
+def _window_argmax(values: np.ndarray, starts: np.ndarray, width: int,
+                   baseline: np.ndarray | None = None) -> np.ndarray:
+    """Per window, ``lo + argmax(|values[lo:hi] - baseline|)``.
+
+    Window ``i`` covers ``[starts[i], starts[i] + width)`` clipped to
+    the signal.  Interior windows run as the rows of one array, with
+    ``np.argmax``'s first-max rule per row; the few the signal edges
+    clip keep the scalar form.  Without ``baseline`` nothing is
+    subtracted.
+    """
+    n = values.shape[0]
+    stops = starts + width
+    out = np.empty(starts.shape[0], dtype=int)
+    inner = (starts >= 0) & (stops <= n)
+    if inner.any():
+        rows = sliding_window_view(values, width)[starts[inner]]
+        if baseline is not None:
+            rows = rows - baseline[inner, None]
+        out[inner] = starts[inner] + np.argmax(np.abs(rows), axis=1)
+    for i in np.flatnonzero(~inner).tolist():
+        lo, hi = max(0, int(starts[i])), min(n, int(stops[i]))
+        window = values[lo:hi]
+        if baseline is not None:
+            window = window - baseline[i]
+        out[i] = lo + int(np.argmax(np.abs(window)))
+    return out
+
+
+def _window_median(values: np.ndarray, starts: np.ndarray,
+                   width: int) -> np.ndarray:
+    """Per window, ``np.median(values[lo:hi])``; see :func:`_window_argmax`.
+
+    ``width`` is odd, so an interior row's median is its middle order
+    statistic (NaN if the row holds one), exactly as in one dimension.
+    """
+    n = values.shape[0]
+    stops = starts + width
+    out = np.empty(starts.shape[0])
+    inner = (starts >= 0) & (stops <= n)
+    if inner.any():
+        out[inner] = np.median(
+            sliding_window_view(values, width)[starts[inner]], axis=1)
+    for i in np.flatnonzero(~inner).tolist():
+        out[i] = np.median(values[max(0, int(starts[i])):
+                                  min(n, int(stops[i]))])
+    return out
 
 
 def detect_r_peaks(record: EcgRecord,

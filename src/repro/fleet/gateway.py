@@ -53,6 +53,15 @@ from .wire import WireFormatError, decode_packet
 #: gateway; stragglers from further back classify as duplicates.
 MAX_TRACKED_GAP = 4096
 
+#: Longest CS window, in samples per lead, a packet may declare.  Its
+#: decoder holds an ``n x n`` DWT basis, and bases and sensing matrices
+#: are cached process-wide, so a peer must not choose ``n``: at this
+#: cap each costs at most 8 MiB.  The paper's windows are 256 ... 1024.
+MAX_WINDOW_N = 1024
+
+#: Most leads a CS packet may declare (a 12-lead ECG is the widest).
+MAX_LEADS = 12
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -866,8 +875,10 @@ def check_geometry(packet: UplinkPacket, wavelet: str) -> UplinkPacket:
     Raises:
         ~repro.fleet.wire.WireFormatError: The CR lies outside
             [0, 100); the leads, word size or seed cannot build sensing
-            matrices; ``wavelet`` has no basis for ``window_n`` samples;
-            or a window is not a numeric vector of
+            matrices; the packet declares more than :data:`MAX_LEADS`
+            leads or :data:`MAX_WINDOW_N` samples per window;
+            ``wavelet`` has no basis for ``window_n`` samples; or a
+            window is not a numeric vector of
             ``measurements_for_cr(window_n, cr_percent)`` measurements.
     """
     if not packet.frames:
@@ -879,6 +890,10 @@ def check_geometry(packet: UplinkPacket, wavelet: str) -> UplinkPacket:
         raise WireFormatError(
             f"no sensing matrices for {packet.n_leads} leads, "
             f"{packet.quant_bits}-bit words and seed {packet.cs_seed}")
+    if packet.n_leads > MAX_LEADS or packet.window_n > MAX_WINDOW_N:
+        raise WireFormatError(
+            f"{packet.n_leads} leads of {packet.window_n}-sample windows "
+            f"exceed the cap of {MAX_LEADS} leads of {MAX_WINDOW_N}")
     if max_dwt_levels(packet.window_n, wavelet) < 1:
         raise WireFormatError(
             f"no {wavelet} basis for {packet.window_n}-sample windows")

@@ -98,6 +98,11 @@ from .wire import (
 #: transport (one TCP segment's worth; framing handles the rest).
 RECV_CHUNK = 65536
 
+#: Longest :meth:`FleetGatewayServer.stop` waits for consumers to apply
+#: the frames already queued on their connections (at most
+#: ``queue_capacity`` each) before it cancels what is left.
+STOP_DRAIN_S = 5.0
+
 
 class ServeError(RuntimeError):
     """A serving-protocol violation or transport failure."""
@@ -268,6 +273,10 @@ class FleetGatewayServer:
         self.journal: JournalWriter | None = None
         self._counts: dict[str, int] = {}
         self._active: set[str] = set()
+        #: The task reading each live connection: its handler during
+        #: the handshake (no queue yet), then its pump, with the queue
+        #: the pump fills.  Shutdown stops these first.
+        self._reading: dict[asyncio.Task, asyncio.Queue | None] = {}
         self._lanes = [ThreadPoolExecutor(max_workers=1)
                        for _ in range(self.config.n_lanes)]
         self._next_lane = 0
@@ -302,7 +311,13 @@ class FleetGatewayServer:
         return self
 
     def stop(self) -> None:
-        """Close the listener, drain tasks and shut the lanes down."""
+        """Stop serving, apply what is queued, shut the lanes down.
+
+        The listener closes and every connection stops reading; each
+        consumer then applies the frames already on its queue and
+        answers them as usual.  What has not finished within
+        :data:`STOP_DRAIN_S` is cancelled.
+        """
         if self._thread is None:
             return
         self._loop.call_soon_threadsafe(self._stop_event.set)
@@ -365,16 +380,35 @@ class FleetGatewayServer:
         ready.set()
         try:
             loop.run_until_complete(self._stop_event.wait())
-            server.close()
-            loop.run_until_complete(server.wait_closed())
-            pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True))
+            loop.run_until_complete(self._shutdown(server))
         finally:
             loop.close()
+
+    async def _shutdown(self, server: asyncio.Server) -> None:
+        """Stop accepting and reading, drain the queues, cancel the rest.
+
+        A handler still in its handshake holds no frames and is
+        cancelled at once.  A pump cancelled mid-stream queued no end
+        marker, so one goes in behind the frames it did queue.
+        """
+        server.close()
+        reading = list(self._reading.items())
+        for task, _ in reading:
+            task.cancel()
+        await asyncio.gather(*(task for task, _ in reading),
+                             return_exceptions=True)
+        ends = {asyncio.ensure_future(queue.put(None))
+                for task, queue in reading
+                if queue is not None and task.cancelled()}
+        me = asyncio.current_task()
+        handlers = asyncio.all_tasks() - ends - {me}
+        if handlers:
+            await asyncio.wait(handlers, timeout=STOP_DRAIN_S)
+        left = asyncio.all_tasks() - {me}
+        for task in left:
+            task.cancel()
+        await asyncio.gather(*left, return_exceptions=True)
+        await server.wait_closed()
 
     def _count(self, event: str) -> None:
         """Account one connection lifecycle event (loop thread only)."""
@@ -409,7 +443,7 @@ class FleetGatewayServer:
         try:
             await self._serve_conn(reader, writer)
         except asyncio.CancelledError:
-            pass
+            writer.close()  # a handshake cancelled by stop() left it open
         except ConnectionError:
             self._count("reset")
 
@@ -417,12 +451,16 @@ class FleetGatewayServer:
                           writer: asyncio.StreamWriter) -> None:
         """`_handle_conn` body, cancellable at any await."""
         decoder = StreamDecoder(self.config.max_frame_bytes)
+        handler = asyncio.current_task()
+        self._reading[handler] = None
         try:
             hello, backlog = await self._read_hello(reader, decoder)
         except (WireFormatError, ServeError, ConnectionError):
             self._count("rejected")
             writer.close()
             return
+        finally:
+            del self._reading[handler]
         pid = hello.patient_id
         if pid in self._active:
             self._count("rejected")
@@ -438,6 +476,7 @@ class FleetGatewayServer:
             maxsize=self.config.queue_capacity)
         pump = asyncio.ensure_future(
             self._pump(reader, decoder, backlog, queue, pid))
+        self._reading[pump] = queue
         try:
             await self._send(writer, ServeMessage(
                 "hello-ack", pid,
@@ -447,6 +486,7 @@ class FleetGatewayServer:
             # Synchronous bookkeeping first: a shutdown cancellation
             # arriving at either await below must not skip the close
             # accounting, or two identical runs disagree on counters.
+            del self._reading[pump]
             self._active.discard(pid)
             self._count("closed")
             pump.cancel()

@@ -339,7 +339,9 @@ class CardiacMonitorNode:
         windows, labels = self.af_detector.predict_record(record)
         excerpt_bits = MultiLeadCsEncoder(
             n_leads=record.n_leads, n=int(self.excerpt_window_s * fs),
-            cr_percent=self.cs_cr_percent).payload_bits_per_window()
+            cr_percent=self.cs_cr_percent,
+            quant_bits=self.energy_model.sample_bits,
+        ).payload_bits_per_window()
         alarms: list[AlarmEvent] = []
         current: list[int] = []
         for window, label in zip(windows, labels):

@@ -102,6 +102,30 @@ def svd_calls(monkeypatch):
 
 
 @pytest.fixture()
+def sensing_builds(monkeypatch):
+    """List that grows by ``(m, n, d)`` on every sensing matrix an
+    encoder builds during the test.
+
+    Patches the ``sparse_binary_matrix`` the encoder's process-wide
+    matrix memo calls, and empties that memo before and after, so the
+    test counts its own builds whatever ran before it.
+    """
+    from repro.compression import encoder
+
+    calls: list[tuple[int, int, int]] = []
+    real = encoder.sparse_binary_matrix
+
+    def counting(m, n, d=12, rng=None):
+        calls.append((m, n, d))
+        return real(m, n, d, rng)
+
+    monkeypatch.setattr(encoder, "sparse_binary_matrix", counting)
+    encoder._sensing_matrix_cached.cache_clear()
+    yield calls
+    encoder._sensing_matrix_cached.cache_clear()
+
+
+@pytest.fixture()
 def non_utf8():
     """Function corrupting one length-prefixed string of a wire blob.
 

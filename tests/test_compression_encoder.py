@@ -8,6 +8,7 @@ from repro.compression import (
     MultiLeadCsEncoder,
     raw_payload_bits,
     reconstruction_snr_db,
+    sparse_binary_matrix,
 )
 
 
@@ -92,6 +93,44 @@ class TestMultiLeadCsEncoder:
     def test_needs_a_lead(self):
         with pytest.raises(ValueError, match="at least one lead"):
             MultiLeadCsEncoder(n_leads=0)
+
+
+class TestSharedSensingMatrix:
+    """Each geometry's matrix is drawn once per process and shared."""
+
+    def test_identical_encoders_build_each_lead_once(self, sensing_builds):
+        a = MultiLeadCsEncoder(n_leads=3, n=256, cr_percent=60.0, seed=11)
+        b = MultiLeadCsEncoder(n_leads=3, n=256, cr_percent=60.0, seed=11)
+        # The word size prices the payload; it does not enter the draw.
+        c = MultiLeadCsEncoder(n_leads=3, n=256, cr_percent=60.0, seed=11,
+                               quant_bits=8)
+        assert sensing_builds == [(102, 256, 12)] * 3
+        for x, y, z in zip(a.sensing_matrices, b.sensing_matrices,
+                           c.sensing_matrices):
+            assert x is y is z
+
+    def test_shared_matrix_is_the_seeded_draw(self, sensing_builds):
+        for seed in (11, 12):
+            shared = CsEncoder(n=128, cr_percent=50.0, d=8, seed=seed)
+            drawn = sparse_binary_matrix(64, 128, 8,
+                                         rng=np.random.default_rng(seed))
+            assert np.array_equal(shared.sensing.matrix, drawn.matrix)
+            assert shared.sensing.matrix.dtype == drawn.matrix.dtype
+            assert (shared.sensing.kind, shared.sensing.nonzeros_per_column) \
+                == (drawn.kind, drawn.nonzeros_per_column)
+        assert len(sensing_builds) == 2
+
+    def test_shared_matrix_is_read_only(self, sensing_builds):
+        encoder = CsEncoder(n=64)
+        with pytest.raises(ValueError, match="read-only"):
+            encoder.sensing.matrix[0, 0] = 2.0
+
+    def test_seed_numpy_refuses_still_raises(self, sensing_builds):
+        CsEncoder(n=64, seed=7)
+        # A typed key: 7.0 misses the cached 7 and reaches numpy.
+        with pytest.raises(TypeError):
+            CsEncoder(n=64, seed=7.0)
+        assert len(sensing_builds) == 1
 
 
 class TestRawPayload:

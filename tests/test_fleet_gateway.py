@@ -237,7 +237,17 @@ def _five(packet):
 #: fragment of the error each must raise.
 MALFORMED_GEOMETRY = {
     "measurement-count": (_five, "102"),
-    "window-2048": (lambda p: replace(_five(p), window_n=2048), "819"),
+    "window-1024": (lambda p: replace(_five(p), window_n=1024), "409"),
+    # 65 measurements are all 65,536 samples at CR 99.9 % need; the cap
+    # alone keeps the gateway from building a 32 GiB basis for them.
+    "window-over-cap": (
+        lambda p: replace(_with_measurements(p, lambda y: y[:65]),
+                          window_n=65536, cr_percent=99.9),
+        "cap"),
+    "leads-over-cap": (
+        lambda p: replace(p, n_leads=13,
+                          frames=tuple(frame * 13 for frame in p.frames)),
+        "13 leads"),
     "cr-100": (lambda p: replace(p, cr_percent=100.0), "CR"),
     "cr-negative": (lambda p: replace(p, cr_percent=-1.0), "CR"),
     "cr-nan": (lambda p: replace(p, cr_percent=float("nan")), "CR"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import importlib
 import logging
 import socket
 import struct
@@ -50,6 +51,9 @@ from repro.power.governor import (
 )
 from repro.scenarios import LinkSpec, derive_seed
 from repro.scenarios.channel import ImpairedLink
+
+# The package re-exports the ``serve`` function under the module's name.
+serve_module = importlib.import_module("repro.fleet.serve")
 
 COHORT = make_cohort(CohortConfig(n_patients=5, seed=7))
 RUN_KW = dict(
@@ -519,6 +523,79 @@ class TestPeerReset:
                 if r.levelno >= logging.ERROR] == []
         assert server.stats()["connections"] == {
             "closed": n + 1, "open": n, "reset": n, "resumed": 1}
+
+
+class TestStopDrainsQueues:
+    """``stop()`` applies the frames a connection already queued; it
+    used to cancel them, trailing ``bye`` included, and tell no one."""
+
+    @staticmethod
+    def _record_frames(monkeypatch) -> list[bytes]:
+        """Bodies every session's ``handle_frame`` receives, in order."""
+        seen: list[bytes] = []
+        real = serve_module._PatientSession.handle_frame
+
+        def recording(session, body):
+            seen.append(body)
+            return real(session, body)
+
+        monkeypatch.setattr(serve_module._PatientSession, "handle_frame",
+                            recording)
+        return seen
+
+    def _queue_then_stop(self, config: ServeConfig, n_packets: int):
+        """Write packets and ``bye`` in one go, close, stop; the server
+        and the seconds ``stop()`` took."""
+        server = FleetGatewayServer(config).start()
+        try:
+            transport = _hello(server, "sd")
+            transport._sock.sendall(_frames(
+                *(p.to_bytes() for p in _telemetry_packets(n_packets, "sd")),
+                ServeMessage("bye", "sd")))
+            transport.close()
+            # Queued by now; the throttled consumer has applied none.
+            time.sleep(0.1)
+        finally:
+            start = time.monotonic()
+            server.stop()
+        return server, time.monotonic() - start
+
+    def test_queued_frames_and_bye_are_applied(self, monkeypatch):
+        seen = self._record_frames(monkeypatch)
+        server, _ = self._queue_then_stop(
+            ServeConfig(queue_capacity=64, throttle_s=0.02), 20)
+        assert server.sessions["sd"].n_frames == 20
+        assert decode_message(seen[-1]).kind == "bye"
+        assert server.stats()["connections"]["closed"] == 1
+
+    def test_deadline_cancels_what_is_left(self, monkeypatch):
+        monkeypatch.setattr(serve_module, "STOP_DRAIN_S", 0.2)
+        server, took = self._queue_then_stop(
+            ServeConfig(queue_capacity=64, throttle_s=0.1), 40)
+        # 41 queued frames would take 4.1 s to apply.
+        assert took < 2.0
+        assert server.sessions["sd"].n_frames == 0
+
+    def test_idle_clients_do_not_hold_stop(self, monkeypatch):
+        monkeypatch.setattr(serve_module, "STOP_DRAIN_S", 60.0)
+        server = FleetGatewayServer(ServeConfig()).start()
+        idle = _hello(server, "idle")
+        mute = socket.create_connection(("127.0.0.1", server.port))
+        try:
+            # Both accepted: the idle pump and the mute handshake read.
+            _wait_for(lambda: len(server._reading) == 2)
+            start = time.monotonic()
+            server.stop()
+            assert time.monotonic() - start < 5.0
+            # The connected client is told: its socket reads EOF.
+            with pytest.raises(ServeError, match="closed"):
+                idle.recv_message()
+            mute.settimeout(5.0)
+            assert mute.recv(1) == b""
+        finally:
+            idle.close()
+            mute.close()
+        assert server.stats()["connections"] == {"closed": 1, "open": 1}
 
 
 class TestServeMessageCodec:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.classification import AfDetector
+from repro.compression import MultiLeadCsEncoder
 from repro.pipeline import CardiacMonitorNode
 from repro.power import NodeEnergyModel
 from repro.signals import RecordSpec, make_record
@@ -62,6 +63,25 @@ class TestAfScenario:
             assert 0 <= alarm.start < alarm.stop
             assert alarm.stop < af_episode_record.n_samples
             assert alarm.excerpt_bits > 0
+
+    @pytest.mark.parametrize("sample_bits", [8, 12])
+    def test_alarm_excerpt_priced_at_node_word(self, trained_detector,
+                                               af_episode_record,
+                                               sample_bits):
+        """An alarm ships the same CS excerpt as a periodic one, so it
+        costs the node's ADC word too; it used to be priced at 12 bits
+        whatever the word was."""
+        node = CardiacMonitorNode(
+            af_detector=trained_detector,
+            energy_model=NodeEnergyModel(sample_bits=sample_bits))
+        report = node.process(af_episode_record)
+        periodic_bits = MultiLeadCsEncoder(
+            n_leads=af_episode_record.n_leads,
+            n=int(node.excerpt_window_s * af_episode_record.fs),
+            cr_percent=node.cs_cr_percent,
+            quant_bits=sample_bits).payload_bits_per_window()
+        assert report.alarms
+        assert {a.excerpt_bits for a in report.alarms} == {periodic_bits}
 
 
 class TestEnergyAccounting:
