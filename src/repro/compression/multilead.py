@@ -41,6 +41,21 @@ from .recovery import lipschitz_constant
 _MATMUL_TILE = 4
 
 
+def _tile_rows(rows: int) -> int:
+    """``rows`` rounded up to a whole number of tiles (at least one)."""
+    return -(-max(rows, 1) // _MATMUL_TILE) * _MATMUL_TILE
+
+
+def _rows_contiguous(x: np.ndarray) -> bool:
+    """Whether each ``(rows, cols)`` matrix of ``x`` is C-contiguous.
+
+    Leading (batch) axes may have any strides.
+    """
+    rows, cols = x.shape[-2:]
+    return ((cols <= 1 or x.strides[-1] == x.itemsize)
+            and (rows <= 1 or x.strides[-2] == cols * x.itemsize))
+
+
 def row_stable_matmul(a: np.ndarray, b: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` whose per-row results are independent of the batch.
@@ -53,32 +68,98 @@ def row_stable_matmul(a: np.ndarray, b: np.ndarray,
     every shard layout, which requires each window's products to be a
     pure function of that window.
 
-    Computing the product in fixed-height row tiles (zero padded to a
-    multiple of :data:`_MATMUL_TILE`) pins the kernel path: every row
-    is evaluated by the same fixed-shape ``(tile, k) @ (k, m)`` call,
-    so its result depends only on the row itself and ``b`` (tested in
+    The product runs as one ``np.matmul`` over ``a`` viewed as fixed
+    tiles of :data:`_MATMUL_TILE` rows (zero padded to a multiple of
+    it), shape ``(..., tiles, tile, k)``, against ``b[..., None, :, :]``.
+    That pins the kernel path: every tile is the same fixed-shape
+    ``(tile, k) @ (k, m)`` call, so a row's result depends only on the
+    row itself and ``b`` (tested in
     ``tests/test_compression_multilead.py``).  Within a few percent of
     a single full-height gemm at fleet batch sizes.
 
     Args:
-        a: Left operand, shape ``(rows, k)`` (any strides).
-        b: Right operand, shape ``(k, m)``.
-        out: Optional destination of shape ``(rows, m)`` (any strides).
+        a: Left operand, shape ``(rows, k)`` or a stack ``(L, rows, k)``
+            (any strides).  A float64 ``a`` whose matrices are
+            C-contiguous with a whole number of tiles of rows is used in
+            place; anything else is copied into a padded buffer.
+        b: Right operand, shape ``(k, m)``, or ``(L, k, m)`` with one
+            matrix per entry of a stacked ``a``.
+        out: Optional destination of shape ``(..., rows, m)`` (any
+            strides).
     """
-    a = np.ascontiguousarray(a, dtype=float)
-    rows = a.shape[0]
-    padded_rows = -(-max(rows, 1) // _MATMUL_TILE) * _MATMUL_TILE
-    if padded_rows != rows:
-        padded = np.zeros((padded_rows, a.shape[1]), dtype=a.dtype)
-        padded[:rows] = a
-        a = padded
-    tiles = [a[i:i + _MATMUL_TILE] @ b
-             for i in range(0, padded_rows, _MATMUL_TILE)]
-    full = tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
-    if out is not None:
-        out[...] = full[:rows]
+    a = np.asarray(a, dtype=float)
+    *batch, rows, k = a.shape
+    padded = _tile_rows(rows)
+    if padded != rows or not _rows_contiguous(a):
+        src = a
+        a = np.zeros((*batch, padded, k))
+        a[..., :rows, :] = src
+    tiles = (*batch, padded // _MATMUL_TILE, _MATMUL_TILE)
+    b_tiles = b[..., None, :, :]
+    m = b.shape[-1]
+    if out is not None and padded == rows and _rows_contiguous(out):
+        # Splitting the row axis is always a view, so the tiles land
+        # in ``out`` itself.
+        np.matmul(a.reshape(*tiles, k), b_tiles,
+                  out=out.reshape(*tiles, m))
         return out
-    return full[:rows]
+    full = np.matmul(a.reshape(*tiles, k), b_tiles).reshape(
+        *batch, padded, m)
+    if out is not None:
+        out[...] = full[..., :rows, :]
+        return out
+    return full[..., :rows, :]
+
+
+def _lead_norms(z: np.ndarray, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
+    """Group norms of lead-major ``z`` (shape ``(L, ...)``) over its leads.
+
+    Bit for bit ``np.linalg.norm`` over a contiguous last axis of
+    length ``L`` (the window-major layout the group threshold used to
+    reduce): numpy sums such an axis with its pairwise kernel, which
+    adds fewer than 8 terms left to right, up to 128 terms in eight
+    interleaved accumulators folded ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
+    plus a left-to-right tail, and more by halves.  The lead planes are
+    summed in exactly that order, so a numpy release that changes it
+    fails ``tests/test_compression_multilead.py`` instead of moving
+    golden bytes.
+
+    Args:
+        z: Lead-major values, shape ``(L, ...)``.
+        out: Optional destination of shape ``z.shape[1:]``.
+        work: Optional scratch of ``z``'s shape, overwritten.
+    """
+    squares = np.multiply(z, z, out=work)
+    return np.sqrt(_pairwise_sum(squares), out=out)
+
+
+def _pairwise_sum(planes: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum over axis 0 of non-negative ``planes``.
+
+    Accumulates in place into ``planes`` and returns the plane holding
+    the sum.  Starting from the first term instead of numpy's zero is
+    exact because every term is a square.
+    """
+    n = planes.shape[0]
+    if n < 8:
+        for i in range(1, n):
+            np.add(planes[0], planes[i], out=planes[0])
+        return planes[0]
+    if n <= 128:
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            np.add(planes[:8], planes[i:i + 8], out=planes[:8])
+        np.add(planes[0:8:2], planes[1:8:2], out=planes[0:8:2])
+        np.add(planes[0:8:4], planes[2:8:4], out=planes[0:8:4])
+        np.add(planes[0], planes[4], out=planes[0])
+        for i in range(stop, n):
+            np.add(planes[0], planes[i], out=planes[0])
+        return planes[0]
+    half = n // 2
+    half -= half % 8
+    return np.add(_pairwise_sum(planes[:half]),
+                  _pairwise_sum(planes[half:]), out=planes[0])
 
 
 def group_soft_threshold(rows: np.ndarray,
@@ -143,29 +224,36 @@ def group_fista(operators: Sequence[np.ndarray], ys: Sequence[np.ndarray],
     return alpha
 
 
-def group_fista_batch(operators: Sequence[np.ndarray],
+def group_fista_batch(operators: Sequence[np.ndarray] | np.ndarray,
                       ys: np.ndarray, lams: np.ndarray,
                       n_iter: int = 400,
                       tol: float = 1e-7,
                       lipschitz: float | None = None,
-                      operators_t: Sequence[np.ndarray] | None = None,
+                      operators_t: Sequence[np.ndarray] | np.ndarray
+                      | None = None,
                       ) -> np.ndarray:
     """Block FISTA over a whole batch of windows at once.
 
     Runs the same iteration as :func:`group_fista` for ``W`` independent
-    windows that share one operator family, replacing ``W * L`` separate
-    matrix-vector products per iteration with ``L`` stacked
-    matrix-matrix products.  Each window keeps its own scalar ``lam``
+    windows that share one operator family.  The state is lead-major,
+    ``(L, W, n)``, in buffers allocated once per call and padded to
+    whole :func:`row_stable_matmul` tiles, so each iteration makes two
+    stacked products — ``A x - y`` and ``A^T r`` over every lead and
+    window at once — and runs the gradient step, group threshold and
+    momentum in place.  Each window keeps its own scalar ``lam``
     and its own stopping test: a window whose relative motion falls
-    below ``tol`` is frozen (dropped from the active set) exactly where
-    the scalar loop would have stopped it, so results match the
-    one-window path to float round-off.  The stacked products run
-    through :func:`row_stable_matmul`, so each window's trajectory is
+    below ``tol`` is frozen (dropped from the active set, which is
+    compacted then) exactly where the scalar loop would have stopped
+    it, so results match the one-window path to float round-off.  The
+    products are row-stable and every reduction follows numpy's own
+    order (:func:`_lead_norms` for the group norms; the stopping norms
+    reduce a window-major copy), so each window's trajectory is
     *bit-identical* under any batch partition — the property the
     sharded fleet runner's byte-equivalence rests on.
 
     Args:
-        operators: Per-lead measurement operators, each ``(m, n)``.
+        operators: Per-lead measurement operators, each ``(m, n)``, or
+            their ``(L, m, n)`` stack.
         ys: Measurements, shape ``(W, L, m)``.
         lams: Per-window group-l1 weights, shape ``(W,)``.
         n_iter: Maximum iterations.
@@ -173,57 +261,113 @@ def group_fista_batch(operators: Sequence[np.ndarray],
         lipschitz: ``max_l ||A_l||_2^2``
             (:func:`~repro.compression.recovery.lipschitz_constant`);
             computed here when omitted.
-        operators_t: C-contiguous transposes of ``operators``; copied
-            here when omitted.
+        operators_t: C-contiguous transposes of ``operators`` (or their
+            ``(L, n, m)`` stack); copied here when omitted.
 
     Returns:
         Coefficient batch of shape ``(W, n, L)``.
     """
-    n_leads = len(operators)
+    ops = np.asarray(operators, dtype=float)
+    n_leads = ops.shape[0]
     ys = np.asarray(ys, dtype=float)
     lams = np.asarray(lams, dtype=float)
     if ys.ndim != 3 or ys.shape[1] != n_leads:
         raise ValueError(f"expected measurements of shape (W, {n_leads}, "
                          f"m), got {ys.shape}")
-    n_windows = ys.shape[0]
-    n = operators[0].shape[1]
-    alpha = np.zeros((n_windows, n, n_leads))
+    n_windows, _, m = ys.shape
+    n = ops.shape[2]
+    out = np.zeros((n_windows, n, n_leads))
     if n_windows == 0:
-        return alpha
+        return out
     if lipschitz is None:
-        lipschitz = lipschitz_constant(*operators)
+        lipschitz = lipschitz_constant(*ops)
     if lipschitz == 0.0:
-        return alpha
+        return out
     step = 1.0 / lipschitz
-    if operators_t is None:
-        operators_t = [A.T.copy() for A in operators]
+    ops_t = (np.ascontiguousarray(ops.transpose(0, 2, 1))
+             if operators_t is None else np.asarray(operators_t, dtype=float))
+    # Rows past the active windows stay zero, so the padding of the
+    # last tile computes zeros (and raises no floating-point warning).
+    rows = _tile_rows(n_windows)
+    y = np.zeros((n_leads, rows, m))
+    y[:, :n_windows] = ys.transpose(1, 0, 2)
+    thresh = np.zeros(rows)
+    thresh[:n_windows] = lams * step
+    alpha = np.zeros((n_leads, rows, n))
+    fresh = np.empty_like(alpha)
+    momentum = np.zeros_like(alpha)
+    grad = np.empty_like(alpha)
+    work = np.empty_like(alpha)
+    residual = np.empty((n_leads, rows, m))
+    shrink = np.empty((rows, n))
+    window_major = np.empty((n_windows, n, n_leads))
+    # ||alpha|| per active window: the previous iteration's ||fresh||.
+    alpha_norm = np.zeros(n_windows)
     active = np.arange(n_windows)
-    momentum = alpha.copy()
     t = 1.0
-    grad = np.empty((n_windows, n, n_leads))
     for _ in range(n_iter):
-        mom = momentum[active]
-        grad_act = grad[:active.shape[0]]
-        for lead in range(n_leads):
-            residual = row_stable_matmul(mom[:, :, lead],
-                                         operators_t[lead]) \
-                - ys[active, lead, :]
-            row_stable_matmul(residual, operators[lead],
-                              out=grad_act[:, :, lead])
-        new_alpha = group_soft_threshold(
-            mom - step * grad_act, (lams[active] * step)[:, None, None])
+        count = active.shape[0]
+        live = _tile_rows(count)
+        x, x_new, mom, g, res = (buf[:, :live] for buf in (
+            alpha, fresh, momentum, grad, residual))
+        # Gradient step: z = momentum - step * A^T (A momentum - y).
+        row_stable_matmul(mom, ops_t, out=res)
+        np.subtract(res, y[:, :live], out=res)
+        row_stable_matmul(res, ops, out=g)
+        np.multiply(g, step, out=g)
+        np.subtract(mom, g, out=g)
+        # Group soft threshold (:func:`group_soft_threshold`).
+        scale = _lead_norms(g, out=shrink[:live], work=work[:, :live])
+        np.maximum(scale, 1e-12, out=scale)
+        np.divide(thresh[:live, None], scale, out=scale)
+        np.subtract(1.0, scale, out=scale)
+        np.maximum(0.0, scale, out=scale)
+        np.multiply(g, scale, out=x_new)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        old = alpha[active]
-        momentum[active] = new_alpha + ((t - 1.0) / t_next) * \
-            (new_alpha - old)
-        moved = np.linalg.norm(new_alpha - old, axis=(1, 2))
-        scale = np.maximum(1e-12, np.linalg.norm(old, axis=(1, 2)))
-        alpha[active] = new_alpha
+        diff = np.subtract(x_new, x, out=work[:, :live])
+        np.multiply(diff, (t - 1.0) / t_next, out=mom)
+        np.add(x_new, mom, out=mom)
+        moved = np.linalg.norm(_to_window_major(diff, window_major, count),
+                               axis=(1, 2))
+        new_norm = np.linalg.norm(
+            _to_window_major(x_new, window_major, count), axis=(1, 2))
+        keep = moved / np.maximum(1e-12, alpha_norm[:count]) >= tol
+        alpha, fresh = fresh, alpha
         t = t_next
-        active = active[moved / scale >= tol]
+        if keep.all():
+            alpha_norm[:count] = new_norm
+            continue
+        stopped = np.flatnonzero(~keep)
+        out[active[stopped]] = alpha[:, stopped].transpose(1, 2, 0)
+        kept = np.flatnonzero(keep)
+        active = active[kept]
         if active.shape[0] == 0:
             break
-    return alpha
+        count = active.shape[0]
+        for buf in (alpha, momentum, y):
+            buf[:, :count] = buf[:, kept]
+            buf[:, count:live] = 0.0
+        thresh[:count] = thresh[kept]
+        thresh[count:live] = 0.0
+        alpha_norm[:count] = new_norm[kept]
+    out[active] = alpha[:, :active.shape[0]].transpose(1, 2, 0)
+    return out
+
+
+def _to_window_major(z: np.ndarray, buf: np.ndarray,
+                     count: int) -> np.ndarray:
+    """The first ``count`` windows of lead-major ``z`` as a C-contiguous
+    ``(count, n, L)`` view of ``buf``: the layout whose per-window
+    ``np.linalg.norm(..., axis=(1, 2))`` the stopping test pins.
+
+    One strided copy per lead: at the fleet's 1-3 leads that is about
+    three times faster than one transposed copy, whose inner loop runs
+    over the leads.
+    """
+    dest = buf[:count]
+    for lead in range(z.shape[0]):
+        dest[:, :, lead] = z[lead, :count]
+    return dest
 
 
 @dataclass
@@ -266,15 +410,20 @@ class JointCsDecoder:
             raise ValueError("need at least one sensing matrix")
         self.sensing = matrices
         n = matrices[0].n
-        if any(mt.n != n for mt in matrices):
-            raise ValueError("all leads must share the window length")
+        if any((mt.m, mt.n) != (matrices[0].m, n) for mt in matrices):
+            raise ValueError("all leads must share the window length "
+                             "and measurement count")
         self.basis = orthogonal_dwt_matrix(n, wavelet)
-        self.operators = [mt.matrix @ self.basis.T for mt in matrices]
+        #: Per-lead operators ``Phi_l W^T``, stacked ``(L, m, n)``.
+        self.operators = np.stack([mt.matrix @ self.basis.T
+                                   for mt in matrices])
         #: FISTA step data, fixed by the operators: computed once here
         #: and handed to every solve (one SVD per lead per decoder, not
         #: per call).
         self.lipschitz = lipschitz_constant(*self.operators)
-        self.operators_t = [A.T.copy() for A in self.operators]
+        #: C-contiguous transposes, stacked ``(L, n, m)``.
+        self.operators_t = np.ascontiguousarray(
+            self.operators.transpose(0, 2, 1))
         self.lam_rel = lam_rel
         self.n_iter = n_iter
 
@@ -320,9 +469,9 @@ class JointCsDecoder:
 
         All windows must share this decoder's geometry (they do by
         construction when they come from one encoder family).  The batch
-        runs :func:`group_fista_batch` — ``L`` stacked matrix products
-        per iteration instead of ``W * L`` matrix-vector products — and
-        matches per-window :meth:`recover` to float round-off.
+        runs :func:`group_fista_batch` — two stacked matrix products
+        per iteration instead of ``2 * W * L`` matrix-vector products —
+        and matches per-window :meth:`recover` to float round-off.
 
         Args:
             frames: Sequence of per-window measurements, each accepted
@@ -334,8 +483,7 @@ class JointCsDecoder:
         frames = list(frames)
         if not frames:
             return []
-        ys = np.empty((len(frames), self.n_leads,
-                       self.operators[0].shape[0]))
+        ys = np.empty((len(frames), self.n_leads, self.operators.shape[1]))
         for w, frame in enumerate(frames):
             if len(frame) != self.n_leads:
                 raise ValueError(
@@ -350,12 +498,9 @@ class JointCsDecoder:
                                   if isinstance(item, EncodedWindow)
                                   else item)
         # Per-window lam from the stacked correlations (same formula as
-        # the scalar path): corr[w, :, l] = operators[l].T @ y[w, l].
-        corr = np.stack([row_stable_matmul(ys[:, lead, :],
-                                           self.operators[lead])
-                         for lead in range(self.n_leads)], axis=2)
-        lams = self.lam_rel * np.max(
-            np.linalg.norm(corr, axis=2), axis=1)
+        # the scalar path): corr[l, w] = operators[l].T @ y[w, l].
+        corr = row_stable_matmul(ys.transpose(1, 0, 2), self.operators)
+        lams = self.lam_rel * np.max(_lead_norms(corr), axis=1)
         alphas = group_fista_batch(self.operators, ys, lams,
                                    n_iter=self.n_iter,
                                    lipschitz=self.lipschitz,
@@ -378,8 +523,7 @@ class JointCsDecoder:
         if peak == 0.0:
             return alpha
         support = np.flatnonzero(row_norms > rel_support * peak)
-        m_min = min(A.shape[0] for A in self.operators)
-        if support.shape[0] == 0 or support.shape[0] > m_min:
+        if not 0 < support.shape[0] <= self.operators.shape[1]:
             return alpha
         refined = np.zeros_like(alpha)
         for lead in range(self.n_leads):

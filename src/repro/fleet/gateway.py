@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
@@ -61,6 +62,11 @@ MAX_WINDOW_N = 1024
 
 #: Most leads a CS packet may declare (a 12-lead ECG is the widest).
 MAX_LEADS = 12
+
+#: Distinct decoder geometries :func:`_build_decoder` keeps per process.
+#: At the caps above one decoder holds about 210 MB of operators, so the
+#: memo also bounds what peers can make a network-facing process hold.
+DECODER_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -382,9 +388,10 @@ class _GatewayMetrics:
 class Gateway:
     """Multi-patient ingest and server-side reconstruction.
 
-    Decoders are cached per encoder geometry ``(n_leads, window_n, m,
-    seed)`` — the fleet shares one matrix family per lead count, so in
-    practice a handful of decoders serve any cohort size.
+    Decoders are built once per process per encoder geometry
+    (:func:`_build_decoder`) — the fleet shares one matrix family per
+    lead count, so in practice a handful of decoders serve every
+    gateway, session and replay of a process.
 
     When built with an :class:`~repro.obs.Observability` handle the
     gateway also keeps out-of-band accounting: fleet-scope counters for
@@ -402,7 +409,6 @@ class Gateway:
         self.channels: dict[str, PatientChannel] = {}
         self.dropped = 0
         self._queue: deque[UplinkPacket] = deque()
-        self._decoders: dict[tuple, JointCsDecoder] = {}
         self._reassembly: dict[str, _ReassemblyBuffer] = {}
         self.obs = obs
         self._m = _GatewayMetrics(obs) if obs is not None else None
@@ -685,8 +691,7 @@ class Gateway:
         """
         packets = self.queued(max_packets)
         if recoveries is None:
-            recoveries = recover_packets(packets, self._decoders,
-                                         self.config, self._m)
+            recoveries = recover_packets(packets, self.config, self._m)
         elif len(recoveries) != len(packets):
             raise ValueError(f"{len(recoveries)} recoveries for "
                              f"{len(packets)} drained packets")
@@ -784,8 +789,11 @@ class Gateway:
             if self.obs.trace is not None:
                 self.obs.trace.instant(t_s, "gateway.nan_guard",
                                        subject=pid, kind=packet.kind)
+            # ``kind`` names the anomaly itself, so the packet's kind
+            # rides under its own detail key.
             self.obs.flight.anomaly(ANOMALY_NAN_GUARD, pid, t_s,
-                                    kind=packet.kind, seq=packet.seq)
+                                    packet_kind=packet.kind,
+                                    seq=packet.seq)
         if confirmed is not None:
             verdict = "confirmed" if confirmed else "refuted"
             self._m.alarms.inc(patient=pid, verdict=verdict)
@@ -910,7 +918,6 @@ def check_geometry(packet: UplinkPacket, wavelet: str) -> UplinkPacket:
 
 
 def recover_packets(packets: list[UplinkPacket],
-                    decoders: dict[tuple, JointCsDecoder],
                     config: GatewayConfig,
                     metrics: _GatewayMetrics | None = None,
                     ) -> list[list[MultiLeadRecovery]]:
@@ -924,9 +931,7 @@ def recover_packets(packets: list[UplinkPacket],
 
     Args:
         packets: Packets whose frames to recover.
-        decoders: Geometry-keyed decoder cache to use and fill; the
-            caller owns its lifetime.
-        config: Wavelet and FISTA budget of any decoder built here.
+        config: Wavelet and FISTA budget of the decoders.
         metrics: Gateway metrics observing the batch shapes.
 
     Returns:
@@ -941,10 +946,7 @@ def recover_packets(packets: list[UplinkPacket],
     out: list[list[MultiLeadRecovery | None]] = [
         [None] * packet.n_frames for packet in packets]
     for key, refs in groups.items():
-        decoder = decoders.get(key)
-        if decoder is None:
-            decoder = decoders[key] = _build_decoder(
-                packets[refs[0][0]], config)
+        decoder = _build_decoder(*key, config.wavelet, config.n_iter)
         frames = [packets[i].frames[f] for i, f in refs]
         if metrics is not None:
             metrics.batch_windows.observe(
@@ -962,12 +964,25 @@ def _decoder_key(packet: UplinkPacket) -> tuple:
             packet.quant_bits, packet.cs_seed)
 
 
-def _build_decoder(packet: UplinkPacket,
-                   config: GatewayConfig) -> JointCsDecoder:
-    """Joint decoder matching the packet's encoder geometry."""
+@lru_cache(maxsize=DECODER_CACHE_SIZE, typed=True)
+def _build_decoder(n_leads: int, window_n: int, cr_percent: float,
+                   quant_bits: int, cs_seed: int, wavelet: str,
+                   n_iter: int) -> JointCsDecoder:
+    """Joint decoder of one encoder geometry (:func:`_decoder_key`),
+    built once per process.
+
+    A decoder depends on its geometry, wavelet and FISTA budget alone
+    and keeps no per-call state, so every gateway, served session and
+    replay of a process shares one, from any thread; its arrays are
+    stored read-only because they are shared.  The key is typed, like
+    the sensing-matrix memo's, so a float seed still raises instead of
+    aliasing an integer one.
+    """
     encoder = MultiLeadCsEncoder(
-        n_leads=packet.n_leads, n=packet.window_n,
-        cr_percent=packet.cr_percent,
-        quant_bits=packet.quant_bits, seed=packet.cs_seed)
-    return JointCsDecoder(encoder.sensing_matrices,
-                          wavelet=config.wavelet, n_iter=config.n_iter)
+        n_leads=n_leads, n=window_n, cr_percent=cr_percent,
+        quant_bits=quant_bits, seed=cs_seed)
+    decoder = JointCsDecoder(encoder.sensing_matrices, wavelet=wavelet,
+                             n_iter=n_iter)
+    for array in (decoder.basis, decoder.operators, decoder.operators_t):
+        array.setflags(write=False)
+    return decoder

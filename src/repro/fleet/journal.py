@@ -921,8 +921,6 @@ class _Lookahead:
 
     def __init__(self, config: GatewayConfig):
         self.config = config
-        #: One decoder per encoder geometry for this replay.
-        self.decoders: dict = {}
         #: Decoded packets (by identity) with their frame recoveries.
         self.held: dict[int, tuple[UplinkPacket, list]] = {}
         #: Frames recovered ahead that no drain popped.
@@ -984,7 +982,7 @@ class _Lookahead:
 
     def _recover(self, packets: list[UplinkPacket]) -> None:
         t0 = perf_counter()
-        recovered = recover_packets(packets, self.decoders, self.config)
+        recovered = recover_packets(packets, self.config)
         self.recover_s += perf_counter() - t0
         for packet, recoveries in zip(packets, recovered):
             self.held[id(packet)] = (packet, recoveries)
@@ -1095,7 +1093,8 @@ class JournalReplayer:
 
         sessions: dict[str, GatewaySession] = {}
         per_source: list[dict[str, GatewaySession]] = [{} for _ in readers]
-        # Each replay builds its own decoders; nothing outlives run().
+        # Decoders come from the gateway's process-wide memo; the
+        # lookahead's held recoveries do not outlive run().
         lookahead = _Lookahead(gateway_config)
         hello_order: dict[str, int] = {}
         link_stats: dict[str, int] = {}

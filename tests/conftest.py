@@ -126,6 +126,18 @@ def sensing_builds(monkeypatch):
 
 
 @pytest.fixture()
+def decoder_memo():
+    """The gateway's process-wide decoder memo, emptied before and after
+    the test so ``cache_info().misses`` counts the test's own builds
+    whatever ran before it."""
+    from repro.fleet import gateway
+
+    gateway._build_decoder.cache_clear()
+    yield gateway._build_decoder
+    gateway._build_decoder.cache_clear()
+
+
+@pytest.fixture()
 def non_utf8():
     """Function corrupting one length-prefixed string of a wire blob.
 

@@ -312,3 +312,199 @@ class TestRowStableMatmul:
         assert np.array_equal(row_stable_matmul(view, b),
                               row_stable_matmul(np.ascontiguousarray(view),
                                                 b))
+
+
+def _tile_list_matmul(a, b, out=None):
+    """Reference: the Python list of 4-row tiles ``row_stable_matmul``
+    ran before its stacked form (kept to pin the bits it must keep)."""
+    a = np.ascontiguousarray(a, dtype=float)
+    rows = a.shape[0]
+    padded_rows = -(-max(rows, 1) // 4) * 4
+    if padded_rows != rows:
+        padded = np.zeros((padded_rows, a.shape[1]), dtype=a.dtype)
+        padded[:rows] = a
+        a = padded
+    tiles = [a[i:i + 4] @ b for i in range(0, padded_rows, 4)]
+    full = tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
+    if out is not None:
+        out[...] = full[:rows]
+        return out
+    return full[:rows]
+
+
+def _per_lead_fista_batch(operators, ys, lams, n_iter=400, tol=1e-7):
+    """Reference: the window-major batched FISTA with one pair of tile
+    lists per lead per iteration, which ``group_fista_batch`` replaced
+    bit for bit."""
+    n_leads = len(operators)
+    n = operators[0].shape[1]
+    alpha = np.zeros((ys.shape[0], n, n_leads))
+    lipschitz = lipschitz_constant(*operators)
+    if lipschitz == 0.0:
+        return alpha
+    step = 1.0 / lipschitz
+    operators_t = [A.T.copy() for A in operators]
+    active = np.arange(ys.shape[0])
+    momentum = alpha.copy()
+    t = 1.0
+    grad = np.empty_like(alpha)
+    for _ in range(n_iter):
+        mom = momentum[active]
+        grad_act = grad[:active.shape[0]]
+        for lead in range(n_leads):
+            residual = _tile_list_matmul(mom[:, :, lead],
+                                         operators_t[lead]) \
+                - ys[active, lead, :]
+            _tile_list_matmul(residual, operators[lead],
+                              out=grad_act[:, :, lead])
+        new_alpha = group_soft_threshold(
+            mom - step * grad_act, (lams[active] * step)[:, None, None])
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        old = alpha[active]
+        momentum[active] = new_alpha + ((t - 1.0) / t_next) * \
+            (new_alpha - old)
+        moved = np.linalg.norm(new_alpha - old, axis=(1, 2))
+        scale = np.maximum(1e-12, np.linalg.norm(old, axis=(1, 2)))
+        alpha[active] = new_alpha
+        t = t_next
+        active = active[moved / scale >= tol]
+        if active.shape[0] == 0:
+            break
+    return alpha
+
+
+class TestLeadMajorKernel:
+    """The lead-major kernel against the per-lead loop it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_leads=st.integers(1, 12), n_windows=st.integers(1, 13),
+           tol=st.sampled_from([1e-7, 1e-3, 3e-2]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_lead_reference(self, n_leads, n_windows, tol,
+                                       seed):
+        # A large tol stops windows at different iterations, so the
+        # active set compacts mid-run; the dominant lam zeroes (and
+        # stops) one window at the first iteration.
+        rng = np.random.default_rng(seed)
+        m, n = 24, 48
+        operators = [rng.standard_normal((m, n)) / np.sqrt(m)
+                     for _ in range(n_leads)]
+        ys = rng.standard_normal((n_windows, n_leads, m))
+        lams = rng.uniform(0.01, 0.2, size=n_windows)
+        dominant = int(rng.integers(n_windows))
+        correlations = np.stack([operators[lead].T @ ys[dominant, lead]
+                                 for lead in range(n_leads)], axis=1)
+        lams[dominant] = 2.0 * np.max(np.linalg.norm(correlations, axis=1))
+        got = group_fista_batch(operators, ys, lams, n_iter=150, tol=tol)
+        want = _per_lead_fista_batch(operators, ys, lams, n_iter=150,
+                                     tol=tol)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[dominant] == 0.0)
+
+    @pytest.mark.parametrize("n_leads", [1, 3, 12])
+    def test_zero_operator_equals_reference(self, n_leads):
+        operators = [np.zeros((4, 8))] * n_leads
+        ys = np.ones((5, n_leads, 4))
+        lams = np.full(5, 0.1)
+        assert group_fista_batch(operators, ys, lams).tobytes() == \
+            _per_lead_fista_batch(operators, ys, lams).tobytes()
+
+    def test_stacked_operators_accepted(self):
+        rng = np.random.default_rng(7)
+        operators = rng.standard_normal((3, 24, 48)) / np.sqrt(24)
+        ys = rng.standard_normal((6, 3, 24))
+        lams = rng.uniform(0.01, 0.2, size=6)
+        stacked = group_fista_batch(
+            operators, ys, lams, n_iter=80,
+            operators_t=np.ascontiguousarray(operators.transpose(0, 2, 1)))
+        assert stacked.tobytes() == group_fista_batch(
+            list(operators), ys, lams, n_iter=80).tobytes()
+
+    def test_decoder_batch_equals_reference_pipeline(self, clean_record):
+        # recover_batch's stacked corr and kernel against the per-lead
+        # corr and kernel, through the same debias.
+        encoder = MultiLeadCsEncoder(n_leads=3, n=256, cr_percent=60.0,
+                                     seed=11)
+        decoder = JointCsDecoder(encoder.sensing_matrices, n_iter=120)
+        frames = [encoder.encode(clean_record.signals[:, lo:lo + 256])
+                  for lo in range(500, 500 + 5 * 256, 256)]
+        ys = np.array([[w.measurements for w in frame] for frame in frames])
+        operators = list(decoder.operators)
+        corr = np.stack([_tile_list_matmul(ys[:, lead, :], operators[lead])
+                         for lead in range(3)], axis=2)
+        lams = decoder.lam_rel * np.max(np.linalg.norm(corr, axis=2), axis=1)
+        alphas = _per_lead_fista_batch(operators, ys, lams, n_iter=120)
+        for w, got in enumerate(decoder.recover_batch(frames)):
+            want = decoder._debias(list(ys[w]), alphas[w])
+            assert got.coefficients.tobytes() == want.tobytes()
+
+
+class TestStackedRowStableMatmul:
+    """One matmul over a tile view, with an optional lead axis."""
+
+    @pytest.mark.parametrize("rows,k,m", [
+        (1, 64, 32), (4, 64, 32), (7, 256, 102), (13, 102, 256),
+        (9, 1, 17), (6, 17, 1), (5, 1, 1), (69, 33, 2)])
+    @pytest.mark.parametrize("n_leads", [1, 3, 12])
+    def test_stack_equals_per_lead_and_tile_list(self, rows, k, m,
+                                                 n_leads):
+        rng = np.random.default_rng(rows * 1000 + k + m + n_leads)
+        a = rng.standard_normal((n_leads, rows, k))
+        b = rng.standard_normal((n_leads, k, m))
+        stacked = row_stable_matmul(a, b)
+        assert stacked.shape == (n_leads, rows, m)
+        for lead in range(n_leads):
+            assert np.array_equal(stacked[lead],
+                                  row_stable_matmul(a[lead], b[lead]))
+            assert np.array_equal(stacked[lead],
+                                  _tile_list_matmul(a[lead], b[lead]))
+
+    def test_strided_stack_and_out(self):
+        rng = np.random.default_rng(5)
+        wide = rng.standard_normal((3, 10, 2, 40))
+        a = wide[:, :, 1, :]  # rows strided over the middle axis
+        b = rng.standard_normal((3, 40, 9))
+        dest = np.zeros((3, 10, 2, 9))
+        row_stable_matmul(a, b, out=dest[:, :, 0, :])
+        for lead in range(3):
+            assert np.array_equal(dest[lead, :, 0, :],
+                                  _tile_list_matmul(a[lead], b[lead]))
+        assert np.all(dest[:, :, 1, :] == 0.0)
+
+    def test_tile_views_in_and_out(self):
+        # The kernel's path: whole tiles of row-contiguous rows, read
+        # and written through views of larger buffers, with no copy.
+        rng = np.random.default_rng(6)
+        buf = rng.standard_normal((2, 12, 16))
+        b = rng.standard_normal((2, 16, 5))
+        out = np.zeros((2, 12, 5))
+        row_stable_matmul(buf[:, :8], b, out=out[:, :8])
+        assert np.all(out[:, 8:] == 0.0)
+        for lead in range(2):
+            assert np.array_equal(out[lead, :8],
+                                  _tile_list_matmul(buf[lead, :8], b[lead]))
+
+
+class TestLeadNorms:
+    """The kernel's group norms reduce the leads in numpy's order."""
+
+    @pytest.mark.parametrize("n_leads", range(1, 13))
+    def test_equals_numpy_norm_over_contiguous_leads(self, n_leads):
+        # If a numpy release changes how it sums a short contiguous
+        # axis, this fails and names the cause, instead of moving the
+        # golden bytes.
+        from repro.compression.multilead import _lead_norms
+
+        rng = np.random.default_rng(n_leads)
+        z = rng.standard_normal((n_leads, 9, 40)) * np.exp(
+            rng.uniform(-20.0, 20.0, size=(n_leads, 9, 40)))
+        want = np.linalg.norm(np.ascontiguousarray(z.transpose(1, 2, 0)),
+                              axis=-1)
+        assert _lead_norms(z).tobytes() == want.tobytes()
+        if n_leads >= 8:
+            # Past 8 terms numpy's sum is no longer left to right.
+            squares = z * z
+            left_to_right = squares[0].copy()
+            for plane in squares[1:]:
+                left_to_right += plane
+            assert np.sqrt(left_to_right).tobytes() != want.tobytes()

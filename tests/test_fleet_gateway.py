@@ -15,7 +15,7 @@ from repro.fleet import (
     encode_packet,
     synthesize_patient,
 )
-from repro.fleet.gateway import recover_packets
+from repro.fleet.gateway import _decoder_key, recover_packets
 
 PROXY_CONFIG = NodeProxyConfig(stream_telemetry=False)
 
@@ -86,13 +86,21 @@ class TestReconstruction:
         assert channel.payload_bits == sum(p.payload_bits for p in packets)
         assert np.isfinite(channel.mean_snr_db)
 
-    def test_decoder_cache_reused(self, clean_af_uplink):
+    def test_decoder_cache_reused(self, clean_af_uplink, decoder_memo,
+                                  svd_calls):
         _, packets = clean_af_uplink
-        gateway = Gateway()
+        first, second = Gateway(), Gateway()
         for packet in packets:
-            gateway.ingest(packet)
-        gateway.drain()
-        assert len(gateway._decoders) == 1  # one geometry in this uplink
+            first.ingest(packet)
+            second.ingest(packet)
+        first.drain()
+        assert decoder_memo.cache_info().misses == 1  # one geometry
+        svd_calls.clear()
+        second.drain()
+        # The second gateway reuses the process's decoder: no build, so
+        # no SVD for its step constant.
+        assert decoder_memo.cache_info().misses == 1
+        assert svd_calls == []
 
 
 class TestAlarmConfirmation:
@@ -186,18 +194,19 @@ class TestCrossGatewayBatch:
 
     @pytest.mark.parametrize("max_packets", [None, 1])
     def test_batched_drain_equals_draining_alone(self, uplinks,
-                                                 max_packets):
+                                                 max_packets,
+                                                 decoder_memo):
         alone, batched = self._loaded(uplinks), self._loaded(uplinks)
-        decoders = {}
         queued = [gateway.queued(max_packets) for gateway in batched]
         recovered = iter(recover_packets(
             [packet for packets in queued for packet in packets],
-            decoders, self.CONFIG))
+            self.CONFIG))
+        assert decoder_memo.cache_info().misses == 2  # 1 and 3 leads
         got = [gateway.drain(max_packets,
                              [next(recovered) for _ in packets])
                for gateway, packets in zip(batched, queued)]
         want = [gateway.drain(max_packets) for gateway in alone]
-        assert sorted(key[0] for key in decoders) == [1, 3]
+        assert decoder_memo.cache_info().misses == 2
         assert any(e.kind == "alarm" for e in want[0])
         for got_g, want_g in zip(got, want):
             assert len(got_g) == len(want_g) > 0
@@ -218,6 +227,49 @@ class TestCrossGatewayBatch:
         with pytest.raises(ValueError, match="recoveries"):
             gateway.drain(2, [[]])
         assert gateway.pending == pending
+
+
+def _with_value(value: float):
+    """Measurement converter writing ``value`` into one entry."""
+
+    def convert(y):
+        y = np.array(y, dtype=np.float64)
+        y[3] = value
+        return y
+
+    return convert
+
+
+class TestHostileWindow:
+    """A finite-geometry CS window whose measurements are not finite
+    (or overflow FISTA) passes ingest; its drain must neither raise nor
+    touch the other windows recovered in the same batch."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300, 1e200],
+                             ids=["nan", "inf", "1e300", "1e200"])
+    def test_observed_drain_guards_and_isolates(self, cs_packet, value):
+        from repro.obs import Observability
+
+        good = cs_packet("good", seq=0)
+        hostile = _with_measurements(cs_packet("bad", seq=0),
+                                     _with_value(value))
+        assert _decoder_key(good) == _decoder_key(hostile)  # one batch
+        solo = Gateway(GatewayConfig(n_iter=60))
+        solo.ingest(good)
+        want = solo.drain()[0]
+        gateway = Gateway(GatewayConfig(n_iter=60), obs=Observability())
+        assert gateway.ingest(good) and gateway.ingest(hostile)
+        with np.errstate(all="ignore"):
+            got, bad = gateway.drain()
+        assert got.signal.tobytes() == want.signal.tobytes()
+        assert np.array_equal(got.snr_db, want.snr_db, equal_nan=True)
+        assert not np.all(np.isfinite(bad.signal))
+        nan_guard = gateway.obs.metrics.families()["gateway_nan_guard_total"]
+        assert nan_guard.value(patient="bad") == 1
+        assert nan_guard.value(patient="good") == 0
+        (anomaly,) = gateway.obs.flight.anomalies
+        assert (anomaly.kind, anomaly.subject) == ("nan-guard", "bad")
+        assert anomaly.detail == {"packet_kind": hostile.kind, "seq": 0}
 
 
 def _with_measurements(packet, convert):
