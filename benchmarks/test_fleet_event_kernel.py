@@ -1,16 +1,16 @@
-"""Event-heap simulation kernel — façade equivalence + event efficiency.
+"""Event-heap simulation kernel — schedule equivalence + event efficiency.
 
-Not a paper figure: this benchmarks the `repro.fleet.kernel` layer that
-replaces the fleet's tick loop with a discrete-event heap.  Two
-contracts gate unconditionally:
+Not a paper figure: this benchmarks the `repro.fleet.kernel` layer, the
+fleet's discrete-event clock.  Two contracts gate unconditionally:
 
-* **lockstep façade** — the same cohort run under ``engine="ticks"``
-  and ``engine="kernel"`` must produce byte-identical ``FleetSummary``
-  JSON (the kernel replays the legacy loop's phase order exactly);
+* **schedule equivalence** — one cohort run under the lockstep
+  schedule and again with every node's ``uplink_period_s`` at the base
+  period (the per-node schedule over the same instants) must produce
+  byte-identical ``FleetSummary`` JSON;
 * **sparse-cohort efficiency** — with 90 % of the nodes
   delineation-only (uplinking at 10x the base period), the kernel must
   process at least ``MIN_EVENT_RATIO`` times fewer events than the
-  per-patient visits the tick loop would spend on the same stretch.
+  per-patient visits a lockstep sweep spends on the same stretch.
 """
 
 from __future__ import annotations
@@ -33,22 +33,25 @@ FS = 250.0
 SPARSE_PATIENTS = 30
 SPARSE_DENSE = 3
 SPARSE_PERIOD_S = 30.0
-#: Required tick-loop-iterations / kernel-events ratio on the sparse
+#: Required lockstep-visits / kernel-events ratio on the sparse
 #: cohort (mirrors ``MIN_EVENT_RATIO`` in ``repro.bench.cases``).
 MIN_EVENT_RATIO = 3.0
 
 
 def run_all():
-    """Both engines over one cohort, then the sparse-cohort event run."""
+    """Both schedules over one cohort, then the sparse-cohort event run."""
     cohort = make_cohort(CohortConfig(n_patients=EQ_PATIENTS, seed=7))
     node_config = NodeProxyConfig(stream_telemetry=False)
-    reports = {}
-    for engine in ("ticks", "kernel"):
-        reports[engine] = FleetScheduler(
-            cohort,
-            SchedulerConfig(duration_s=EQ_DURATION_S, fs=FS,
-                            engine=engine),
+    uniform = [replace(p, uplink_period_s=node_config.excerpt_period_s)
+               for p in cohort]
+    reports = {
+        schedule: FleetScheduler(
+            members,
+            SchedulerConfig(duration_s=EQ_DURATION_S, fs=FS),
             node_config=node_config).run()
+        for schedule, members in (("lockstep", cohort),
+                                  ("events", uniform))
+    }
 
     duration = SPARSE_PERIOD_S * 10.0
     base = make_cohort(CohortConfig(n_patients=SPARSE_PATIENTS, seed=3))
@@ -70,16 +73,16 @@ def test_fleet_event_kernel(benchmark):
 
     print_table(
         f"Event kernel ({EQ_PATIENTS} patients x {EQ_DURATION_S:.0f} s "
-        f"both engines; sparse {SPARSE_PATIENTS} patients, "
+        f"both schedules; sparse {SPARSE_PATIENTS} patients, "
         f"{SPARSE_PATIENTS - SPARSE_DENSE} @ 10x period)",
         ["metric", "value"],
         [
-            ("ticks engine wall [s]",
-             reports["ticks"].timings_s["uplink+gateway"]),
-            ("kernel engine wall [s]",
-             reports["kernel"].timings_s["uplink+gateway"]),
+            ("lockstep schedule wall [s]",
+             reports["lockstep"].timings_s["uplink+gateway"]),
+            ("per-node schedule wall [s]",
+             reports["events"].timings_s["uplink+gateway"]),
             ("sparse kernel events", stats["n_events"]),
-            ("tick-loop iterations", stats["tick_loop_iterations"]),
+            ("cohort x base ticks", stats["tick_loop_iterations"]),
             ("event ratio [x]", ratio),
             ("sparse packets sent", sparse.packets_sent),
             ("sparse stale patients", sparse.summary.stale_patients),
@@ -87,16 +90,18 @@ def test_fleet_event_kernel(benchmark):
     )
 
     # The determinism contract gates unconditionally.
-    assert reports["kernel"].summary.to_json() \
-        == reports["ticks"].summary.to_json(), \
-        "kernel lockstep façade diverged from the tick loop"
-    assert reports["kernel"].kernel_stats["engine"] == "kernel-lockstep"
-    assert reports["kernel"].packets_sent == reports["ticks"].packets_sent
+    assert reports["events"].summary.to_json() \
+        == reports["lockstep"].summary.to_json(), \
+        "per-node schedule diverged from the lockstep schedule"
+    assert reports["lockstep"].kernel_stats["engine"] == "kernel-lockstep"
+    assert reports["events"].kernel_stats["engine"] == "kernel-events"
+    assert reports["events"].packets_sent \
+        == reports["lockstep"].packets_sent
 
     # The efficiency contract: cost proportional to events, not ticks.
     assert stats["engine"] == "kernel-events"
     assert ratio >= MIN_EVENT_RATIO, (
         f"sparse cohort processed only {ratio:.2f}x fewer kernel events "
-        f"than tick-loop iterations (need >= {MIN_EVENT_RATIO}x)")
+        f"than lockstep per-patient visits (need >= {MIN_EVENT_RATIO}x)")
     assert sparse.summary.stale_patients == 0, \
         "sparse nodes flagged stale despite expected-period scaling"

@@ -1,16 +1,16 @@
-"""Event-kernel demo: the fleet's virtual-time clock, two ways.
+"""Event-kernel demo: the fleet's virtual-time clock, two schedules.
 
-Part 1 runs one cohort under both simulation engines —
-``engine="ticks"`` (the legacy per-tick loop) and ``engine="kernel"``
-(the event-heap lockstep façade of ``repro.fleet.kernel``) — and
-proves the two ``FleetSummary`` JSON payloads are byte-identical.
+Part 1 runs one cohort under both schedules of ``repro.fleet.kernel``:
+the lockstep schedule (one sweep per base tick, the whole cohort
+encoded per sweep) and the per-node schedule, selected by setting
+every node's ``uplink_period_s`` to the base period.  It proves the two
+``FleetSummary`` JSON payloads are byte-identical.
 
 Part 2 marks most of the cohort delineation-only with a per-node
-``uplink_period_s`` at 10x the base excerpt period.  That switches the
-scheduler to true per-node events: each node uplinks at its own
-period, and the run's cost is proportional to *events*, not
-ticks x cohort.  The printed ratio is the kernel's win over the
-per-patient visits the tick loop would have spent.
+``uplink_period_s`` at 10x the base excerpt period.  Each node uplinks
+at its own period, and the run's cost is proportional to *events*,
+not ticks x cohort.  The printed ratio is the kernel's win over the
+per-patient visits a lockstep sweep would have spent.
 
 Run:  python examples/fleet_event_kernel.py [--patients 12] \
           [--sparse-every 4]
@@ -46,25 +46,25 @@ def main() -> None:
     period = node_config.excerpt_period_s
 
     print(f"part 1: {args.patients} patients x {args.duration:.0f} s "
-          "under both engines ...")
+          "under both schedules ...")
     cohort = make_cohort(CohortConfig(n_patients=args.patients, seed=7))
+    uniform = [replace(p, uplink_period_s=period) for p in cohort]
     reports = {
-        engine: FleetScheduler(
-            cohort,
-            SchedulerConfig(duration_s=args.duration, engine=engine),
+        schedule: FleetScheduler(
+            members, SchedulerConfig(duration_s=args.duration),
             node_config=node_config).run()
-        for engine in ("ticks", "kernel")
+        for schedule, members in (("lockstep", cohort),
+                                  ("per-node", uniform))
     }
-    identical = (reports["kernel"].summary.to_json()
-                 == reports["ticks"].summary.to_json())
-    print(f"  tick loop : {reports['ticks'].kernel_stats['engine']}, "
-          f"{reports['ticks'].packets_sent} packets")
-    print(f"  kernel    : {reports['kernel'].kernel_stats['engine']}, "
-          f"{reports['kernel'].packets_sent} packets, "
-          f"{reports['kernel'].kernel_stats['n_events']} events")
+    identical = (reports["per-node"].summary.to_json()
+                 == reports["lockstep"].summary.to_json())
+    for schedule, report in reports.items():
+        print(f"  {schedule:<8} : {report.kernel_stats['engine']}, "
+              f"{report.packets_sent} packets, "
+              f"{report.kernel_stats['n_events']} events")
     print("  summaries byte-identical:", identical)
     if not identical:
-        raise SystemExit("engine equivalence contract broken")
+        raise SystemExit("schedule equivalence contract broken")
 
     sparse_duration = period * 10.0
     sparse_cohort = [
@@ -85,8 +85,9 @@ def main() -> None:
     ratio = stats["tick_loop_iterations"] / stats["n_events"]
     print(f"  engine               : {stats['engine']}")
     print(f"  kernel events        : {stats['n_events']}")
-    print(f"  tick-loop iterations : {stats['tick_loop_iterations']}")
-    print(f"  event ratio          : {ratio:.2f}x fewer events")
+    print(f"  cohort x base ticks  : {stats['tick_loop_iterations']}")
+    print(f"  event ratio          : {ratio:.2f} "
+          "(cohort x base ticks / kernel events)")
     print(f"  packets sent         : {sparse.packets_sent}, "
           f"stale patients: {sparse.summary.stale_patients}")
 

@@ -609,52 +609,54 @@ def fleet_obs_overhead(ctx: BenchContext) -> dict:
     }
 
 
-#: Required kernel-event efficiency on the sparse cohort: the event
-#: engine must process at least this many times fewer events than the
-#: tick loop spends per-patient visits on the same virtual stretch.
+#: Required kernel-event efficiency on the sparse cohort: the per-node
+#: schedule must process at least this many times fewer events than a
+#: lockstep sweep spends per-patient visits on the same virtual stretch.
 MIN_EVENT_RATIO = 3.0
 
 
 @register("fleet-event-kernel",
-          "Event-heap kernel vs tick loop: byte-checked + sparse-cohort"
-          " event efficiency",
+          "Event-heap kernel: lockstep vs per-node schedule byte-checked"
+          " + sparse-cohort event efficiency",
           legacy="test_fleet_event_kernel", tags=("systems",))
 def fleet_event_kernel(ctx: BenchContext) -> dict:
     """Benchmark the simulation kernel's two contracts at once.
 
-    First the *lockstep façade*: one cohort runs under the legacy
-    ``engine="ticks"`` loop and under ``engine="kernel"``, and the
-    ``FleetSummary`` bytes must match exactly — a determinism
-    regression fails the bench (and the CI quick gate), not just a
-    unit test.  Then the *sparse cohort*: 90 % of the nodes are
-    delineation-only, uplinking at 10x the base period; the kernel
+    First *schedule equivalence*: one cohort runs under the lockstep
+    schedule and again with every node's ``uplink_period_s`` set to the
+    base period, which runs the per-node schedule over the same
+    instants; the ``FleetSummary`` bytes must match exactly — a
+    determinism regression fails the bench (and the CI quick gate),
+    not just a unit test.  Then the *sparse cohort*: 90 % of the nodes
+    are delineation-only, uplinking at 10x the base period; the kernel
     visits them only when they uplink, so its event count must be at
     least :data:`MIN_EVENT_RATIO` times smaller than the per-patient
-    visits the tick loop would spend (``tick_loop_iterations``) — the
-    ratio the BENCH artifact records.
+    visits a lockstep sweep would spend (``tick_loop_iterations``) —
+    the ratio the BENCH artifact records.
     """
     from dataclasses import replace
 
-    # --- lockstep façade: byte-equivalence under both engines -------
+    # --- schedule equivalence: lockstep vs uniform per-node ---------
     eq_patients = 4 if ctx.quick else 8
     eq_duration = 60.0 if ctx.quick else 120.0
     cohort = make_cohort(CohortConfig(n_patients=eq_patients, seed=7))
     node_config = NodeProxyConfig(stream_telemetry=False)
+    uniform = [replace(p, uplink_period_s=node_config.excerpt_period_s)
+               for p in cohort]
     summaries = {}
     walls = {}
-    for engine in ("ticks", "kernel"):
+    for schedule, members in (("lockstep", cohort), ("events", uniform)):
         scheduler = FleetScheduler(
-            cohort,
-            SchedulerConfig(duration_s=eq_duration, fs=FS,
-                            engine=engine),
+            members, SchedulerConfig(duration_s=eq_duration, fs=FS),
             node_config=node_config, obs=ctx.obs)
         report = scheduler.run()
-        summaries[engine] = report.summary.to_json()
-        walls[engine] = report.timings_s["uplink+gateway"]
-    if summaries["kernel"] != summaries["ticks"]:
+        summaries[schedule] = report.summary.to_json()
+        walls[schedule] = report.timings_s["uplink+gateway"]
+    if summaries["events"] != summaries["lockstep"]:
         raise AssertionError(
-            "kernel lockstep façade diverged from the tick loop — "
-            "simulation determinism regression")
+            "per-node schedule (every uplink_period_s at the base "
+            "period) diverged from the lockstep schedule — simulation "
+            "determinism regression")
 
     # --- sparse cohort: cost proportional to events, not ticks ------
     period = 20.0 if ctx.quick else 30.0
@@ -677,7 +679,7 @@ def fleet_event_kernel(ctx: BenchContext) -> dict:
     if ratio < MIN_EVENT_RATIO:
         raise AssertionError(
             f"sparse cohort processed only {ratio:.2f}x fewer kernel "
-            f"events than tick-loop iterations (need >= "
+            f"events than lockstep per-patient visits (need >= "
             f"{MIN_EVENT_RATIO}x): {stats}")
     if report.summary.stale_patients:
         raise AssertionError(
@@ -688,8 +690,8 @@ def fleet_event_kernel(ctx: BenchContext) -> dict:
         "samples": (_samples(cohort, eq_duration) * 2
                     + _samples(sparse_cohort, duration)),
         "byte_identical": True,
-        "ticks_wall_s": walls["ticks"],
-        "kernel_wall_s": walls["kernel"],
+        "lockstep_wall_s": walls["lockstep"],
+        "events_wall_s": walls["events"],
         "sparse_events": stats["n_events"],
         "tick_loop_iterations": stats["tick_loop_iterations"],
         "event_ratio": ratio,

@@ -9,10 +9,10 @@ that demultiplexes the uplink, reconstructs the CS excerpts server-side
 and re-checks node alarms (:mod:`repro.fleet.gateway`), per-patient
 triage state machines with fleet aggregates (:mod:`repro.fleet.triage`),
 and a batched scheduler that drives many patients per tick
-(:mod:`repro.fleet.scheduler`) — by default as a lockstep façade over
-the discrete-event kernel of :mod:`repro.fleet.kernel`, which also
-runs heterogeneous per-node uplink schedules (sparse cohorts) with
-cost proportional to events rather than ticks.
+(:mod:`repro.fleet.scheduler`) on the discrete-event kernel of
+:mod:`repro.fleet.kernel` — lockstep sweeps for a cohort on one uplink
+period, per-node events for heterogeneous schedules (sparse cohorts)
+with cost proportional to events rather than ticks.
 
 Packets also have an exact binary form (:mod:`repro.fleet.wire`), which
 is what lets the whole runtime shard across worker processes:

@@ -28,6 +28,7 @@ whatever is still buffered at end of run.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -40,7 +41,7 @@ from ..compression.encoder import MultiLeadCsEncoder
 from ..compression.metrics import measurements_for_cr, reconstruction_snr_db
 from ..compression.multilead import JointCsDecoder, MultiLeadRecovery
 from ..delineation.rpeak import RPeakDetector
-from ..dsp.wavelets import max_dwt_levels
+from ..dsp.wavelets import daubechies_filters, max_dwt_levels
 from ..obs import (ANOMALY_ALARM_BURST, ANOMALY_NAN_GUARD,
                    ANOMALY_REASSEMBLY_STALL, ANOMALY_WIRE_ERROR,
                    Observability, SCOPE_SHARD)
@@ -93,15 +94,8 @@ class GatewayConfig:
             permanently lost packet to a few excerpt periods.  The
             stall clock is anchored to the buffer's *head of line*
             (oldest buffered seq): it counts only while that same
-            packet stays stalled.
-        reassembly_grace_s: Optional virtual-time grace.  When set and
-            the expiry sweep passes its time, a head-of-line stall is
-            force-released once it has been *observed* stalled for this
-            many virtual seconds, instead of counting sweeps — the
-            natural unit under the event kernel, where sweep cadence
-            need not be uniform.  On a uniform sweep grid of period
-            ``P``, a grace of ``(reassembly_gap_ticks - 1) * P``
-            expires at exactly the same sweep as the counter would.
+            packet stays stalled.  Every runtime sweeps on the base
+            uplink grid, so this bounds the stall in virtual time too.
     """
 
     queue_capacity: int = 4096
@@ -112,7 +106,32 @@ class GatewayConfig:
     min_confirm_beats: int = 5
     reassembly_window: int = 32
     reassembly_gap_ticks: int = 3
-    reassembly_grace_s: float | None = None
+
+    def __post_init__(self) -> None:
+        """Reject unusable parameters up front (a journal may carry any)."""
+        for name, floor in (("queue_capacity", 1), ("n_iter", 1),
+                            ("reassembly_window", 1),
+                            ("reassembly_gap_ticks", 1),
+                            ("min_confirm_beats", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Integral) \
+                    or value < floor:
+                raise ValueError(f"{name} must be an integer >= {floor}, "
+                                 f"got {value!r:.40}")
+        try:
+            daubechies_filters(self.wavelet)
+        except (KeyError, TypeError):
+            raise ValueError(f"wavelet {self.wavelet!r:.40} names no "
+                             "basis in repro.dsp.wavelets") from None
+        rr_cv = self.rr_cv_confirm
+        if isinstance(rr_cv, bool) or not isinstance(rr_cv, numbers.Real) \
+                or not math.isfinite(rr_cv) or rr_cv < 0:
+            raise ValueError("rr_cv_confirm must be finite and >= 0, "
+                             f"got {rr_cv!r:.40}")
+        if not isinstance(self.confirm_alarms, bool):
+            raise ValueError("confirm_alarms must be a bool, "
+                             f"got {self.confirm_alarms!r:.40}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +240,7 @@ class _ReassemblyBuffer:
     """
 
     def __init__(self, window: int) -> None:
-        self.window = max(1, window)
+        self.window = window
         self.next_seq = 0
         self.buffer: dict[int, UplinkPacket] = {}
         self.missing: set[int] = set()
@@ -233,10 +252,6 @@ class _ReassemblyBuffer:
         #: Oldest buffered seq the stall clock is anchored to
         #: (``None`` = no stall observed yet).
         self.stall_head: int | None = None
-        #: Virtual time of the sweep that first observed
-        #: ``stall_head`` waiting (nan until then) — the anchor the
-        #: time-based ``reassembly_grace_s`` expiry measures from.
-        self.stall_since_s = float("nan")
 
     def offer(self, packet: UplinkPacket,
               channel: PatientChannel) -> list[UplinkPacket]:
@@ -246,7 +261,7 @@ class _ReassemblyBuffer:
             # below ``next_seq`` is no progress for packets stalled
             # behind the *current* gap, and crediting it would let a
             # link replaying old stragglers extend head-of-line
-            # blocking past the configured grace indefinitely.
+            # blocking past ``reassembly_gap_ticks`` indefinitely.
             self.missing.discard(packet.seq)
             channel.n_gaps -= 1
             channel.n_out_of_order += 1
@@ -311,34 +326,22 @@ class _ReassemblyBuffer:
         """Forget the stall anchor (head released or buffer flushed)."""
         self.gap_ticks = 0
         self.stall_head = None
-        self.stall_since_s = float("nan")
 
-    def note_sweep(self, now_s: float | None) -> None:
+    def note_sweep(self) -> None:
         """Account one expiry sweep against the current head of line.
 
         Re-anchors the stall clock whenever the oldest buffered seq
         changed since the last sweep (that packet made it out, or a
         new older straggler arrived and is now the blocking head);
         otherwise counts one more sweep against the same stalled
-        packet.  ``now_s`` (the sweep's virtual time) anchors
-        :attr:`stall_since_s` so the time-based grace measures real
-        stalled virtual seconds rather than loop iterations.
+        packet.
         """
         head = min(self.buffer)
         if head != self.stall_head:
             self.stall_head = head
-            self.stall_since_s = (float(now_s) if now_s is not None
-                                  else float("nan"))
             self.gap_ticks = 1
         else:
             self.gap_ticks += 1
-
-    def stalled_for_s(self, now_s: float) -> float:
-        """Virtual seconds the current head has been observed stalled."""
-        if self.stall_head is None \
-                or not math.isfinite(self.stall_since_s):
-            return 0.0
-        return float(now_s) - self.stall_since_s
 
 
 class _GatewayMetrics:
@@ -572,42 +575,34 @@ class Gateway:
         return released
 
     def expire_reassembly(self, now_s: float | None = None) -> int:
-        """Write off gaps that stalled longer than the configured grace.
+        """Write off gaps stalled for ``reassembly_gap_ticks`` sweeps.
 
         Call once per scheduler sweep.  Each buffer's stall clock is
         anchored to its *head of line* (oldest buffered seq): the
         clock advances only while that same packet stays stalled and
         re-anchors when the head changes, so a partial release that
         does not free the head no longer resets it — head-of-line
-        blocking stays bounded even behind multiple gaps.  With
-        ``now_s`` given and ``reassembly_grace_s`` configured, expiry
-        triggers once the head has been observed stalled for that many
-        virtual seconds; otherwise after ``reassembly_gap_ticks``
-        consecutive sweeps.  Stragglers arriving after their number
-        was written off are still delivered (late) by the buffer.
+        blocking stays bounded even behind multiple gaps.  Expiry
+        triggers after ``reassembly_gap_ticks`` consecutive sweeps.
+        Stragglers arriving after their number was written off are
+        still delivered (late) by the buffer.
 
         Args:
-            now_s: Virtual time of this sweep (the scheduler passes
-                its tick/event time); ``None`` falls back to pure
-                sweep counting.
+            now_s: Virtual time of this sweep (the scheduler passes its
+                event time), stamped on the stall's trace instant and
+                flight record; ``None`` stamps the ambient virtual
+                clock.
 
         Returns:
             Packets moved into the processing queue.
         """
-        grace = self.config.reassembly_grace_s
         released = 0
         for patient_id, buffer in self._reassembly.items():
             if not buffer.buffer:
                 buffer._clear_stall()
                 continue
-            buffer.note_sweep(now_s)
-            if grace is not None and now_s is not None \
-                    and math.isfinite(buffer.stall_since_s):
-                expired = buffer.stalled_for_s(now_s) >= grace
-            else:
-                expired = (buffer.gap_ticks
-                           >= self.config.reassembly_gap_ticks)
-            if expired:
+            buffer.note_sweep()
+            if buffer.gap_ticks >= self.config.reassembly_gap_ticks:
                 channel = self.channel(patient_id)
                 n_stalled = len(buffer.buffer)
                 before = (self._reassembly_counters(channel)

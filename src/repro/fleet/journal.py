@@ -48,7 +48,7 @@ import os
 import re
 import threading
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from math import isfinite
 from pathlib import Path
 from struct import Struct
@@ -138,8 +138,22 @@ class JournalError(RuntimeError):
     """A journal is corrupt, incomplete, or used inconsistently."""
 
 
-#: Keys a journal's ``gateway`` metadata may carry.
-_GATEWAY_FIELDS = frozenset(f.name for f in fields(GatewayConfig))
+def _meta_value(reader: JournalReader, key: str):
+    """``key`` from ``reader``'s metadata, with a removed gateway field dropped.
+
+    Older journals store ``"reassembly_grace_s": null`` (sweep counting,
+    the one stall policy left); any other value would replay differently.
+    """
+    value = reader.meta.get(key)
+    if key == "gateway" and isinstance(value, dict) and "reassembly_grace_s" in value:
+        value = dict(value)
+        grace = value.pop("reassembly_grace_s")
+        if grace is not None:
+            raise JournalError(
+                f"gateway reassembly_grace_s={grace!r:.40}: the time-based "
+                "stall grace no longer exists"
+            )
+    return value
 
 
 def _run_param(readers: list[JournalReader], key: str, given):
@@ -149,20 +163,21 @@ def _run_param(readers: list[JournalReader], key: str, given):
         JournalError: Naming ``key``: the sources' metadata disagree, or
             the value is unusable (see :class:`JournalReplayer`).
     """
-    if len({json.dumps(r.meta.get(key), sort_keys=True) for r in readers}) > 1:
+    metas = [_meta_value(reader, key) for reader in readers]
+    if len({json.dumps(meta, sort_keys=True) for meta in metas}) > 1:
         names = ", ".join(repr(r.config.name) for r in readers)
         raise JournalError(f"journals {names} disagree on {key}")
-    value = readers[0].meta.get(key) if given is None else given
+    value = metas[0] if given is None else given
     if key == "gateway":
         if value is None:
             return GatewayConfig()
         if isinstance(value, GatewayConfig):
             return value
-        if isinstance(value, dict) and set(value) <= _GATEWAY_FIELDS:
+        if isinstance(value, dict):
             try:
                 return GatewayConfig(**value)
-            except (TypeError, ValueError):
-                pass
+            except (TypeError, ValueError) as exc:
+                raise JournalError(f"gateway {exc}") from None
         raise JournalError(
             f"gateway must be a mapping of GatewayConfig fields, got {value!r:.80}"
         )

@@ -1,14 +1,13 @@
 """Discrete-event simulation kernel: a single heap of virtual-time events.
 
-The tick loop the fleet started with charges every patient for every
-tick — cohort size × tick rate bounds everything, even when 90 % of the
-nodes are delineation-only and uplink once per ten minutes.  This
-module replaces the loop's *clock* with an event heap: node uplinks,
-governor decisions, link deliveries, reassembly-grace expiries and
-triage sweeps are :class:`Event` records ordered by the total key
-``(t_s, priority, subject, seq)``, and the kernel simply pops and runs
-them.  Virtual time is whatever the head of the heap says; wall time
-never appears.
+A per-tick clock charges every patient for every tick — cohort size ×
+tick rate bounds everything, even when 90 % of the nodes are
+delineation-only and uplink once per ten minutes.  This module is the
+fleet's one clock instead: node uplinks, governor decisions, link
+deliveries, reassembly expiries and triage sweeps are :class:`Event`
+records ordered by the total key ``(t_s, priority, subject, seq)``,
+and the kernel simply pops and runs them.  Virtual time is whatever
+the head of the heap says; wall time never appears.
 
 Why the key is a *total* order (no tie-breaking left to the heap):
 
@@ -16,9 +15,7 @@ Why the key is a *total* order (no tie-breaking left to the heap):
 * ``priority`` — phase rank within one timestamp (see the ``PRIO_*``
   constants): governor decisions land before the uplinks they steer,
   link deliveries before the reassembly-expiry sweep that would write
-  their gap off, drains before the triage decay that reads them —
-  exactly the phase order of the legacy tick loop, so a kernel run
-  over a lockstep schedule replays the loop byte for byte.
+  their gap off, drains before the triage decay that reads them.
 * ``subject`` — the entity (patient id, or ``""`` for fleet-wide
   sweeps); same-priority events at one instant fire in subject order,
   which is shard-layout independent.
@@ -30,11 +27,15 @@ Because every component of the key is assigned deterministically at
 function of the schedule — fuzzed in ``tests/test_fleet_kernel.py`` to
 contain no duplicate keys across governed + impaired cohorts.
 
-:class:`~repro.fleet.FleetScheduler` is the only in-repo client today:
-its ``engine="kernel"`` mode schedules the legacy loop as per-tick
-sweep events (the *lockstep façade*, byte-identical by construction)
-and switches to per-node uplink events when any profile carries an
-``uplink_period_s`` override — cost proportional to events, not ticks.
+The kernel has two clients.  :class:`~repro.fleet.FleetScheduler`
+runs one of two schedules on it: *lockstep* sweep events per base tick
+when every node shares the base uplink period, and per-node uplink
+events when any profile carries an ``uplink_period_s`` override — cost
+proportional to events, not ticks.  With every override equal to the
+base period the two schedules fold to the same summary bytes, so each
+is the other's reference.  A served or replayed
+:class:`~repro.fleet.journal.GatewaySession` runs each remote command
+as one event on its own kernel.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-#: Phase ranks within one virtual timestamp, mirroring the legacy tick
-#: loop's statement order.  Governor decisions steer the uplinks that
-#: follow them; deliveries land before the expiry sweep that would
-#: write them off; drains feed the triage decay that closes the tick.
+#: Phase ranks within one virtual timestamp.  Governor decisions steer
+#: the uplinks that follow them; deliveries land before the expiry
+#: sweep that would write them off; drains feed the triage decay that
+#: closes the tick.
 PRIO_GOVERNOR = 0
 PRIO_ALARM_EARLY = 1
 PRIO_UPLINK = 2
@@ -107,7 +108,6 @@ class EventKernel:
 
     Attributes:
         now_s: Virtual time of the event being (or last) processed.
-        n_scheduled: Events accepted by :meth:`schedule` so far.
         n_processed: Events fired by :meth:`run` so far.
         counts_by_name: Processed-event tally per event name.
         processed_keys: Ordering keys in firing order (only populated
@@ -116,17 +116,12 @@ class EventKernel:
 
     def __init__(self, record_keys: bool = False) -> None:
         self.now_s = 0.0
-        self.n_scheduled = 0
         self.n_processed = 0
         self.counts_by_name: dict[str, int] = {}
         self.processed_keys: list[tuple] | None = \
             [] if record_keys else None
         self._heap: list[tuple[tuple, Event]] = []
         self._seq: dict[str, int] = {}
-
-    def __len__(self) -> int:
-        """Events still pending on the heap."""
-        return len(self._heap)
 
     def schedule(self, t_s: float, priority: int, name: str,
                  action: Callable[[], None],
@@ -158,7 +153,6 @@ class EventKernel:
         event = Event(t_s=t_s, priority=priority, subject=subject,
                       seq=seq, name=name, action=action)
         heapq.heappush(self._heap, (event.key, event))
-        self.n_scheduled += 1
         return event
 
     def peek_s(self) -> float | None:
@@ -193,21 +187,16 @@ class EventKernel:
         self.now_s = max(self.now_s, t_s)
         return self.now_s
 
-    def run(self, until_s: float | None = None) -> int:
-        """Fire pending events in key order; return how many fired.
+    def run(self) -> int:
+        """Fire every pending event in key order; return how many fired.
 
-        Args:
-            until_s: Stop before the first event strictly later than
-                this virtual time (``None`` = drain the heap).  Events
-                scheduled by running actions join the same heap and
-                fire in their proper order.
+        Events scheduled by running actions join the same heap and
+        fire in their proper order; the call returns once the heap is
+        empty.
         """
-        fired = 0
+        start = self.n_processed
         while self._heap:
-            key, event = self._heap[0]
-            if until_s is not None and key[0] > until_s:
-                break
-            heapq.heappop(self._heap)
+            key, event = heapq.heappop(self._heap)
             self.now_s = event.t_s
             event.action()
             self.n_processed += 1
@@ -215,15 +204,4 @@ class EventKernel:
                 self.counts_by_name.get(event.name, 0) + 1
             if self.processed_keys is not None:
                 self.processed_keys.append(key)
-            fired += 1
-        return fired
-
-    def stats(self) -> dict:
-        """JSON-safe snapshot of the kernel's work counters."""
-        return {
-            "n_scheduled": self.n_scheduled,
-            "n_processed": self.n_processed,
-            "pending": len(self._heap),
-            "now_s": self.now_s,
-            "by_name": dict(sorted(self.counts_by_name.items())),
-        }
+        return self.n_processed - start

@@ -62,9 +62,6 @@ from .triage import (FleetSummary, ShardPatientRow, TriageBoard,
                      fleet_summary, row_from_report)
 from .wire import ServeMessage, encode_packet
 
-#: Simulation clocks :class:`SchedulerConfig.engine` may name.
-ENGINES = ("kernel", "ticks")
-
 
 class UplinkChannel(Protocol):
     """Anything that can sit between the nodes and the gateway.
@@ -193,22 +190,12 @@ class SchedulerConfig:
             round trip is exact, so results are byte-identical to the
             object path (tested); enabling this in a run proves the
             packets could have crossed a socket.
-        engine: Simulation clock driving the uplink/gateway stretch.
-            ``"kernel"`` (default) runs the event-heap kernel of
-            :mod:`repro.fleet.kernel`: a lockstep sweep schedule when
-            every node shares the base uplink period (byte-identical
-            to the legacy loop by construction), switching to per-node
-            uplink events when any profile carries an
-            ``uplink_period_s`` override.  ``"ticks"`` keeps the
-            legacy per-tick loop — the regression oracle the kernel
-            façade is tested against.
     """
 
     duration_s: float = 120.0
     fs: float = 250.0
     drain_per_tick: int | None = None
     wire_loopback: bool = False
-    engine: str = "kernel"
 
 
 @dataclass
@@ -240,11 +227,11 @@ class FleetReport:
     #: Per-patient governors of a governed run (empty when ungoverned);
     #: each carries its decision history and final battery state.
     governors: dict[str, EnergyGovernor] = field(default_factory=dict)
-    #: Simulation-clock accounting: engine name, kernel event counts
-    #: (by event name) and ``tick_loop_iterations`` — the per-patient
-    #: visits the legacy lockstep loop would spend on the same virtual
-    #: stretch, the denominator of the event-efficiency ratio the
-    #: ``fleet-event-kernel`` bench records.
+    #: Simulation-clock accounting: the schedule that ran (``engine``:
+    #: ``"kernel-lockstep"`` or ``"kernel-events"``), event counts
+    #: (``n_events``, ``by_name``) and ``tick_loop_iterations`` —
+    #: cohort × base ticks, the lockstep per-patient visits and the
+    #: denominator of the ``fleet-event-kernel`` event ratio.
     kernel_stats: dict = field(default_factory=dict)
 
     @property
@@ -275,18 +262,14 @@ class _SchedulerMetrics:
 
 
 class _RunState:
-    """Mutable accounting threaded through one run's phase methods.
-
-    Both engines (tick loop and event kernel) mutate the same state
-    object, so the phase methods they share are engine-agnostic.
-    """
+    """Mutable accounting threaded through one run's kernel events."""
 
     def __init__(self) -> None:
         self.packets_sent = 0
         self.excerpts: list[ReconstructedExcerpt] = []
-        #: Governor decisions of the current sweep (lockstep engines).
+        #: Governor decisions of the current sweep (lockstep schedule).
         self.decisions: dict[str, GovernorDecision] | None = None
-        #: Per-node pending decisions (event engine: the governor
+        #: Per-node pending decisions (per-node schedule: the governor
         #: event stores here, the same node's uplink event pops).
         self.node_decisions: dict[str, GovernorDecision] = {}
         #: Packets counted by the last ``scheduler.tick`` trace.
@@ -364,19 +347,11 @@ class FleetScheduler:
         check_unique_ids(cohort)
         self.cohort = cohort
         self.config = config or SchedulerConfig()
-        if self.config.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.config.engine!r}; "
-                             f"choose from {ENGINES}")
         self.node_config = node_config or NodeProxyConfig()
         #: Per-node uplink periods diverging from the base schedule.
         self._uplink_overrides = {
             p.patient_id: float(p.uplink_period_s) for p in cohort
             if p.uplink_period_s is not None}
-        if self._uplink_overrides and self.config.engine == "ticks":
-            raise ValueError(
-                "per-node uplink_period_s overrides need the event "
-                "kernel; the tick loop visits every node every tick "
-                "(use engine='kernel')")
         self.obs = obs
         self._obs_m = _SchedulerMetrics(obs) if obs is not None else None
         self.gateway = gateway or Gateway(GatewayConfig(), obs=obs)
@@ -445,17 +420,13 @@ class FleetScheduler:
                 for pid, governor in self.governors.items():
                     governor.on_decision = self._governor_observer(pid)
 
-        # Phase 2 — uplink, gateway drain and triage on the configured
-        # simulation clock.  Alarm packets are *built at the sweep that
-        # uplinks them* (early alarms before the excerpts, late ones
-        # after), so each node's sequence numbers follow timestamp
-        # order and the gateway's seq-ordered reassembly restores the
-        # timeline.
+        # Phase 2 — uplink, gateway drain and triage on the event
+        # kernel.  Alarm packets are *built at the sweep that uplinks
+        # them* (early alarms before the excerpts, late ones after), so
+        # each node's sequence numbers follow timestamp order and the
+        # gateway's seq-ordered reassembly restores the timeline.
         state = _RunState()
-        if cfg.engine == "ticks":
-            self._run_ticks(results, state)
-        else:
-            self._run_kernel(results, state)
+        self._run_kernel(results, state)
 
         if self.link is not None:  # packets still in flight land now
             for packet in self.link.drain():
@@ -558,10 +529,7 @@ class FleetScheduler:
             info={"governed": "1" if governor is not None else "0"})
 
     # ------------------------------------------------------------------
-    # Phase methods shared by both engines.  The tick loop calls them
-    # inline; the kernel schedules them as events — same code, same
-    # per-timestamp order, so the lockstep façade is byte-identical to
-    # the loop by construction.
+    # Phase methods the kernel's sweep events run.
     # ------------------------------------------------------------------
 
     def _set_vt(self, now_s: float) -> None:
@@ -569,26 +537,8 @@ class FleetScheduler:
         if self.obs is not None:
             self.obs.set_virtual_time(now_s)
 
-    def _phase_governors(self, now: float, state: _RunState) -> None:
-        """Sweep every governor; stash decisions for the uplink phase."""
-        state.decisions = self._step_governors(now)
-
-    def _phase_alarms(self, items: list[tuple], now: float,
-                      state: _RunState) -> None:
-        """Uplink one alarm bucket."""
-        state.packets_sent += self._send_alarms(items, now)
-
-    def _phase_excerpts(self, proxies: list[NodeProxy],
-                        records: list[MultiLeadEcg], period_idx: int,
-                        now: float, state: _RunState,
-                        decisions: dict[str, GovernorDecision] | None,
-                        ) -> None:
-        """Uplink the periodic excerpts of one sweep's member set."""
-        state.packets_sent += self._send_excerpt_batch(
-            proxies, records, period_idx, now, decisions)
-
     def _phase_reassembly(self, now: float) -> None:
-        """Expire reassembly gaps stalled past the configured grace."""
+        """Run the gateway's reassembly expiry sweep."""
         if self.journal is not None:
             self.journal.append_message(ServeMessage(
                 "expire", "", t_s=now))
@@ -619,64 +569,16 @@ class FleetScheduler:
                 n_sent=state.packets_sent - state.last_traced_sent)
         state.last_traced_sent = state.packets_sent
 
-    def _send_overflow_alarms(self, alarms_by_tick: dict[int, list],
-                              n_ticks: int, state: _RunState) -> None:
-        """Uplink alarm buckets past the last tick before final drain.
-
-        Buckets past ``n_ticks`` exist only when the run is shorter
-        than one uplink period (``n_ticks == 0``); sending them at end
-        of run means no alarm is silently lost.
-        """
-        for tick in sorted(alarms_by_tick):
-            if tick > n_ticks:
-                state.packets_sent += self._send_alarms(
-                    alarms_by_tick[tick], self.config.duration_s)
-
-    def _run_ticks(self, results: list[tuple], state: _RunState) -> None:
-        """Legacy lockstep loop: every patient visited every tick."""
-        cfg = self.config
-        proxies = [r[0] for r in results]
-        records = [r[1] for r in results]
-        period = self.node_config.excerpt_period_s
-        n_ticks = int(cfg.duration_s // period)
-        alarms_by_tick = self._bucket_alarms(results, period, n_ticks)
-        for tick in range(1, n_ticks + 1):
-            now = tick * period
-            self._set_vt(now)
-            # Closed loop: last tick's triage states feed this tick's
-            # governor decisions (one-tick feedback latency, like a
-            # real gateway round trip).
-            if self.governors:
-                self._phase_governors(now, state)
-            bucket = alarms_by_tick.get(tick, [])
-            early = [a for a in bucket if a[2] < now]
-            late = [a for a in bucket if a[2] >= now]
-            self._phase_alarms(early, now, state)
-            self._phase_excerpts(proxies, records, tick - 1, now, state,
-                                 state.decisions)
-            self._phase_alarms(late, now, state)
-            self._deliver_due(now)
-            self._phase_reassembly(now)
-            self._phase_drain(state)
-            self._phase_triage(now, state)
-        self._send_overflow_alarms(alarms_by_tick, n_ticks, state)
-        state.kernel_stats = {
-            "engine": "ticks",
-            "n_events": 0,
-            "tick_loop_iterations": n_ticks * len(self.cohort),
-        }
-
     def _run_kernel(self, results: list[tuple], state: _RunState) -> None:
         """Phase 2 on the event-heap kernel of :mod:`.kernel`.
 
-        Without per-node period overrides the schedule is the
-        *lockstep façade*: one sweep event per legacy tick phase,
-        firing in the exact statement order of :meth:`_run_ticks`
-        (same code, same order — byte-identical by construction).
-        With overrides each node gets its own uplink (and governor)
-        event chain at its own period while the gateway-side sweeps
-        stay on the base grid, so cost is proportional to events
-        rather than ticks × cohort.
+        Without per-node period overrides the schedule is *lockstep*:
+        one sweep event per phase per base tick, each uplink sweep
+        encoding the cohort in one batch per lead-count group.  With
+        any override each node gets its own uplink (and governor)
+        event chain while gateway sweeps stay on the base grid, so a
+        sparse cohort costs events, not ticks × cohort.  With every
+        override at the base period both fold to the same bytes.
         """
         cfg = self.config
         kernel = EventKernel()
@@ -684,17 +586,13 @@ class FleetScheduler:
         n_ticks = int(cfg.duration_s // period)
         if self._uplink_overrides:
             overflow = self._schedule_node_events(kernel, results, state)
-            kernel.run()
-            if overflow:
-                state.packets_sent += self._send_alarms(
-                    overflow, cfg.duration_s)
             engine = "kernel-events"
         else:
-            alarms_by_tick = self._schedule_lockstep(
-                kernel, results, state, period, n_ticks)
-            kernel.run()
-            self._send_overflow_alarms(alarms_by_tick, n_ticks, state)
+            overflow = self._schedule_lockstep(kernel, results, state,
+                                               period, n_ticks)
             engine = "kernel-lockstep"
+        kernel.run()
+        state.packets_sent += self._send_alarms(overflow, cfg.duration_s)
         state.kernel_stats = {
             "engine": engine,
             "n_events": kernel.n_processed,
@@ -704,18 +602,16 @@ class FleetScheduler:
 
     def _schedule_lockstep(self, kernel: EventKernel,
                            results: list[tuple], state: _RunState,
-                           period: float, n_ticks: int,
-                           ) -> dict[int, list]:
-        """Schedule the legacy tick grid as per-phase sweep events."""
+                           period: float, n_ticks: int) -> list[tuple]:
+        """Schedule every base tick's sweeps; return the overflow alarms."""
         proxies = [r[0] for r in results]
         records = [r[1] for r in results]
         alarms_by_tick = self._bucket_alarms(results, period, n_ticks)
         for tick in range(1, n_ticks + 1):
-            now = tick * period
-            bucket = alarms_by_tick.get(tick, [])
-            self._schedule_tick_sweeps(kernel, tick, now, proxies,
-                                       records, bucket, state)
-        return alarms_by_tick
+            self._schedule_tick_sweeps(kernel, tick, tick * period,
+                                       proxies, records,
+                                       alarms_by_tick.get(tick, []), state)
+        return self._overflow_alarms(alarms_by_tick, n_ticks)
 
     def _schedule_tick_sweeps(self, kernel: EventKernel, tick: int,
                               now: float, proxies: list[NodeProxy],
@@ -728,20 +624,20 @@ class FleetScheduler:
 
         def governors() -> None:
             self._set_vt(now)
-            self._phase_governors(now, state)
+            state.decisions = self._step_governors(now)
 
         def alarms_early() -> None:
             self._set_vt(now)
-            self._phase_alarms(early, now, state)
+            state.packets_sent += self._send_alarms(early, now)
 
         def uplinks() -> None:
             self._set_vt(now)
-            self._phase_excerpts(proxies, records, tick - 1, now, state,
-                                 state.decisions)
+            state.packets_sent += self._send_excerpt_batch(
+                proxies, records, tick - 1, now, state.decisions)
 
         def alarms_late() -> None:
             self._set_vt(now)
-            self._phase_alarms(late, now, state)
+            state.packets_sent += self._send_alarms(late, now)
 
         def delivery() -> None:
             self._set_vt(now)
@@ -785,9 +681,9 @@ class FleetScheduler:
         Each node is visited only at its own ``uplink_period_s`` (its
         governor decision, alarms and excerpt ride one event), so a
         sparse delineation-only node costs events proportional to its
-        uplinks.  Gateway-side sweeps (link due, grace expiry, drain,
-        triage decay) stay on the base excerpt grid — cohort-wide work
-        independent of cohort size per sweep.
+        uplinks.  Gateway-side sweeps (link due, reassembly expiry,
+        drain, triage decay) stay on the base excerpt grid —
+        cohort-wide work independent of cohort size per sweep.
 
         Returns:
             Alarm tuples falling past their node's last tick, sorted by
@@ -806,9 +702,7 @@ class FleetScheduler:
                 self._schedule_node_uplink(
                     kernel, proxy, record, tick, tick * period, period,
                     buckets.get(tick, []), state)
-            for tick in sorted(buckets):
-                if tick > n_ticks:
-                    overflow.extend(buckets[tick])
+            overflow.extend(self._overflow_alarms(buckets, n_ticks))
         for tick in range(1, int(cfg.duration_s // base) + 1):
             self._schedule_gateway_sweeps(kernel, tick * base, state)
         overflow.sort(key=lambda item: item[2])
@@ -838,10 +732,10 @@ class FleetScheduler:
             self._set_vt(now)
             decisions = ({pid: state.node_decisions.pop(pid)}
                          if self.governors else None)
-            self._phase_alarms(early, now, state)
-            self._phase_excerpts([proxy], [record], tick - 1, now,
-                                 state, decisions)
-            self._phase_alarms(late, now, state)
+            state.packets_sent += self._send_alarms(early, now)
+            state.packets_sent += self._send_excerpt_batch(
+                [proxy], [record], tick - 1, now, decisions)
+            state.packets_sent += self._send_alarms(late, now)
             self._schedule_link_events(kernel, state)
 
         if self.governors:
@@ -1152,3 +1046,14 @@ class FleetScheduler:
         for bucket in buckets.values():
             bucket.sort(key=lambda item: item[2])
         return buckets
+
+    @staticmethod
+    def _overflow_alarms(buckets: dict[int, list[tuple]],
+                         n_ticks: int) -> list[tuple]:
+        """Alarms bucketed past the last tick, in timestamp order.
+
+        Only a run shorter than one period has any; it uplinks them at
+        end of run so that no alarm is silently lost.
+        """
+        return [item for tick in sorted(buckets) if tick > n_ticks
+                for item in buckets[tick]]

@@ -2,7 +2,7 @@
 
 :class:`~repro.fleet.FleetScheduler` drives its whole cohort inside one
 process, which caps fleet throughput at a single core no matter how
-vectorized the tick loop gets.  This module partitions a cohort across
+vectorized its sweeps get.  This module partitions a cohort across
 ``n_shards`` worker processes — each running its own full
 ``FleetScheduler`` + ``Gateway`` + ``TriageBoard`` over its patient
 stripe — and merges the per-shard results into a single

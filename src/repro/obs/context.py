@@ -89,12 +89,11 @@ class Observability:
         return cls(config) if config is not None else None
 
     def set_virtual_time(self, t_s: float) -> None:
-        """Advance the ambient virtual clock (tick or kernel event time).
+        """Advance the ambient virtual clock (kernel event time).
 
-        Both simulation clocks — the legacy tick loop and the event
-        kernel of :mod:`repro.fleet.kernel` — stamp this before running
-        a phase, so instrumentation sites without their own event time
-        read a consistent virtual *now*.  Non-finite stamps are
+        Both schedules of the event kernel (:mod:`repro.fleet.kernel`)
+        stamp this before running a phase, so instrumentation sites
+        without their own event time read a consistent virtual *now*.  Non-finite stamps are
         rejected: a NaN ambient clock would silently propagate into
         trace sort keys and anomaly records.
         """

@@ -46,7 +46,7 @@ class ImpairedLink:
         #: deterministic ``(patient, seq)`` order regardless of how
         #: they were interleaved at send time, so jittered links stay
         #: byte-reproducible under any send schedule (the kernel's
-        #: per-node event order differs from the tick loop's batch
+        #: per-node event order differs from its lockstep batch
         #: order).  ``order`` (insertion counter) breaks the final tie
         #: between duplicate copies of one packet.
         self._pending: list[

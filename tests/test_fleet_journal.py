@@ -456,6 +456,11 @@ class TestSessionReport:
         assert session.row is None
 
 
+def _gateway_meta(**fields) -> dict:
+    """Default ``gateway`` journal metadata with some fields patched."""
+    return dict(journal_meta(gateway=GatewayConfig())["gateway"], **fields)
+
+
 class TestReplayRejectsHostileMetadata:
     """Run parameters a replay cannot use — from the journal metadata or
     from the replayer's arguments — fail with :class:`JournalError`
@@ -482,12 +487,21 @@ class TestReplayRejectsHostileMetadata:
     @pytest.mark.parametrize("key, value", [
         ("gateway", {"bogus": 1}),
         ("gateway", [1, 2]),
+        ("gateway", _gateway_meta(n_iter="abc")),
+        ("gateway", _gateway_meta(n_iter=2.5)),
+        ("gateway", _gateway_meta(n_iter=-3)),
+        ("gateway", _gateway_meta(wavelet="bogus")),
+        ("gateway", _gateway_meta(wavelet=3)),
+        ("gateway", _gateway_meta(queue_capacity=0)),
+        ("gateway", _gateway_meta(queue_capacity=-1)),
         ("duration_s", "ten"),
         ("duration_s", 0.0),
         ("duration_s", float("nan")),
         ("fs", "x"),
-    ], ids=["gateway-unknown-field", "gateway-list", "duration-text",
-            "duration-zero", "duration-nan", "fs-text"])
+    ], ids=["gateway-unknown-field", "gateway-list", "n-iter-text",
+            "n-iter-float", "n-iter-negative", "wavelet-unknown",
+            "wavelet-int", "queue-zero", "queue-negative",
+            "duration-text", "duration-zero", "duration-nan", "fs-text"])
     def test_hostile_metadata(self, tmp_path, key, value):
         meta = dict(self.GOOD, **{key: value})
         with pytest.raises(JournalError, match=f"^{key} "):
@@ -518,6 +532,42 @@ class TestReplayRejectsHostileMetadata:
         with pytest.raises(JournalError,
                            match=f"journals 'a', 'b' disagree on {key}"):
             JournalReplayer([first, second]).run()
+
+
+class TestPreviousGatewayMetadata:
+    """Journals written while ``GatewayConfig`` still carried a
+    time-based ``reassembly_grace_s`` store it in their metadata."""
+
+    _journal = staticmethod(TestReplayRejectsHostileMetadata._journal)
+
+    def test_null_grace_replays_to_the_live_summary(self, tmp_path):
+        cohort = make_cohort(CohortConfig(n_patients=2, seed=11))
+        gateway_config = GatewayConfig(n_iter=30)
+        meta = journal_meta(60.0, 250.0, gateway_config)
+        meta["gateway"]["reassembly_grace_s"] = None
+        config = JournalConfig(dir=str(tmp_path), name="previous")
+        with JournalWriter(config, meta=meta, resume=False) as writer:
+            live = FleetScheduler(
+                cohort, SchedulerConfig(duration_s=60.0, fs=250.0),
+                node_config=NodeProxyConfig(stream_telemetry=False),
+                gateway=Gateway(gateway_config), journal=writer).run()
+        replay = JournalReplayer(config).run()
+        assert replay.summary.to_json() == live.summary.to_json()
+
+    def test_set_grace_is_refused(self, tmp_path):
+        meta = dict(journal_meta(60.0, 250.0),
+                    gateway=_gateway_meta(reassembly_grace_s=30.0))
+        with pytest.raises(JournalError,
+                           match="^gateway reassembly_grace_s=30.0: "):
+            JournalReplayer(self._journal(tmp_path, meta)).run()
+
+    def test_previous_and_current_journals_agree(self, tmp_path):
+        current = journal_meta(60.0, 250.0, GatewayConfig())
+        previous = dict(current,
+                        gateway=_gateway_meta(reassembly_grace_s=None))
+        sources = [self._journal(tmp_path, current, name="a", pid="p0"),
+                   self._journal(tmp_path, previous, name="b", pid="p1")]
+        assert JournalReplayer(sources).run().summary.n_patients == 2
 
 
 class TestReplayReadsAhead:

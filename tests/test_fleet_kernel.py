@@ -3,21 +3,24 @@
 Three layers:
 
 * kernel unit tests — the ``(t_s, priority, subject, seq)`` total
-  order, scheduling validation, bounded runs;
+  order, scheduling validation, follow-up events;
 * a fuzzed total-order property over real governed + impaired fleet
   runs (no two events may ever share an ordering key);
-* the façade equivalence contract — the kernel engines must reproduce
-  the legacy tick loop byte for byte: plain, governed + impaired +
-  wire-loopback, sharded, campaign-level, and with uniform per-node
-  period overrides.
+* the schedule equivalence contract — the lockstep schedule and the
+  per-node schedule with every ``uplink_period_s`` at the base period
+  are each other's reference: plain, governed + impaired +
+  wire-loopback, canonical obs, sharded, jittered link, alarms, and a
+  hypothesis property over small random runs that drop no packet.
 """
 
 from __future__ import annotations
 
-import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.fleet import (
     CohortConfig,
@@ -31,7 +34,6 @@ from repro.fleet import (
     PatientProfile,
     PerPatientLink,
     SchedulerConfig,
-    ShardHooks,
     ShardedFleetRunner,
     make_cohort,
 )
@@ -53,6 +55,9 @@ from repro.scenarios import LinkSpec, derive_seed
 from repro.scenarios.channel import ImpairedLink
 
 FAST_NODE = NodeProxyConfig(stream_telemetry=False)
+#: A 10 s base period: short runs still span many expiry sweeps.
+SHORT_PERIOD_NODE = NodeProxyConfig(excerpt_period_s=10.0,
+                                    stream_telemetry=False)
 
 
 class TestEventKernelUnit:
@@ -94,19 +99,6 @@ class TestEventKernelUnit:
         kernel.run()
         assert fired == ["first", "mid", "sweep", "next"]
 
-    def test_run_until_leaves_later_events_pending(self):
-        kernel = EventKernel()
-        fired: list[float] = []
-        for t in (1.0, 2.0, 3.0):
-            kernel.schedule(t, PRIO_TRIAGE, "e",
-                            lambda t=t: fired.append(t))
-        assert kernel.run(until_s=2.0) == 2
-        assert fired == [1.0, 2.0]
-        assert len(kernel) == 1
-        assert kernel.peek_s() == 3.0
-        assert kernel.run() == 1
-        assert kernel.peek_s() is None
-
     def test_time_travel_rejected(self):
         kernel = EventKernel()
         kernel.schedule(10.0, PRIO_TRIAGE, "later", lambda: None)
@@ -128,11 +120,11 @@ class TestEventKernelUnit:
         for i in range(3):
             kernel.schedule(float(i), PRIO_TRIAGE, "sweep", lambda: None)
         kernel.schedule(0.5, PRIO_UPLINK, "up", lambda: None, subject="p")
-        kernel.run()
-        stats = kernel.stats()
-        assert stats["n_scheduled"] == stats["n_processed"] == 4
-        assert stats["pending"] == 0
-        assert stats["by_name"] == {"sweep": 3, "up": 1}
+        assert kernel.peek_s() == 0.0
+        assert kernel.run() == 4
+        assert kernel.n_processed == 4
+        assert kernel.counts_by_name == {"sweep": 3, "up": 1}
+        assert kernel.peek_s() is None
 
     def test_priorities_cover_the_phase_ladder(self):
         assert list(PRIORITIES) == sorted(PRIORITIES)
@@ -167,22 +159,36 @@ def _excerpt_rows(report) -> list[tuple]:
         for e in report.excerpts]
 
 
-def _report_fingerprint(report) -> tuple:
-    """The full deterministic surface of one fleet run.
+def _fingerprint(report) -> tuple:
+    """The deterministic surface both kernel schedules must share.
 
-    Summary JSON is the headline contract; the excerpt stream and
-    per-patient packet counts catch order/content drift the aggregates
-    could mask.  Signals are compared exactly (byte-identical claim,
-    not approximate).
+    Summary JSON is the headline contract; the packet count and the
+    excerpt content catch drift the aggregates could mask.  Signals
+    are compared exactly (byte-identical claim, not approximate).  The
+    excerpt rows are sorted because their processing order
+    legitimately differs: the per-node schedule ingests jittered link
+    copies at their exact delivery instants, the lockstep schedule at
+    the next base tick — same packets, same reconstructions, different
+    drain interleaving.
     """
     return (report.summary.to_json(), report.packets_sent,
-            len(report.excerpts), tuple(_excerpt_rows(report)))
+            sorted(_excerpt_rows(report)))
 
 
-def _run(engine: str, cohort, duration_s=120.0, obs=None, **kwargs):
+def _uniform(cohort, node_config=FAST_NODE):
+    """The cohort with every node's uplink period at the base period.
+
+    Any override switches the scheduler to per-node events, so this
+    runs the per-node schedule over the lockstep schedule's instants.
+    """
+    period = node_config.excerpt_period_s
+    return [replace(p, uplink_period_s=period) for p in cohort]
+
+
+def _run(cohort, duration_s=120.0, obs=None, **kwargs):
     scheduler = FleetScheduler(
         cohort,
-        SchedulerConfig(duration_s=duration_s, engine=engine,
+        SchedulerConfig(duration_s=duration_s,
                         **kwargs.pop("config_kw", {})),
         node_config=kwargs.pop("node_config", FAST_NODE),
         obs=obs,
@@ -191,93 +197,160 @@ def _run(engine: str, cohort, duration_s=120.0, obs=None, **kwargs):
 
 
 class TestLockstepFacadeEquivalence:
-    """engine="kernel" must replay engine="ticks" byte for byte."""
+    """The lockstep and uniform per-node schedules fold to one result."""
 
     def test_plain_run_byte_identical(self):
         cohort = make_cohort(CohortConfig(n_patients=4, seed=5))
-        ticks = _run("ticks", cohort)
-        kernel = _run("kernel", cohort)
-        assert _report_fingerprint(kernel) == _report_fingerprint(ticks)
-        assert kernel.kernel_stats["engine"] == "kernel-lockstep"
-        assert kernel.kernel_stats["n_events"] > 0
-        assert ticks.kernel_stats == {
-            "engine": "ticks", "n_events": 0,
-            "tick_loop_iterations":
-                kernel.kernel_stats["tick_loop_iterations"]}
+        lockstep = _run(cohort)
+        events = _run(_uniform(cohort))
+        assert _fingerprint(events) == _fingerprint(lockstep)
+        assert lockstep.kernel_stats["engine"] == "kernel-lockstep"
+        assert events.kernel_stats["engine"] == "kernel-events"
+        assert lockstep.kernel_stats["n_events"] > 0
+        # Cohort x base ticks, whichever schedule ran.
+        assert lockstep.kernel_stats["tick_loop_iterations"] \
+            == events.kernel_stats["tick_loop_iterations"] == 4 * 2
 
     def test_governed_impaired_wire_loopback_byte_identical(self):
-        # The hardest lockstep case: governor feedback, lossy jittered
-        # per-patient links, wire codec round trip and a finite drain
-        # budget all at once.
+        # The hardest leg: governor feedback, lossy jittered per-patient
+        # links and a finite drain budget all at once — lockstep on the
+        # object path against per-node events through the wire codec.
         cohort = make_cohort(CohortConfig(n_patients=4, seed=9))
         spec = LinkSpec(loss_rate=0.15, duplicate_rate=0.1,
                         reorder_rate=0.2, jitter_s=2.0,
                         reorder_delay_s=65.0)
-        reports = [
-            _run(engine, cohort,
-                 config_kw=dict(wire_loopback=True, drain_per_tick=3),
+        lockstep, events = (
+            _run(members,
+                 config_kw=dict(wire_loopback=wire, drain_per_tick=3),
                  link=_impaired_link_for(spec, 99),
                  governor_factory=_governor_factory(99),
                  gateway=Gateway(GatewayConfig(n_iter=50)))
-            for engine in ("ticks", "kernel")]
-        assert _report_fingerprint(reports[0]) \
-            == _report_fingerprint(reports[1])
-        assert reports[0].summary.governed
-        assert reports[0].link_stats  # impairments actually happened
+            for members, wire in ((cohort, False),
+                                  (_uniform(cohort), True)))
+        assert _fingerprint(events) == _fingerprint(lockstep)
+        assert lockstep.summary.governed
+        assert lockstep.link_stats  # impairments actually happened
 
     def test_canonical_obs_trace_byte_identical(self):
         # The kernel stamps obs virtual time per event; the canonical
         # (fleet-scope) stream re-sorted by (t_s, subject, seq) must be
-        # byte-equal to the tick loop's.
+        # byte-equal across the two schedules.  A lossy link over many
+        # sweeps makes reassembly stalls expire mid-run, and their
+        # counters and trace instants pin the expiry sweep's timing,
+        # which the summary alone does not.
         cohort = make_cohort(CohortConfig(n_patients=3, seed=7))
+        spec = LinkSpec(loss_rate=0.2, duplicate_rate=0.1,
+                        reorder_rate=0.2, jitter_s=3.0)
         streams = []
-        for engine in ("ticks", "kernel"):
+        for members in (cohort, _uniform(cohort, SHORT_PERIOD_NODE)):
             obs = Observability(ObsConfig())
-            _run(engine, cohort, obs=obs,
+            _run(members, obs=obs, node_config=SHORT_PERIOD_NODE,
+                 link=_impaired_link_for(spec, 7),
                  gateway=Gateway(GatewayConfig(n_iter=50), obs=obs))
             streams.append(obs.canonical_json())
         assert streams[0] == streams[1]
+        assert "gateway.reassembly_stall" in streams[0]
 
-    def test_four_shard_kernel_byte_identical_to_inline_ticks(self):
-        # Acceptance: plain tick loop == kernel façade == 4-shard run.
+    def test_four_shard_events_byte_identical_to_inline_lockstep(self):
+        # Inline lockstep == 4-shard per-node: both the clock and the
+        # process layout change, and the summary bytes must not.
         cohort = make_cohort(CohortConfig(n_patients=5, seed=7))
-        ticks = _run("ticks", cohort, duration_s=60.0,
-                     gateway=Gateway(GatewayConfig(n_iter=50)))
+        inline = _run(cohort, duration_s=60.0,
+                      gateway=Gateway(GatewayConfig(n_iter=50)))
         sharded = ShardedFleetRunner(
-            cohort, n_shards=4,
-            config=SchedulerConfig(duration_s=60.0, engine="kernel"),
+            _uniform(cohort), n_shards=4,
+            config=SchedulerConfig(duration_s=60.0),
             node_config=FAST_NODE,
             gateway_config=GatewayConfig(n_iter=50)).run()
-        assert sharded.summary.to_json() == ticks.summary.to_json()
-        assert sharded.packets_sent == ticks.packets_sent
+        assert sharded.summary.to_json() == inline.summary.to_json()
+        assert sharded.packets_sent == inline.packets_sent
 
-    def test_uniform_overrides_byte_identical_to_ticks(self):
-        # Every node overridden to the base period: the per-node event
-        # engine must still match the tick loop exactly (same uplink
-        # instants, batch-of-1 encoding vs fleet-batched encoding).
-        from dataclasses import replace
-
-        base = make_cohort(CohortConfig(n_patients=4, seed=5))
-        period = FAST_NODE.excerpt_period_s
-        overridden = [replace(p, uplink_period_s=period) for p in base]
+    def test_jittered_link_byte_identical(self):
+        # Per-node events pop jittered copies at their exact delivery
+        # instants; lockstep sweeps pop them at the next base tick.
+        cohort = make_cohort(CohortConfig(n_patients=4, seed=5))
         spec = LinkSpec(loss_rate=0.1, duplicate_rate=0.05,
                         reorder_rate=0.1, jitter_s=5.0)
-        ticks = _run("ticks", base, duration_s=120.0,
-                     link=_impaired_link_for(spec, 42),
-                     gateway=Gateway(GatewayConfig(n_iter=50)))
-        events = _run("kernel", overridden, duration_s=120.0,
-                      link=_impaired_link_for(spec, 42),
-                      gateway=Gateway(GatewayConfig(n_iter=50)))
-        # Summary bytes and excerpt *content* must match exactly.  The
-        # excerpt processing order legitimately differs: the event
-        # engine ingests jittered copies at their exact delivery
-        # instants, the tick loop only at the next tick boundary — same
-        # packets, same reconstructions, different drain interleaving.
-        assert events.summary.to_json() == ticks.summary.to_json()
-        assert events.packets_sent == ticks.packets_sent
-        assert sorted(_excerpt_rows(events)) == sorted(_excerpt_rows(ticks))
-        assert events.kernel_stats["engine"] == "kernel-events"
+        lockstep, events = (
+            _run(members, link=_impaired_link_for(spec, 42),
+                 gateway=Gateway(GatewayConfig(n_iter=50)))
+            for members in (cohort, _uniform(cohort)))
+        assert _fingerprint(events) == _fingerprint(lockstep)
         assert events.kernel_stats["by_name"].get("link.delivery", 0) > 0
+
+    @pytest.mark.parametrize("drain_per_tick", [None, 2])
+    def test_alarm_uplinks_byte_identical(self, trained_af_detector,
+                                          drain_per_tick):
+        # Lockstep sweeps uplink every node's early alarms, then the
+        # excerpts, then the late alarms; per-node events do all three
+        # for one node at a time.  150 s is not a whole number of 60 s
+        # periods: alarms in the trailing 30 s ride the last tick as
+        # late alarms.
+        cohort = make_cohort(CohortConfig(n_patients=5, seed=3))
+        reports, streams = [], []
+        for members in (cohort, _uniform(cohort)):
+            obs = Observability(ObsConfig())
+            reports.append(_run(
+                members, duration_s=150.0, obs=obs,
+                config_kw=dict(drain_per_tick=drain_per_tick),
+                af_detector=trained_af_detector,
+                gateway=Gateway(GatewayConfig(n_iter=40), obs=obs)))
+            streams.append(obs.canonical_json())
+        lockstep, events = reports
+        assert _fingerprint(events) == _fingerprint(lockstep)
+        assert lockstep.kernel_stats["by_name"]["sweep.alarms_late"] > 0
+        if drain_per_tick is None:
+            # Drained in full every sweep, each patient's packets are
+            # processed in one order under both schedules, so the
+            # canonical stream (every ingest stamped with its packet
+            # seq) matches too.  Under a budget the queue order, and
+            # so the drain interleaving, differs; only the fold agrees.
+            assert streams[0] == streams[1]
+
+
+_LINK_SPECS = st.builds(
+    LinkSpec,
+    loss_rate=st.floats(0.0, 0.3),
+    duplicate_rate=st.floats(0.0, 0.2),
+    reorder_rate=st.floats(0.0, 0.3),
+    reorder_delay_s=st.floats(0.0, 30.0),
+    jitter_s=st.floats(0.0, 10.0))
+
+
+class TestScheduleEquivalenceProperty:
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(n_patients=st.integers(2, 5),
+           duration_s=st.integers(20, 40),
+           queue_capacity=st.sampled_from([2, 3, 6, 4096]),
+           drain_per_tick=st.sampled_from([None, 1, 2, 3]),
+           governed=st.booleans(),
+           spec=st.none() | _LINK_SPECS,
+           seed=st.integers(1, 10_000))
+    def test_schedules_agree_unless_a_queue_overflows(
+            self, n_patients, duration_s, queue_capacity, drain_per_tick,
+            governed, spec, seed):
+        # Under queue overflow the two schedules may drop different
+        # packets (their per-instant enqueue order differs), so only
+        # runs that dropped nothing are compared.
+        cohort = make_cohort(CohortConfig(n_patients=n_patients,
+                                          seed=seed))
+        lockstep, events = (
+            _run(members, duration_s=float(duration_s),
+                 node_config=SHORT_PERIOD_NODE,
+                 config_kw=dict(drain_per_tick=drain_per_tick),
+                 link=(_impaired_link_for(spec, seed)
+                       if spec is not None else None),
+                 governor_factory=(_governor_factory(seed)
+                                   if governed else None),
+                 gateway=Gateway(GatewayConfig(
+                     queue_capacity=queue_capacity, n_iter=20)))
+            for members in (cohort, _uniform(cohort, SHORT_PERIOD_NODE)))
+        if lockstep.summary.dropped_packets \
+                or events.summary.dropped_packets:
+            event("a queue overflowed: not compared")
+            return
+        event("compared")
+        assert _fingerprint(events) == _fingerprint(lockstep)
 
 
 class TestSparseCohortEvents:
@@ -285,14 +358,12 @@ class TestSparseCohortEvents:
         # 90 % delineation-only nodes uplinking at 10x the base period:
         # the kernel must visit them only when they uplink, making the
         # event count a small fraction of cohort x ticks.
-        from dataclasses import replace
-
         base = make_cohort(CohortConfig(n_patients=10, seed=3))
         period = FAST_NODE.excerpt_period_s  # 60 s
         cohort = [p if i == 0
                   else replace(p, uplink_period_s=period * 10)
                   for i, p in enumerate(base)]
-        report = _run("kernel", cohort, duration_s=period * 10)
+        report = _run(cohort, duration_s=period * 10)
         stats = report.kernel_stats
         assert stats["engine"] == "kernel-events"
         assert stats["tick_loop_iterations"] == 10 * 10
@@ -301,22 +372,6 @@ class TestSparseCohortEvents:
         # staleness scales with the node's own expected period.
         assert report.summary.stale_patients == 0
         assert report.packets_sent >= len(cohort)
-
-    def test_overrides_on_ticks_engine_rejected(self):
-        from dataclasses import replace
-
-        cohort = [replace(p, uplink_period_s=600.0)
-                  for p in make_cohort(CohortConfig(n_patients=2,
-                                                    seed=3))]
-        with pytest.raises(ValueError, match="event kernel"):
-            FleetScheduler(cohort,
-                           SchedulerConfig(engine="ticks"),
-                           node_config=FAST_NODE)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            FleetScheduler(make_cohort(CohortConfig(n_patients=1)),
-                           SchedulerConfig(engine="warp"))
 
 
 class _RecordingKernel(EventKernel):
@@ -345,8 +400,6 @@ class TestTotalOrderProperty:
             cohort = make_cohort(CohortConfig(
                 n_patients=n, seed=int(rng.integers(1, 1000))))
             if trial % 2:  # alternate: sparse per-node overrides
-                from dataclasses import replace
-
                 cohort = [p if i == 0 else replace(
                     p, uplink_period_s=60.0 * float(rng.integers(2, 6)))
                     for i, p in enumerate(cohort)]
@@ -355,7 +408,7 @@ class TestTotalOrderProperty:
                             reorder_rate=float(rng.uniform(0, 0.3)),
                             jitter_s=float(rng.uniform(0, 10.0)))
             seed = int(rng.integers(1, 10_000))
-            _run("kernel", cohort, duration_s=180.0,
+            _run(cohort, duration_s=180.0,
                  node_config=FAST_NODE,
                  link=_impaired_link_for(spec, seed),
                  governor_factory=_governor_factory(seed),
