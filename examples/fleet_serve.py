@@ -35,7 +35,7 @@ def main() -> None:
     parser.add_argument("--duration", type=float, default=60.0,
                         help="simulated seconds per patient")
     parser.add_argument("--lanes", type=int, default=2,
-                        help="server session lanes (load balancing)")
+                        help="server reconstruction lanes")
     args = parser.parse_args()
 
     cohort = make_cohort(CohortConfig(n_patients=args.patients, seed=7))
@@ -61,8 +61,9 @@ def main() -> None:
     stats = served.server_stats
     print(f"\nconnections: {stats['connections']} over "
           f"{stats['n_lanes']} lanes")
-    print(f"frames consumed: {stats['frames']} "
-          f"(max queue depth {stats['max_queue_depth']})")
+    print(f"packet frames consumed: {stats['frames']}; "
+          f"{stats['batches']} batches applied, {stats['lane_hops']} "
+          f"lane hops (max queue depth {stats['max_queue_depth']})")
     print(f"served wall: {served.timings_s['total']:.2f} s "
           f"({served.packets_sent} packets)")
     print(f"served summary byte-identical: {identical}")

@@ -445,7 +445,7 @@ class Gateway:
         return len(self._queue)
 
     def ingest(self, payload: "UplinkPacket | bytes | bytearray | "
-               "memoryview") -> bool:
+               "memoryview", packet: UplinkPacket | None = None) -> bool:
         """Accept one arrival; ``False`` when the bounded queue is full.
 
         **The one ingest surface.**  Dispatches on payload type: a
@@ -461,6 +461,14 @@ class Gateway:
         buffer, so its sequence number will later be written off as a
         gap like any other loss.
 
+        Args:
+            payload: The arrival, as a wire frame or a packet.
+            packet: A frame payload already decoded and checked, as
+                ``check_geometry(decode_packet(payload), wavelet)``
+                returns it; the frame is not decoded again, and the
+                journal and flight recorder still get its received
+                bytes.
+
         Raises:
             ~repro.fleet.wire.WireFormatError: A bytes-like payload
                 does not parse as a valid packet frame, or the packet's
@@ -469,7 +477,7 @@ class Gateway:
                 queued.
         """
         if isinstance(payload, (bytes, bytearray, memoryview)):
-            return self._ingest_frame(payload)
+            return self._ingest_frame(payload, packet)
         check_geometry(payload, self.config.wavelet)
         if self._journal is not None:
             self._journal.append_packet(payload.to_bytes(),
@@ -531,8 +539,11 @@ class Gateway:
                                        patient=channel.patient_id,
                                        event=event)
 
-    def _ingest_frame(self, data: bytes | bytearray | memoryview) -> bool:
+    def _ingest_frame(self, data: bytes | bytearray | memoryview,
+                      packet: UplinkPacket | None = None) -> bool:
         """Frame-path ingest: decode, check, flight-record, object path.
+
+        ``packet`` is ``data`` already decoded and checked.
 
         Raises:
             ~repro.fleet.wire.WireFormatError: The buffer does not
@@ -540,18 +551,20 @@ class Gateway:
                 :func:`check_geometry` (recorded as a wire-error anomaly
                 when observability is attached, then re-raised).
         """
-        try:
-            packet = check_geometry(decode_packet(data),
-                                    self.config.wavelet)
-        except WireFormatError as exc:
-            if self._m is not None:
-                import base64
+        if packet is None:
+            try:
+                packet = check_geometry(decode_packet(data),
+                                        self.config.wavelet)
+            except WireFormatError as exc:
+                if self._m is not None:
+                    import base64
 
-                self.obs.flight.anomaly(
-                    ANOMALY_WIRE_ERROR, "unknown", self.obs.virtual_time_s,
-                    error=str(exc),
-                    frame_b64=base64.b64encode(bytes(data)).decode("ascii"))
-            raise
+                    self.obs.flight.anomaly(
+                        ANOMALY_WIRE_ERROR, "unknown",
+                        self.obs.virtual_time_s, error=str(exc),
+                        frame_b64=base64.b64encode(bytes(data)).decode(
+                            "ascii"))
+                raise
         if self._m is not None:
             self.obs.flight.record_frame(packet.patient_id, bytes(data))
         if self._journal is not None:
@@ -880,9 +893,11 @@ def check_geometry(packet: UplinkPacket, wavelet: str) -> UplinkPacket:
             [0, 100); the leads, word size or seed cannot build sensing
             matrices; the packet declares more than :data:`MAX_LEADS`
             leads or :data:`MAX_WINDOW_N` samples per window;
-            ``wavelet`` has no basis for ``window_n`` samples; or a
+            ``wavelet`` has no basis for ``window_n`` samples; a
             window is not a numeric vector of
-            ``measurements_for_cr(window_n, cr_percent)`` measurements.
+            ``measurements_for_cr(window_n, cr_percent)`` measurements;
+            or a float window holds a NaN or an infinity, which would
+            make its whole window's reconstruction non-finite.
     """
     if not packet.frames:
         return packet
@@ -909,6 +924,9 @@ def check_geometry(packet: UplinkPacket, wavelet: str) -> UplinkPacket:
                     f"window carries {y.shape} {y.dtype} measurements; "
                     f"{packet.window_n} samples at CR "
                     f"{packet.cr_percent} % need {m} numbers")
+            if y.dtype.kind == "f" and not np.isfinite(y).all():
+                raise WireFormatError(
+                    "window carries non-finite measurements")
     return packet
 
 

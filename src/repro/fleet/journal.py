@@ -449,7 +449,8 @@ class _SegmentScan:
 class JournalWriter:
     """Append-only, segment-rotated journal writer.
 
-    Thread-safe (served session lanes share one writer).  ``resume``
+    Thread-safe (a served gateway's loop appends while callers read
+    :meth:`stats`).  ``resume``
     (the default) recovers an existing journal — truncating a torn
     tail record and continuing where the crashed writer stopped;
     ``resume=False`` deletes any prior segments and starts fresh.
@@ -760,6 +761,11 @@ class GatewaySession:
     (:data:`SESSION_JOURNALED_KINDS`) are journaled after a successful
     dispatch — a frame that faults is never logged, so a journal holds
     only frames that actually mutated the session.
+
+    A drain takes the recoveries of the packets it pops from
+    ``recoveries`` (a fresh store unless given) when the store holds
+    all of them; a session fed frames without their recoveries held
+    ahead recovers inside ``Gateway.drain``.
     """
 
     def __init__(
@@ -767,12 +773,14 @@ class GatewaySession:
         patient_id: str,
         config: GatewayConfig | None = None,
         journal: JournalWriter | None = None,
+        recoveries: RecoveryStore | None = None,
     ):
         self.patient_id = patient_id
         self.gateway = Gateway(config or GatewayConfig())
         self.board = TriageBoard()
         self.board.register([patient_id])
         self.kernel = EventKernel()
+        self.recoveries = recoveries if recoveries is not None else RecoveryStore()
         self.n_reconstructed = 0
         self.n_frames = 0
         self.row: ShardPatientRow | None = None
@@ -782,11 +790,17 @@ class GatewaySession:
 
     # -- frame dispatch ----------------------------------------------
 
-    def handle_frame(self, body: bytes) -> tuple[list[bytes], bool]:
-        """Apply one stream frame; return ``(replies, close)``."""
+    def handle_frame(
+        self, body: bytes, packet: UplinkPacket | None = None
+    ) -> tuple[list[bytes], bool]:
+        """Apply one stream frame; return ``(replies, close)``.
+
+        ``packet`` is ``body`` already decoded by :func:`decode_ahead`,
+        so the gateway does not decode it again; ``None`` decodes here.
+        """
         try:
-            if frame_kind(body) == "packet":
-                self.gateway.ingest(body)
+            if packet is not None or frame_kind(body) == "packet":
+                self.gateway.ingest(body, packet)
                 self.n_frames += 1
                 return [], False
             msg = decode_message(body)
@@ -845,12 +859,11 @@ class GatewaySession:
     def _on_drain(self, msg: ServeMessage) -> None:
         _drain_sessions([self], msg)
 
-    def _drain_at(
-        self, t_s: float, max_packets: int | None, recoveries: list | None
-    ) -> None:
+    def _drain_at(self, t_s: float, max_packets: int | None) -> None:
         """Drain into triage as this session's ``PRIO_DRAIN`` event."""
 
         def act() -> None:
+            recoveries = self.recoveries.take(self.gateway.queued(max_packets))
             for excerpt in self.gateway.drain(max_packets, recoveries):
                 self.board.observe(excerpt)
                 self.n_reconstructed += 1
@@ -888,22 +901,16 @@ class GatewaySession:
         return ServeMessage("report-ack", self.patient_id, t_s=msg.t_s)
 
 
-def _drain_sessions(
-    sessions: Sequence[GatewaySession],
-    msg: ServeMessage,
-    lookahead: _Lookahead | None = None,
-) -> None:
+def _drain_sessions(sessions: Sequence[GatewaySession], msg: ServeMessage) -> None:
     """Apply one ``drain`` command to ``sessions``.
 
     Each session drains its own queue through ``Gateway.drain`` inside
-    its own ``PRIO_DRAIN`` kernel event.  A replay hands the recoveries
-    its ``lookahead`` computed for exactly the packets each drain pops;
-    without one (a served session) the gateway recovers its own.
+    its own ``PRIO_DRAIN`` kernel event, with the recoveries its store
+    holds for the packets that drain pops.
 
     Args:
         sessions: Sessions the command addresses.
         msg: The ``drain`` command (``budget`` < 0 drains everything).
-        lookahead: The replay's store of frames recovered ahead.
 
     Raises:
         WireFormatError: The budget is not finite.
@@ -914,10 +921,68 @@ def _drain_sessions(
     max_packets = None if budget < 0 else budget
     times = [session.kernel.advance_to(msg.t_s) for session in sessions]
     for session, t_s in zip(sessions, times):
-        recoveries = None
-        if lookahead is not None:
-            recoveries = lookahead.take(session.gateway.queued(max_packets))
-        session._drain_at(t_s, max_packets, recoveries)
+        session._drain_at(t_s, max_packets)
+
+
+def decode_ahead(frame: bytes, wavelet: str) -> UplinkPacket | None:
+    """``frame``'s packet, decoded ahead of applying the frame.
+
+    Returns ``None`` for a control message and for a frame that fails
+    to decode or to pass :func:`~repro.fleet.gateway.check_geometry`:
+    left as bytes, it raises in order when applied.
+    """
+    try:
+        if frame_kind(frame) != "packet":
+            return None
+        return check_geometry(decode_packet(frame), wavelet)
+    except WireFormatError:
+        return None
+
+
+class RecoveryStore:
+    """CS frame recoveries computed ahead of the drains that pop them.
+
+    Held by packet identity: a replay holds a chunk's recoveries for
+    every session, a served session the recoveries of its batch.  Only
+    the thread that applies frames touches the store; the recovery
+    itself (:func:`~repro.fleet.gateway.recover_packets`) is pure and
+    may run anywhere.  Holding is exact: a window's recovery depends on
+    its own measurements alone.
+    """
+
+    def __init__(self):
+        self._held: dict[int, tuple[UplinkPacket, list]] = {}
+        #: Frames recovered ahead that no drain popped.
+        self.n_undrained_frames = 0
+
+    def hold(self, packets: list[UplinkPacket], recoveries: list[list]) -> None:
+        """Keep each packet's frame recoveries until a drain pops it."""
+        for packet, recovery in zip(packets, recoveries):
+            self._held[id(packet)] = (packet, recovery)
+
+    def take(self, packets: list[UplinkPacket]) -> list[list] | None:
+        """Hand over (and forget) the recoveries of ``packets``.
+
+        Returns ``None``, forgetting nothing, unless every packet with
+        CS frames among them is held; a frameless packet needs none.
+        """
+        held = self._held
+        if any(packet.frames and id(packet) not in held for packet in packets):
+            return None
+        return [held.pop(id(packet))[1] if packet.frames else [] for packet in packets]
+
+    def release(self, keep: Iterable[UplinkPacket]) -> None:
+        """Drop the recoveries of every held packet not in ``keep``.
+
+        A packet dropped at a full queue or as a duplicate is never
+        drained; its frames are counted on :attr:`n_undrained_frames`.
+        """
+        if not self._held:
+            return
+        kept = {id(packet) for packet in keep}
+        for key in [key for key in self._held if key not in kept]:
+            packet, _ = self._held.pop(key)
+            self.n_undrained_frames += packet.n_frames
 
 
 class _Lookahead:
@@ -926,20 +991,16 @@ class _Lookahead:
     :meth:`replay` reads records until a chunk holds at least
     :data:`_LOOKAHEAD_WINDOWS` CS windows, decodes its packet frames
     once, recovers all of their frames with one ``recover_batch`` per
-    encoder geometry, then yields the chunk's records in order.  A
-    decoded packet's recoveries are held until a drain pops it
-    (:meth:`take`) or the packet is found neither queued nor buffered
-    by any session; those released frames are counted on
-    :attr:`n_undrained_frames`.  Batching holds the bytes: a window's
-    recovery depends on its own measurements alone.
+    encoder geometry into :attr:`store`, then yields the chunk's records
+    in order.  A decoded packet's recoveries are held until a drain pops
+    them or the packet is found neither queued nor buffered by any
+    session.
     """
 
     def __init__(self, config: GatewayConfig):
         self.config = config
-        #: Decoded packets (by identity) with their frame recoveries.
-        self.held: dict[int, tuple[UplinkPacket, list]] = {}
-        #: Frames recovered ahead that no drain popped.
-        self.n_undrained_frames = 0
+        #: The replay's one store; every replayed session drains from it.
+        self.store = RecoveryStore()
         #: Wall seconds spent recovering frames.
         self.recover_s = 0.0
 
@@ -968,46 +1029,28 @@ class _Lookahead:
                 except Exception as exc:  # raised once the chunk replays
                     error, done = exc, True
                     break
-                packet = self._decode(entry[-1].frame)
+                packet = decode_ahead(entry[-1].frame, self.config.wavelet)
                 if packet is not None:
                     n_windows += packet.n_frames
                 chunk.append((entry, packet))
-            self._release(
+            self.store.release(
                 packet
                 for session in sessions.values()
                 for packet in session.gateway.held_packets()
             )
-            self._recover([packet for _, packet in chunk if packet is not None])
+            self._recover(
+                [packet for _, packet in chunk if packet is not None and packet.frames]
+            )
             yield from chunk
-        self._release(())
+        self.store.release(())
         if error is not None:
             raise error
-
-    def take(self, packets: list[UplinkPacket]) -> list[list]:
-        """Hand over (and forget) the recoveries of ``packets``."""
-        return [self.held.pop(id(packet))[1] for packet in packets]
-
-    def _decode(self, frame: bytes) -> UplinkPacket | None:
-        try:
-            if frame_kind(frame) != "packet":
-                return None
-            return check_geometry(decode_packet(frame), self.config.wavelet)
-        except WireFormatError:
-            return None
 
     def _recover(self, packets: list[UplinkPacket]) -> None:
         t0 = perf_counter()
         recovered = recover_packets(packets, self.config)
         self.recover_s += perf_counter() - t0
-        for packet, recoveries in zip(packets, recovered):
-            self.held[id(packet)] = (packet, recoveries)
-
-    def _release(self, keep: Iterable[UplinkPacket]) -> None:
-        """Drop the recoveries of every held packet not in ``keep``."""
-        kept = {id(packet) for packet in keep}
-        for key in [key for key in self.held if key not in kept]:
-            packet, _ = self.held.pop(key)
-            self.n_undrained_frames += packet.n_frames
+        self.store.hold(packets, recovered)
 
 
 @dataclass
@@ -1129,7 +1172,9 @@ class JournalReplayer:
                 )
             session = sessions.get(pid)
             if session is None:
-                session = GatewaySession(pid, gateway_config)
+                session = GatewaySession(
+                    pid, gateway_config, recoveries=lookahead.store
+                )
                 sessions[pid] = session
             per_source[source].setdefault(pid, session)
             return session
@@ -1168,7 +1213,7 @@ class JournalReplayer:
                         if msg.patient_id == ""
                         else [session_for(msg.patient_id, source)]
                     )
-                    _drain_sessions(targets, msg, lookahead)
+                    _drain_sessions(targets, msg)
                 elif msg.patient_id == "":
                     for session in per_source[source].values():
                         session.handle_message(msg)
@@ -1222,7 +1267,7 @@ class JournalReplayer:
             n_messages=n_messages,
             n_journals=len(readers),
             torn_tail_bytes=sum(r.torn_tail_bytes for r in readers),
-            n_undrained_frames=lookahead.n_undrained_frames,
+            n_undrained_frames=lookahead.store.n_undrained_frames,
             timings_s={
                 "replay": t_replayed - t_start,
                 "recover": lookahead.recover_s,

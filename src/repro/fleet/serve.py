@@ -13,12 +13,13 @@ whole cohort through real loopback sockets to a
 Architecture (one connection, left to right)::
 
     client ──TCP──> reader task ──bounded queue──> consumer task
-                                                        │ one lane hop per
-                                                        │ queued batch
-                           run_in_executor(session lane, handle_batch)
-                                                        │
-                                       _PatientSession: Gateway +
-                                       TriageBoard + EventKernel
+                                                        │ decode the batch,
+                                                        │ then, if it holds
+                                                        │ CS frames, one hop:
+                           run_in_executor(session lane, recover_packets)
+                                                        │ back on the loop:
+                                       _PatientSession.handle_batch:
+                                       Gateway + TriageBoard + EventKernel
 
 * **Framing** — the byte stream is u32-length-delimited
   (:func:`~repro.fleet.wire.encode_stream_frame`); each frame body is
@@ -29,15 +30,21 @@ Architecture (one connection, left to right)::
   :class:`asyncio.Queue`; when it fills, the reader task stops reading
   and the kernel's TCP window does the rest.  A slow consumer delays
   the client, it never loses frames.
-* **One lane hop per queued batch** — the consumer takes every frame
-  already waiting on the queue (at most ``queue_capacity``) and applies
-  them in order with one executor call, then writes their replies in
-  order under one ``drain``: a sweep's packets and commands cost one
-  pair of cross-thread wake-ups, not one per frame.
-* **Load balancing** — sessions are striped round-robin over
-  ``n_lanes`` single-thread executors, so gateway reconstruction for
-  different patients runs concurrently while each session stays
-  strictly ordered.
+* **Batches applied on the loop** — the consumer takes every frame
+  already waiting on the queue (at most ``queue_capacity``), decodes
+  its packet frames once and applies the batch in order on the event
+  loop, then writes the replies in order under one ``drain``.  The
+  loop thread is the only thread that mutates a session.
+* **Only reconstruction leaves the loop** — when a batch carries CS
+  frames, the consumer first recovers them on the session's lane
+  (:func:`~repro.fleet.gateway.recover_packets`, pure) and holds the
+  results in the session's
+  :class:`~repro.fleet.journal.RecoveryStore` for the drains that pop
+  those packets: one hop per CS batch, and FISTA never runs on the
+  loop.  A batch of raw packets, telemetry or commands makes no hop.
+* **Lanes** — sessions are striped round-robin over ``n_lanes``
+  single-thread executors, so different patients' reconstructions
+  overlap the loop and each other.
 * **Closed loop** — every ``sweep`` command returns a ``feedback``
   downlink carrying the patient's post-sweep triage state, operating
   mode and alert count; the client mirrors it into its local board,
@@ -61,6 +68,8 @@ and triage machine mid-stream (``hello-ack`` says ``resumed=1``), and a
 second live connection for the same patient is rejected with an
 ``error`` downlink.  A peer that resets its connection has left: the
 connection is counted ``reset`` and its session waits for a reconnect.
+A peer that has not completed its ``hello`` within
+:data:`HELLO_TIMEOUT_S` is closed and counted ``hello-timeout``.
 """
 
 from __future__ import annotations
@@ -75,10 +84,10 @@ from dataclasses import dataclass, field, replace
 from ..classification.afib import AfDetector
 from ..obs import Observability, SCOPE_SERVE
 from .cohort import PatientProfile, check_unique_ids
-from .gateway import GatewayConfig
+from .gateway import GatewayConfig, recover_packets
 from .journal import GatewaySession, JournalConfig, JournalWriter, \
-    journal_meta
-from .node_proxy import NodeProxyConfig
+    decode_ahead, journal_meta
+from .node_proxy import NodeProxyConfig, UplinkPacket
 from .scheduler import SchedulerConfig
 from .sharding import ShardHookFactory, ShardHooks, merge_patient_rows
 from .triage import FleetSummary, ShardPatientRow
@@ -103,6 +112,11 @@ RECV_CHUNK = 65536
 #: ``queue_capacity`` each) before it cancels what is left.
 STOP_DRAIN_S = 5.0
 
+#: Longest a new connection may take to complete its ``hello`` frame;
+#: a peer still silent or mid-frame then is closed and counted
+#: ``hello-timeout``.
+HELLO_TIMEOUT_S = 10.0
+
 
 class ServeError(RuntimeError):
     """A serving-protocol violation or transport failure."""
@@ -116,9 +130,10 @@ class ServeConfig:
         host: Interface the server binds.
         port: TCP port (``0`` = ephemeral; read the bound port off
             :attr:`FleetGatewayServer.port`).
-        n_lanes: Single-thread session executors the load balancer
-            stripes patients over (per-session ordering is preserved;
-            distinct lanes run concurrently).
+        n_lanes: Single-thread executors that reconstruct sessions'
+            CS frames, patients striped round-robin over them (distinct
+            lanes run concurrently); every frame is applied on the
+            event loop.
         queue_capacity: Bounded per-connection frame queue between the
             socket reader and the session consumer — the backpressure
             knob: a full queue stops the reader, which stalls the
@@ -171,15 +186,16 @@ class _ServeMetrics:
         self.connections = metrics.counter(
             "serve_connections_total",
             "Gateway-service connection lifecycle events "
-            "(open / resumed / rejected / closed / reset).",
+            "(open / resumed / rejected / hello-timeout / closed / "
+            "reset).",
             scope=SCOPE_SERVE)
         self.frames = metrics.counter(
             "serve_frames_total",
             "Stream frames consumed off client connections, by kind.",
             scope=SCOPE_SERVE)
-        self.lane_batch_frames = metrics.histogram(
-            "serve_lane_batch_frames",
-            "Queued frames handed to a session lane per executor hop.",
+        self.batch_frames = metrics.histogram(
+            "serve_batch_frames",
+            "Queued frames applied per consumer batch.",
             scope=SCOPE_SERVE,
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
         self.queue_depth = metrics.gauge(
@@ -196,9 +212,9 @@ class _PatientSession(GatewaySession):
     call sequence the in-process scheduler would make on a local
     gateway/board pair, driven by the client's command stream, and the
     journal replayer drives the identical class from a log.  This
-    subclass adds only the serving concerns: the lane executor the
-    session is pinned to, the batch the lane runs per hop, and the
-    (optional) shared journal writer.
+    subclass adds only the serving concerns: the lane executor that
+    reconstructs the session's CS frames, the batch the consumer
+    applies on the loop, and the (optional) shared journal writer.
     The per-session :class:`~repro.fleet.kernel.EventKernel` pins every
     timed command to the session's virtual clock, so its
     no-time-travel guard enforces monotone command order across the
@@ -213,12 +229,15 @@ class _PatientSession(GatewaySession):
         self.lane = lane
 
     def handle_batch(self, frames: list[bytes],
+                     packets: list[UplinkPacket | None],
                      ) -> tuple[list[bytes], int, bool]:
         """Apply queued frames in order until one closes the session.
 
         Every frame goes through :meth:`handle_frame`, the per-frame
-        entry point; the frames after one that closes the session are
-        not applied, as if they had stayed in the queue.
+        entry point, with its packet from
+        :func:`~repro.fleet.journal.decode_ahead`; the frames after one
+        that closes the session are not applied, as if they had stayed
+        in the queue.
 
         Returns:
             ``(replies, n_applied, close)``: the applied frames'
@@ -226,8 +245,8 @@ class _PatientSession(GatewaySession):
             whether the last of them closed the session.
         """
         replies: list[bytes] = []
-        for n_applied, body in enumerate(frames, 1):
-            out, close = self.handle_frame(body)
+        for n_applied, (body, packet) in enumerate(zip(frames, packets), 1):
+            out, close = self.handle_frame(body, packet)
             replies += out
             if close:
                 return replies, n_applied, True
@@ -265,9 +284,11 @@ class FleetGatewayServer:
         #: Highest partial-frame byte count buffered by any
         #: connection's stream decoder (frames split across reads).
         self.max_partial_bytes = 0
-        #: Frame batches handed to session lanes (one executor hop
-        #: each; at most ``queue_capacity`` frames per batch).
-        self.lane_batches = 0
+        #: Frame batches applied, one per consumer wake-up (at most
+        #: ``queue_capacity`` frames each).
+        self.batches = 0
+        #: Hand-offs to a lane to recover a batch's CS frames.
+        self.lane_hops = 0
         #: Shared journal writer, open while the server runs (``None``
         #: without :attr:`ServeConfig.journal`).
         self.journal: JournalWriter | None = None
@@ -353,7 +374,8 @@ class FleetGatewayServer:
             "connections": dict(sorted(self._counts.items())),
             "sessions": len(self.sessions),
             "frames": sum(s.n_frames for s in self.sessions.values()),
-            "lane_batches": self.lane_batches,
+            "batches": self.batches,
+            "lane_hops": self.lane_hops,
             "max_queue_depth": self.max_queue_depth,
             "max_partial_bytes": self.max_partial_bytes,
             "n_lanes": len(self._lanes),
@@ -454,7 +476,12 @@ class FleetGatewayServer:
         handler = asyncio.current_task()
         self._reading[handler] = None
         try:
-            hello, backlog = await self._read_hello(reader, decoder)
+            hello, backlog = await asyncio.wait_for(
+                self._read_hello(reader, decoder), HELLO_TIMEOUT_S)
+        except asyncio.TimeoutError:  # not TimeoutError on Python 3.10
+            self._count("hello-timeout")
+            writer.close()
+            return
         except (WireFormatError, ServeError, ConnectionError):
             self._count("rejected")
             writer.close()
@@ -506,7 +533,8 @@ class FleetGatewayServer:
         """Require the connection's first frame to be ``hello``.
 
         Returns the handshake and any frames the client pipelined into
-        the same chunks (handed to the queue pump untouched).
+        the same chunks (handed to the queue pump untouched).  The
+        caller bounds the wait by :data:`HELLO_TIMEOUT_S`.
         """
         while True:
             chunk = await reader.read(RECV_CHUNK)
@@ -579,19 +607,22 @@ class FleetGatewayServer:
     async def _consume(self, queue: asyncio.Queue,
                        writer: asyncio.StreamWriter,
                        session: _PatientSession) -> None:
-        """Consumer task: queued frames -> the session's lane executor.
+        """Consumer task: queued frames -> the session, on the loop.
 
         Takes every frame queued behind the one it waited for, up to
-        the end of the stream, and applies the batch in one hop to the
-        session's single-thread lane, so per-session ordering is strict
-        while distinct lanes overlap.  The replies go out in order
-        under one ``drain``.
+        the end of the stream, and decodes the batch's packet frames
+        once.  If any carries CS frames, their recovery runs on the
+        session's lane (the one hop) and is held in the session's
+        store; the batch is then applied in order on the loop, and the
+        held recoveries of packets its gateway no longer holds are
+        released.  The replies go out in order under one ``drain``.
 
         Raises:
             ConnectionError: The peer reset the connection.
         """
         loop = asyncio.get_running_loop()
         throttle = self.config.throttle_s
+        gateway_config = self.config.gateway
         while True:
             frames = [await queue.get()]
             while isinstance(frames[-1], bytes) and not queue.empty():
@@ -601,11 +632,20 @@ class FleetGatewayServer:
             if frames:
                 if throttle > 0:
                     await asyncio.sleep(throttle * len(frames))
-                self.lane_batches += 1
+                packets = [decode_ahead(body, gateway_config.wavelet)
+                           for body in frames]
+                cs = [p for p in packets if p is not None and p.frames]
+                if cs:
+                    self.lane_hops += 1
+                    recovered = await loop.run_in_executor(
+                        session.lane, recover_packets, cs, gateway_config)
+                    session.recoveries.hold(cs, recovered)
+                self.batches += 1
                 if self._m is not None:
-                    self._m.lane_batch_frames.observe(float(len(frames)))
-                replies, n_applied, close = await loop.run_in_executor(
-                    session.lane, session.handle_batch, frames)
+                    self._m.batch_frames.observe(float(len(frames)))
+                replies, n_applied, close = session.handle_batch(
+                    frames, packets)
+                session.recoveries.release(session.gateway.held_packets())
                 if self._m is not None:
                     for body in frames[:n_applied]:
                         try:

@@ -273,12 +273,13 @@ def _with_value(value: float):
 
 
 class TestHostileWindow:
-    """A finite-geometry CS window whose measurements are not finite
-    (or overflow FISTA) passes ingest; its drain must neither raise nor
-    touch the other windows recovered in the same batch."""
+    """A CS window whose finite measurements overflow FISTA passes
+    ingest; its drain must neither raise nor touch the other windows
+    recovered in the same batch.  (A NaN or infinite measurement is
+    refused at ingest: see ``MALFORMED_GEOMETRY``.)"""
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300, 1e200],
-                             ids=["nan", "inf", "1e300", "1e200"])
+    @pytest.mark.parametrize("value", [1e300, 1e200],
+                             ids=["1e300", "1e200"])
     def test_observed_drain_guards_and_isolates(self, cs_packet, value):
         from repro.obs import Observability
 
@@ -342,6 +343,11 @@ MALFORMED_GEOMETRY = {
     "bytes-dtype": (
         lambda p: _with_measurements(p, lambda y: y.astype("S8")),
         "numbers"),
+    # One such value made its whole window's reconstruction non-finite.
+    "measurement-nan": (
+        lambda p: _with_measurements(p, _with_value(np.nan)), "non-finite"),
+    "measurement-inf": (
+        lambda p: _with_measurements(p, _with_value(np.inf)), "non-finite"),
 }
 
 

@@ -7,12 +7,16 @@ import importlib
 import logging
 import socket
 import struct
+import sys
+import tempfile
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import JointCsDecoder
 from repro.fleet import (
     CohortConfig,
     FleetGatewayServer,
@@ -20,6 +24,9 @@ from repro.fleet import (
     Gateway,
     GatewayConfig,
     GatewaySession,
+    JournalConfig,
+    JournalReader,
+    JournalWriter,
     NodeProxy,
     NodeProxyConfig,
     PatientProfile,
@@ -36,6 +43,8 @@ from repro.fleet import (
     decode_packet,
     encode_message,
     encode_stream_frame,
+    frame_kind,
+    journal_meta,
     make_cohort,
     run_served_fleet,
     serve,
@@ -45,6 +54,7 @@ from repro.fleet.wire import StreamFrameError
 from repro.obs import Observability
 from repro.power import Battery, BatteryModel
 from repro.power.governor import (
+    MODE_RAW,
     EnergyGovernor,
     GovernorConfig,
     ModePowerTable,
@@ -133,6 +143,20 @@ class TestServedByteEquivalence:
         assert stats["frames"] == served_run.packets_sent
         assert stats["n_lanes"] == ServeConfig().n_lanes
         assert set(served_run.timings_s) == {"serve", "merge", "total"}
+
+    def test_fast_thread_switching_moves_no_byte(self, plain_run):
+        # Five client threads, the loop and two lanes, switching every
+        # 10 us: the lanes recover through shared read-only decoders
+        # while the loop applies batches, so a lost update anywhere
+        # would change a byte.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            served = run_served_fleet(COHORT, **RUN_KW)
+        finally:
+            sys.setswitchinterval(interval)
+        assert served.summary.to_json() == plain_run.summary.to_json()
+        assert served.server_stats["lane_hops"] > 0
 
     def test_governed_impaired_served_matches_sharded(self):
         spec = LinkSpec(loss_rate=0.15, duplicate_rate=0.1,
@@ -404,7 +428,8 @@ def _reset(sock: socket.socket) -> None:
 
 
 class TestLaneBatches:
-    """One lane hop per queued batch, with per-frame semantics."""
+    """One applied batch per consumer wake-up, with per-frame semantics;
+    a batch without CS frames makes no lane hop."""
 
     N = 6
 
@@ -422,27 +447,30 @@ class TestLaneBatches:
                 if one_at_a_time:
                     # Write a frame once the previous one left the queue.
                     transport._sock.sendall(_frames(item))
-                    _wait_for(lambda: server.lane_batches == k)
+                    _wait_for(lambda: server.batches == k)
                 elif isinstance(item, ServeMessage):
                     transport.send_message(item)
                 else:
                     transport.send_frame(item)
             feedback = transport.recv_message()
-            hops = server.lane_batches
+            batches = server.batches
             transport.send_message(ServeMessage(
                 "report", pid, t_s=t_s, fields={"n_sent": float(self.N)},
                 info={"governed": "0"}))
             assert transport.recv_message().kind == "report-ack"
             transport.close()
         session = server.sessions[pid]
+        assert server.lane_hops == 0  # telemetry: nothing to recover
         # repr, not ==: a row's unreported NaN power never equals itself.
-        return hops, feedback, (session.n_frames, session.n_reconstructed,
-                                repr(server.rows()[pid]))
+        return batches, feedback, (session.n_frames,
+                                   session.n_reconstructed,
+                                   repr(server.rows()[pid]))
 
-    def test_one_write_is_one_hop_with_per_frame_results(self):
-        hops, feedback, state = self._play(one_at_a_time=False)
-        ref_hops, ref_feedback, ref_state = self._play(one_at_a_time=True)
-        assert (hops, ref_hops) == (1, self.N + 2)
+    def test_one_write_is_one_batch_with_per_frame_results(self):
+        batches, feedback, state = self._play(one_at_a_time=False)
+        ref_batches, ref_feedback, ref_state = self._play(
+            one_at_a_time=True)
+        assert (batches, ref_batches) == (1, self.N + 2)
         assert feedback.kind == "feedback"
         assert feedback == ref_feedback
         assert state == ref_state
@@ -462,9 +490,9 @@ class TestLaneBatches:
             with pytest.raises(ServeError, match=match):
                 transport.recv_message()
             transport.close()
-        # The frames behind the closing one shared its hand-off but were
+        # The frames behind the closing one shared its batch but were
         # never applied, as if they had stayed in the queue.
-        assert server.lane_batches == 1
+        assert server.batches == 1
         assert server.sessions["cb"].n_frames == 3
 
     def test_stream_error_after_good_frames_applies_them_first(self):
@@ -480,21 +508,23 @@ class TestLaneBatches:
             with pytest.raises(ServeError, match="closed"):
                 transport.recv_message()
             transport.close()
-        assert server.lane_batches == 1
+        assert server.batches == 1
         assert server.sessions["se"].n_frames == 2
 
     def test_client_writes_each_tick_as_one_batch(self):
         # The client buffers a tick's packets and commands until it
-        # blocks for the sweep's feedback, so they share a lane hop.
+        # blocks for the sweep's feedback, so they share a batch, and
+        # its CS packets share one lane hop.
         obs = Observability()
         kw = dict(RUN_KW, node_config=NodeProxyConfig(
             stream_telemetry=False, excerpt_period_s=2.0))
         served = run_served_fleet(COHORT, obs=obs, **kw)
         families = obs.metrics.families()
         frames = sum(families["serve_frames_total"].series.values())
-        hops = served.server_stats["lane_batches"]
-        assert families["serve_lane_batch_frames"].count() == hops
-        assert 0 < hops <= frames / 2
+        batches = served.server_stats["batches"]
+        assert families["serve_batch_frames"].count() == batches
+        assert 0 < batches <= frames / 2
+        assert 0 < served.server_stats["lane_hops"] <= batches
 
 
 class TestPeerReset:
@@ -535,9 +565,9 @@ class TestStopDrainsQueues:
         seen: list[bytes] = []
         real = serve_module._PatientSession.handle_frame
 
-        def recording(session, body):
+        def recording(session, body, *args):
             seen.append(body)
-            return real(session, body)
+            return real(session, body, *args)
 
         monkeypatch.setattr(serve_module._PatientSession, "handle_frame",
                             recording)
@@ -596,6 +626,169 @@ class TestStopDrainsQueues:
             idle.close()
             mute.close()
         assert server.stats()["connections"] == {"closed": 1, "open": 1}
+
+
+class TestHelloTimeout:
+    """A peer that never completes its ``hello`` is closed and counted;
+    it used to hold its handler and read buffer forever."""
+
+    def test_silent_and_half_hello_peers_are_closed(self, monkeypatch):
+        monkeypatch.setattr(serve_module, "HELLO_TIMEOUT_S", 0.1)
+        hello = _frames(ServeMessage("hello", "ht"))
+        obs = Observability()
+        server = FleetGatewayServer(ServeConfig(), obs=obs).start()
+        peers = [socket.create_connection(("127.0.0.1", server.port))
+                 for _ in range(2)]
+        try:
+            peers[1].sendall(hello[:len(hello) // 2])
+            for peer in peers:
+                peer.settimeout(5.0)
+            start = time.monotonic()
+            # Both read EOF: the server closed them.
+            assert [peer.recv(1) for peer in peers] == [b"", b""]
+            assert time.monotonic() - start < 2.0
+            _wait_for(lambda: server.stats()["connections"].get(
+                "hello-timeout") == 2)
+            client = _hello(server, "ht")  # a prompt peer is served
+            client.send_message(ServeMessage("sweep", "ht", t_s=1.0))
+            assert client.recv_message().kind == "feedback"
+            client.close()
+        finally:
+            for peer in peers:
+                peer.close()
+            start = time.monotonic()
+            server.stop()
+        assert time.monotonic() - start < 2.0
+        assert server.stats()["connections"] == {
+            "closed": 1, "hello-timeout": 2, "open": 1}
+        counter = obs.metrics.families()["serve_connections_total"]
+        assert counter.value(event="hello-timeout") == 2
+
+
+def _session_frames(journal: JournalConfig, pid: str) -> list[bytes]:
+    """``pid``'s packet frames and commands from a one-patient fleet
+    journal, in order, as its client writes them (no hello or bye)."""
+    frames = []
+    for record in JournalReader(journal).records():
+        frame = bytes(record.frame)
+        if frame_kind(frame) == "packet":
+            frames.append(frame)
+            continue
+        msg = decode_message(frame)
+        if msg.kind not in ("hello", "stats"):
+            frames.append(encode_message(ServeMessage(
+                msg.kind, pid, t_s=msg.t_s, fields=dict(msg.fields),
+                info=dict(msg.info))))
+    return frames
+
+
+#: Gateway of every chunking run (a short FISTA budget keeps it quick).
+CHUNKING_GATEWAY = GatewayConfig(n_iter=20)
+
+
+@functools.lru_cache(maxsize=None)
+def _chunking_script(mode: str) -> tuple[bytes, ...]:
+    """One session's frames: a CS node, or a raw-mode governed node."""
+    profile = make_cohort(CohortConfig(n_patients=1, seed=13))[0]
+    governor = (None if mode == "cs"
+                else lambda _profile: EnergyGovernor(mode=MODE_RAW))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = JournalConfig(dir=tmp, name=mode)
+        with JournalWriter(config, meta=journal_meta(24.0, 250.0),
+                           resume=False) as journal:
+            FleetScheduler(
+                [profile], SchedulerConfig(duration_s=24.0, fs=250.0),
+                node_config=NodeProxyConfig(excerpt_period_s=4.0,
+                                            stream_telemetry=False),
+                gateway=Gateway(CHUNKING_GATEWAY),
+                governor_factory=governor, journal=journal).run()
+        return tuple(_session_frames(config, profile.patient_id))
+
+
+def _play_chunked(frames: tuple[bytes, ...], cuts: tuple[int, ...]):
+    """Play one session to a fresh journaled server, one write per
+    chunk (cut before each index in ``cuts``), each chunk applied
+    before the next is written.
+
+    Returns ``(outcome, stats, cs_batches, recover_threads)``: the row,
+    journal records and replies; the server's counters; per applied
+    batch, whether it carried CS frames; and the threads that ran
+    ``recover_batch``.
+    """
+    pid = decode_packet(next(f for f in frames
+                             if frame_kind(f) == "packet")).patient_id
+    n_replies = sum(frame_kind(f) == "message"
+                    and decode_message(f).kind in ("sweep", "report")
+                    for f in frames)
+    applied: list[int] = []
+    cs_batches: list[bool] = []
+    recover_threads: list[str] = []
+    real_batch = serve_module._PatientSession.handle_batch
+    real_recover = JointCsDecoder.recover_batch
+
+    def recording_batch(session, batch, packets):
+        out = real_batch(session, batch, packets)
+        cs_batches.append(any(p is not None and p.frames for p in packets))
+        applied.append(out[1])
+        return out
+
+    def recording_recover(decoder, batch):
+        recover_threads.append(threading.current_thread().name)
+        return real_recover(decoder, batch)
+
+    bounds = [0, *sorted(cuts), len(frames)]
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serve_module._PatientSession, "handle_batch",
+                      recording_batch)
+        patch.setattr(JointCsDecoder, "recover_batch", recording_recover)
+        config = JournalConfig(dir=tmp, name="chunked")
+        with FleetGatewayServer(ServeConfig(
+                gateway=CHUNKING_GATEWAY, journal=config)) as server:
+            transport = _hello(server, pid)
+            for lo, hi in zip(bounds, bounds[1:]):
+                transport._sock.sendall(_frames(*frames[lo:hi]))
+                _wait_for(lambda: sum(applied) == hi)
+            replies = [encode_message(transport.recv_message())
+                       for _ in range(n_replies)]
+            transport.send_message(ServeMessage("bye", pid))
+            transport.close()
+        records = [(r.t_s, r.prio, r.subject, r.frame)
+                   for r in JournalReader(config).records()]
+        # repr, not ==: a row's unreported NaN power never equals itself.
+        outcome = (repr(server.rows()[pid]), records, replies)
+    return outcome, server.stats(), cs_batches, recover_threads
+
+
+@functools.lru_cache(maxsize=None)
+def _one_write(mode: str) -> tuple:
+    """The outcome of ``mode``'s session written in one go."""
+    return _play_chunked(_chunking_script(mode), ())[0]
+
+
+class TestServedChunkingProperty:
+    """However TCP cuts a session's stream, the loop-applied path ends
+    in the one-write run's bytes, and only lanes reconstruct."""
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_any_frame_chunking_matches_one_write(self, data):
+        for mode in ("cs", "raw"):
+            frames = _chunking_script(mode)
+            cuts = data.draw(st.sets(st.integers(1, len(frames) - 1),
+                                     max_size=12), label=mode)
+            got, stats, cs_batches, threads = _play_chunked(
+                frames, tuple(cuts))
+            assert got == _one_write(mode)
+            assert stats["batches"] == len(cs_batches) >= len(cuts) + 1
+            if mode == "raw":
+                assert stats["lane_hops"] == 0
+                assert threads == []
+            else:
+                # One hop per batch that carries CS frames, no more,
+                # and FISTA never on the event loop.
+                assert stats["lane_hops"] == sum(cs_batches) > 0
+                assert threads and "fleet-serve" not in threads
 
 
 class TestServeMessageCodec:
