@@ -57,13 +57,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .cohort import check_unique_ids
 from .gateway import Gateway, GatewayConfig, check_geometry, recover_packets
-from .kernel import (
-    PRIO_DRAIN,
-    PRIO_REASSEMBLY,
-    PRIO_TRIAGE,
-    EventKernel,
-    KernelError,
-)
+from .kernel import PRIO_DRAIN, PRIO_REASSEMBLY, PRIO_TRIAGE
 from .node_proxy import UplinkPacket
 from .sharding import merge_patient_rows
 from .triage import ShardPatientRow, TriageBoard, row_from_report
@@ -747,14 +741,22 @@ class JournalReader:
 
 
 class GatewaySession:
-    """Per-patient gateway + triage core with a virtual-time kernel.
+    """Per-patient gateway + triage core with a virtual clock.
 
     This is the session state machine the serve layer runs behind each
-    TCP connection, factored out so :class:`JournalReplayer` can drive
-    the identical construction from a journal.  ``handle_frame``
-    dispatches one stream frame (packet or control message) and returns
+    TCP connection, and :class:`JournalReplayer` drives the identical
+    construction from a journal.  ``handle_frame`` dispatches one
+    stream frame (packet or control message) and returns
     ``(replies, close)``; protocol violations come back as an ``error``
     reply, exactly as over the wire.
+
+    ``now_s`` is the session's virtual clock.  ``expire`` and ``sweep``
+    refuse a non-finite time or one behind the clock and move the clock
+    to theirs; ``drain`` refuses a non-finite time and drains at the
+    clock's time when its own is behind.  A command time is peer input,
+    so a refusal is a :class:`~repro.fleet.wire.WireFormatError`.  A
+    served session outlives its socket, so the clock orders commands
+    across reconnects too.
 
     When ``journal`` is given, ingested packet frames are journaled by
     the attached gateway and state-bearing control messages
@@ -779,7 +781,7 @@ class GatewaySession:
         self.gateway = Gateway(config or GatewayConfig())
         self.board = TriageBoard()
         self.board.register([patient_id])
-        self.kernel = EventKernel()
+        self.now_s = 0.0
         self.recoveries = recoveries if recoveries is not None else RecoveryStore()
         self.n_reconstructed = 0
         self.n_frames = 0
@@ -811,24 +813,43 @@ class GatewaySession:
             ):
                 self._journal.append_message(msg)
             return replies, close
-        except (WireFormatError, KernelError) as exc:
+        except WireFormatError as exc:
             reply = ServeMessage(
                 "error", self.patient_id, info={"error": str(exc)}
             )
             return [encode_message(reply)], True
 
+    def handle_batch(
+        self, frames: list[bytes], packets: list[UplinkPacket | None]
+    ) -> tuple[list[bytes], int, bool]:
+        """Apply queued frames in order until one closes the session.
+
+        Every frame goes through :meth:`handle_frame`, the per-frame
+        entry point, with its packet from :func:`decode_ahead`; the
+        frames after one that closes the session are not applied, as
+        if they had stayed in the queue.
+
+        Returns:
+            ``(replies, n_applied, close)``: the applied frames'
+            replies in order, how many frames were applied, and
+            whether the last of them closed the session.
+        """
+        replies: list[bytes] = []
+        for n_applied, (body, packet) in enumerate(zip(frames, packets), 1):
+            out, close = self.handle_frame(body, packet)
+            replies += out
+            if close:
+                return replies, n_applied, True
+        return replies, len(frames), False
+
     def handle_message(self, msg: ServeMessage) -> tuple[list[bytes], bool]:
         """Dispatch a decoded control message (raises on violations)."""
         if msg.kind == "expire":
-            self._run_at(
-                msg.t_s,
-                PRIO_REASSEMBLY,
-                "serve.expire",
-                lambda: self.gateway.expire_reassembly(msg.t_s),
-            )
+            self._step_to(msg)
+            self.gateway.expire_reassembly(msg.t_s)
             return [], False
         if msg.kind == "drain":
-            self._on_drain(msg)
+            _drain_sessions([self], msg)
             return [], False
         if msg.kind == "sweep":
             return [encode_message(self._on_sweep(msg))], False
@@ -848,35 +869,27 @@ class GatewaySession:
 
     # -- phase actions ------------------------------------------------
 
-    def _run_at(
-        self, t_s: float, priority: int, name: str, action
-    ) -> None:
-        self.kernel.schedule(
-            t_s, priority, name, action, subject=self.patient_id
-        )
-        self.kernel.run()
+    def _step_to(self, msg: ServeMessage) -> None:
+        """Move the clock to ``msg``'s time; refuse one behind it."""
+        t_s = _command_time(msg)
+        if t_s < self.now_s:
+            raise WireFormatError(
+                f"{msg.kind!r} at t={t_s} is behind the session clock "
+                f"{self.now_s} (no time travel)"
+            )
+        self.now_s = t_s
 
-    def _on_drain(self, msg: ServeMessage) -> None:
-        _drain_sessions([self], msg)
-
-    def _drain_at(self, t_s: float, max_packets: int | None) -> None:
-        """Drain into triage as this session's ``PRIO_DRAIN`` event."""
-
-        def act() -> None:
-            recoveries = self.recoveries.take(self.gateway.queued(max_packets))
-            for excerpt in self.gateway.drain(max_packets, recoveries):
-                self.board.observe(excerpt)
-                self.n_reconstructed += 1
-
-        self._run_at(t_s, PRIO_DRAIN, "serve.drain", act)
+    def _drain(self, t_s: float, max_packets: int | None) -> None:
+        """Drain into triage at ``t_s``, or at the clock if that is later."""
+        self.now_s = max(self.now_s, t_s)
+        recoveries = self.recoveries.take(self.gateway.queued(max_packets))
+        for excerpt in self.gateway.drain(max_packets, recoveries):
+            self.board.observe(excerpt)
+            self.n_reconstructed += 1
 
     def _on_sweep(self, msg: ServeMessage) -> ServeMessage:
-        self._run_at(
-            msg.t_s,
-            PRIO_TRIAGE,
-            "serve.sweep",
-            lambda: self.board.tick(msg.t_s),
-        )
+        self._step_to(msg)
+        self.board.tick(msg.t_s)
         patient = self.board.patient(self.patient_id)
         return ServeMessage(
             "feedback",
@@ -901,27 +914,33 @@ class GatewaySession:
         return ServeMessage("report-ack", self.patient_id, t_s=msg.t_s)
 
 
+def _command_time(msg: ServeMessage) -> float:
+    """``msg``'s time, which must be finite."""
+    t_s = float(msg.t_s)
+    if not isfinite(t_s):
+        raise WireFormatError(f"{msg.kind!r} time must be finite, got {t_s}")
+    return t_s
+
+
 def _drain_sessions(sessions: Sequence[GatewaySession], msg: ServeMessage) -> None:
     """Apply one ``drain`` command to ``sessions``.
 
-    Each session drains its own queue through ``Gateway.drain`` inside
-    its own ``PRIO_DRAIN`` kernel event, with the recoveries its store
-    holds for the packets that drain pops.
+    Each session drains its own queue through ``Gateway.drain``, with
+    the recoveries its store holds for the packets that drain pops.
 
     Args:
         sessions: Sessions the command addresses.
         msg: The ``drain`` command (``budget`` < 0 drains everything).
 
     Raises:
-        WireFormatError: The budget is not finite.
-        KernelError: The command's time is invalid for a session clock
-            (checked before any session drains).
+        WireFormatError: The budget or the time is not finite (checked
+            before any session drains).
     """
     budget = _count_field(msg.fields, "budget", -1.0)
     max_packets = None if budget < 0 else budget
-    times = [session.kernel.advance_to(msg.t_s) for session in sessions]
-    for session, t_s in zip(sessions, times):
-        session._drain_at(t_s, max_packets)
+    t_s = _command_time(msg)
+    for session in sessions:
+        session._drain(t_s, max_packets)
 
 
 def decode_ahead(frame: bytes, wavelet: str) -> UplinkPacket | None:
@@ -1103,7 +1122,9 @@ class JournalReplayer:
     be omitted for journals that carry ``hello`` records (in-process
     and sharded runs); served journals never log hellos, so their
     cohort order — which the float-summing merge depends on — must be
-    passed explicitly, without a repeated patient id.  Records are
+    passed explicitly, without a repeated patient id.  A given cohort
+    must list every journaled patient: one left out raises
+    :class:`JournalError` rather than fold a partial fleet.  Records are
     read a chunk ahead, so CS frames are recovered in large batches
     before the drains that pop them (:data:`_LOOKAHEAD_WINDOWS`).
     ``duration_s``, ``fs`` and ``gateway_config`` default to the
@@ -1157,10 +1178,22 @@ class JournalReplayer:
         hello_order: dict[str, int] = {}
         link_stats: dict[str, int] = {}
         origin: dict[str, int] = {}
+        cohort_ids = (
+            None
+            if self.cohort is None
+            else {profile.patient_id for profile in self.cohort}
+        )
         n_packets = 0
         n_messages = 0
 
         def session_for(pid: str, source: int) -> GatewaySession:
+            # A patient outside an explicit cohort would be replayed
+            # but left out of the fold, a partial fleet.
+            if cohort_ids is not None and pid not in cohort_ids:
+                raise JournalError(
+                    f"patient {pid!r} in journal "
+                    f"{self.sources[source].name!r} is not in the cohort"
+                )
             # A patient lives in exactly one source journal; a second
             # one (e.g. a stale shard journal) would ingest it twice.
             first = origin.setdefault(pid, source)
@@ -1189,9 +1222,7 @@ class JournalReplayer:
             try:
                 if frame_kind(record.frame) == "packet":
                     session = session_for(record.subject, source)
-                    session.gateway.ingest(
-                        record.frame if packet is None else packet
-                    )
+                    session.gateway.ingest(record.frame, packet)
                     session.n_frames += 1
                     n_packets += 1
                     continue
@@ -1219,7 +1250,7 @@ class JournalReplayer:
                         session.handle_message(msg)
                 else:
                     session_for(msg.patient_id, source).handle_message(msg)
-            except (WireFormatError, KernelError) as exc:
+            except WireFormatError as exc:
                 raise JournalError(
                     f"replay failed at record {ordinal} of journal "
                     f"{self.sources[source].name!r}: {exc}"

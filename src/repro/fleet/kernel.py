@@ -27,15 +27,13 @@ Because every component of the key is assigned deterministically at
 function of the schedule — fuzzed in ``tests/test_fleet_kernel.py`` to
 contain no duplicate keys across governed + impaired cohorts.
 
-The kernel has two clients.  :class:`~repro.fleet.FleetScheduler`
+The kernel's client is :class:`~repro.fleet.FleetScheduler`, which
 runs one of two schedules on it: *lockstep* sweep events per base tick
 when every node shares the base uplink period, and per-node uplink
 events when any profile carries an ``uplink_period_s`` override — cost
 proportional to events, not ticks.  With every override equal to the
 base period the two schedules fold to the same summary bytes, so each
-is the other's reference.  A served or replayed
-:class:`~repro.fleet.journal.GatewaySession` runs each remote command
-as one event on its own kernel.
+is the other's reference.
 """
 
 from __future__ import annotations
@@ -101,25 +99,16 @@ class Event:
 class EventKernel:
     """A heap of :class:`Event` records processed in total-key order.
 
-    Args:
-        record_keys: Keep every processed event's ordering key in
-            :attr:`processed_keys` (the total-order property test's
-            input); off by default to keep long runs lean.
-
     Attributes:
         now_s: Virtual time of the event being (or last) processed.
         n_processed: Events fired by :meth:`run` so far.
         counts_by_name: Processed-event tally per event name.
-        processed_keys: Ordering keys in firing order (only populated
-            with ``record_keys=True``).
     """
 
-    def __init__(self, record_keys: bool = False) -> None:
+    def __init__(self) -> None:
         self.now_s = 0.0
         self.n_processed = 0
         self.counts_by_name: dict[str, int] = {}
-        self.processed_keys: list[tuple] | None = \
-            [] if record_keys else None
         self._heap: list[tuple[tuple, Event]] = []
         self._seq: dict[str, int] = {}
 
@@ -155,38 +144,6 @@ class EventKernel:
         heapq.heappush(self._heap, (event.key, event))
         return event
 
-    def peek_s(self) -> float | None:
-        """Firing time of the next pending event (``None`` when idle)."""
-        return self._heap[0][0][0] if self._heap else None
-
-    def advance_to(self, t_s: float) -> float:
-        """Advance virtual time without firing an event; return ``now_s``.
-
-        The serving layer's clock clamp: a gateway session pins its
-        kernel to each remote command's stamped time before scheduling
-        the command as an event, so the no-time-travel guard in
-        :meth:`schedule` enforces monotone command order across a whole
-        connection (and across reconnects, since the session kernel
-        outlives the socket).  Moving backwards is a no-op — ``now_s``
-        never decreases — which absorbs commands stamped slightly in
-        the past (e.g. a drain reusing its tick's expiry time).
-
-        Raises:
-            KernelError: Non-finite time, or a target that would jump
-                over pending events (they would then be scheduled-past
-                and could never fire in order).
-        """
-        t_s = float(t_s)
-        if not math.isfinite(t_s):
-            raise KernelError(f"advance_to: time must be finite, got {t_s}")
-        head = self.peek_s()
-        if head is not None and t_s > head:
-            raise KernelError(
-                f"advance_to({t_s}) would jump over a pending event "
-                f"at t={head}")
-        self.now_s = max(self.now_s, t_s)
-        return self.now_s
-
     def run(self) -> int:
         """Fire every pending event in key order; return how many fired.
 
@@ -196,12 +153,10 @@ class EventKernel:
         """
         start = self.n_processed
         while self._heap:
-            key, event = heapq.heappop(self._heap)
+            _, event = heapq.heappop(self._heap)
             self.now_s = event.t_s
             event.action()
             self.n_processed += 1
             self.counts_by_name[event.name] = \
                 self.counts_by_name.get(event.name, 0) + 1
-            if self.processed_keys is not None:
-                self.processed_keys.append(key)
         return self.n_processed - start

@@ -16,10 +16,10 @@ Architecture (one connection, left to right)::
                                                         │ decode the batch,
                                                         │ then, if it holds
                                                         │ CS frames, one hop:
-                           run_in_executor(session lane, recover_packets)
+                                run_in_executor(lanes, recover_packets)
                                                         │ back on the loop:
-                                       _PatientSession.handle_batch:
-                                       Gateway + TriageBoard + EventKernel
+                                        GatewaySession.handle_batch:
+                                        Gateway + TriageBoard + clock
 
 * **Framing** — the byte stream is u32-length-delimited
   (:func:`~repro.fleet.wire.encode_stream_frame`); each frame body is
@@ -36,15 +36,16 @@ Architecture (one connection, left to right)::
   loop, then writes the replies in order under one ``drain``.  The
   loop thread is the only thread that mutates a session.
 * **Only reconstruction leaves the loop** — when a batch carries CS
-  frames, the consumer first recovers them on the session's lane
+  frames, the consumer first recovers them on a lane
   (:func:`~repro.fleet.gateway.recover_packets`, pure) and holds the
   results in the session's
   :class:`~repro.fleet.journal.RecoveryStore` for the drains that pop
   those packets: one hop per CS batch, and FISTA never runs on the
   loop.  A batch of raw packets, telemetry or commands makes no hop.
-* **Lanes** — sessions are striped round-robin over ``n_lanes``
-  single-thread executors, so different patients' reconstructions
-  overlap the loop and each other.
+* **Lanes** — one pool of ``n_lanes`` threads, shared by every
+  session, so different patients' reconstructions overlap the loop and
+  each other.  A consumer awaits its hop before it takes its next
+  batch, so one session never has two recoveries in flight.
 * **Closed loop** — every ``sweep`` command returns a ``feedback``
   downlink carrying the patient's post-sweep triage state, operating
   mode and alert count; the client mirrors it into its local board,
@@ -87,7 +88,7 @@ from .cohort import PatientProfile, check_unique_ids
 from .gateway import GatewayConfig, recover_packets
 from .journal import GatewaySession, JournalConfig, JournalWriter, \
     decode_ahead, journal_meta
-from .node_proxy import NodeProxyConfig, UplinkPacket
+from .node_proxy import NodeProxyConfig
 from .scheduler import SchedulerConfig
 from .sharding import ShardHookFactory, ShardHooks, merge_patient_rows
 from .triage import FleetSummary, ShardPatientRow
@@ -130,10 +131,9 @@ class ServeConfig:
         host: Interface the server binds.
         port: TCP port (``0`` = ephemeral; read the bound port off
             :attr:`FleetGatewayServer.port`).
-        n_lanes: Single-thread executors that reconstruct sessions'
-            CS frames, patients striped round-robin over them (distinct
-            lanes run concurrently); every frame is applied on the
-            event loop.
+        n_lanes: Threads of the one pool that reconstructs every
+            session's CS frames (distinct sessions' recoveries run
+            concurrently); every frame is applied on the event loop.
         queue_capacity: Bounded per-connection frame queue between the
             socket reader and the session consumer — the backpressure
             knob: a full queue stops the reader, which stalls the
@@ -204,55 +204,6 @@ class _ServeMetrics:
             scope=SCOPE_SERVE)
 
 
-class _PatientSession(GatewaySession):
-    """Server-side state of one patient: gateway, triage, virtual clock.
-
-    The state machine itself lives in
-    :class:`~repro.fleet.journal.GatewaySession` — it replays the exact
-    call sequence the in-process scheduler would make on a local
-    gateway/board pair, driven by the client's command stream, and the
-    journal replayer drives the identical class from a log.  This
-    subclass adds only the serving concerns: the lane executor that
-    reconstructs the session's CS frames, the batch the consumer
-    applies on the loop, and the (optional) shared journal writer.
-    The per-session :class:`~repro.fleet.kernel.EventKernel` pins every
-    timed command to the session's virtual clock, so its
-    no-time-travel guard enforces monotone command order across the
-    whole connection — and across reconnects, because the session
-    outlives the socket.
-    """
-
-    def __init__(self, patient_id: str, config: ServeConfig,
-                 lane: ThreadPoolExecutor,
-                 journal: JournalWriter | None = None) -> None:
-        super().__init__(patient_id, config.gateway, journal=journal)
-        self.lane = lane
-
-    def handle_batch(self, frames: list[bytes],
-                     packets: list[UplinkPacket | None],
-                     ) -> tuple[list[bytes], int, bool]:
-        """Apply queued frames in order until one closes the session.
-
-        Every frame goes through :meth:`handle_frame`, the per-frame
-        entry point, with its packet from
-        :func:`~repro.fleet.journal.decode_ahead`; the frames after one
-        that closes the session are not applied, as if they had stayed
-        in the queue.
-
-        Returns:
-            ``(replies, n_applied, close)``: the applied frames'
-            replies in order, how many frames were applied, and
-            whether the last of them closed the session.
-        """
-        replies: list[bytes] = []
-        for n_applied, (body, packet) in enumerate(zip(frames, packets), 1):
-            out, close = self.handle_frame(body, packet)
-            replies += out
-            if close:
-                return replies, n_applied, True
-        return replies, len(frames), False
-
-
 class FleetGatewayServer:
     """Asyncio TCP gateway server with per-patient sessions.
 
@@ -278,7 +229,7 @@ class FleetGatewayServer:
         self.obs = obs
         self._m = _ServeMetrics(obs) if obs is not None else None
         #: Patient sessions, persisting across disconnects.
-        self.sessions: dict[str, _PatientSession] = {}
+        self.sessions: dict[str, GatewaySession] = {}
         #: Highest frame-queue depth observed on any connection.
         self.max_queue_depth = 0
         #: Highest partial-frame byte count buffered by any
@@ -298,9 +249,7 @@ class FleetGatewayServer:
         #: the handshake (no queue yet), then its pump, with the queue
         #: the pump fills.  Shutdown stops these first.
         self._reading: dict[asyncio.Task, asyncio.Queue | None] = {}
-        self._lanes = [ThreadPoolExecutor(max_workers=1)
-                       for _ in range(self.config.n_lanes)]
-        self._next_lane = 0
+        self._lanes = ThreadPoolExecutor(max_workers=self.config.n_lanes)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._stop_event: asyncio.Event | None = None
@@ -344,8 +293,7 @@ class FleetGatewayServer:
         self._loop.call_soon_threadsafe(self._stop_event.set)
         self._thread.join()
         self._thread = None
-        for lane in self._lanes:
-            lane.shutdown(wait=True)
+        self._lanes.shutdown(wait=True)
         if self.journal is not None:
             self.journal.close()
 
@@ -378,7 +326,7 @@ class FleetGatewayServer:
             "lane_hops": self.lane_hops,
             "max_queue_depth": self.max_queue_depth,
             "max_partial_bytes": self.max_partial_bytes,
-            "n_lanes": len(self._lanes),
+            "n_lanes": self.config.n_lanes,
         }
         if self.journal is not None:
             stats["journal"] = self.journal.stats()
@@ -438,15 +386,13 @@ class FleetGatewayServer:
         if self._m is not None:
             self._m.connections.inc(event=event)
 
-    def _session_for(self, patient_id: str) -> tuple[_PatientSession, bool]:
+    def _session_for(self, patient_id: str) -> tuple[GatewaySession, bool]:
         """The (resumed or newly created) session of one patient."""
         session = self.sessions.get(patient_id)
         if session is not None:
             return session, True
-        lane = self._lanes[self._next_lane % len(self._lanes)]
-        self._next_lane += 1
-        session = _PatientSession(patient_id, self.config, lane,
-                                  journal=self.journal)
+        session = GatewaySession(patient_id, self.config.gateway,
+                                 journal=self.journal)
         self.sessions[patient_id] = session
         return session, False
 
@@ -606,16 +552,16 @@ class FleetGatewayServer:
 
     async def _consume(self, queue: asyncio.Queue,
                        writer: asyncio.StreamWriter,
-                       session: _PatientSession) -> None:
+                       session: GatewaySession) -> None:
         """Consumer task: queued frames -> the session, on the loop.
 
         Takes every frame queued behind the one it waited for, up to
         the end of the stream, and decodes the batch's packet frames
-        once.  If any carries CS frames, their recovery runs on the
-        session's lane (the one hop) and is held in the session's
-        store; the batch is then applied in order on the loop, and the
-        held recoveries of packets its gateway no longer holds are
-        released.  The replies go out in order under one ``drain``.
+        once.  If any carries CS frames, their recovery runs on a lane
+        (the one hop) and is held in the session's store; the batch is
+        then applied in order on the loop, and the held recoveries of
+        packets its gateway no longer holds are released.  The replies
+        go out in order under one ``drain``.
 
         Raises:
             ConnectionError: The peer reset the connection.
@@ -638,7 +584,7 @@ class FleetGatewayServer:
                 if cs:
                     self.lane_hops += 1
                     recovered = await loop.run_in_executor(
-                        session.lane, recover_packets, cs, gateway_config)
+                        self._lanes, recover_packets, cs, gateway_config)
                     session.recoveries.hold(cs, recovered)
                 self.batches += 1
                 if self._m is not None:
@@ -724,15 +670,15 @@ def run_served_fleet(cohort: list[PatientProfile],
                      master_seed: int = 2014,
                      hook_factory: ShardHookFactory | None = None,
                      af_detector: AfDetector | None = None,
-                     client_workers: int | None = None,
                      obs: Observability | None = None,
                      ) -> ServedFleetReport:
     """Run a cohort through loopback TCP and merge one fleet summary.
 
     Spins up a :class:`FleetGatewayServer`, runs one
     :class:`~repro.fleet.client.FleetClient` per patient on a thread
-    pool (concurrent connections, like a real ward), collects the
-    per-patient rows off the server sessions and folds them with
+    pool (concurrent connections, like a real ward: the cohort size,
+    capped at 8), collects the per-patient rows off the server
+    sessions and folds them with
     :func:`~repro.fleet.sharding.merge_patient_rows` — the same merge
     the sharded runtime uses, which is what makes the summary
     byte-identical to the in-process engine by construction.
@@ -751,8 +697,6 @@ def run_served_fleet(cohort: list[PatientProfile],
             derive from (master seed, patient id) exactly as under the
             sharded runtime.
         af_detector: Trained fleet AF detector shared by every client.
-        client_workers: Concurrent client connections (default: cohort
-            size, capped at 8).
         obs: Optional observability bundle for the **server** side.
 
     Raises:
@@ -777,8 +721,7 @@ def run_served_fleet(cohort: list[PatientProfile],
                 profile, config=config, node_config=node_config,
                 hooks=hooks, af_detector=af_detector)
 
-        workers = client_workers or min(len(cohort), 8)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(cohort), 8)) as pool:
             for future in [pool.submit(run_one, p) for p in cohort]:
                 future.result()
     # Snapshot only after stop() has joined the loop thread: a client

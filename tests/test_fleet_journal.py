@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.fleet import (
@@ -214,6 +216,21 @@ class TestWriterReader:
         assert stats["bytes"] > 0
         assert stats["truncated_bytes"] == 0
 
+    @pytest.mark.parametrize("fsync", [False, True],
+                             ids=["default", "fsync"])
+    def test_fsync_after_every_append_and_at_close(self, tmp_path,
+                                                   monkeypatch, fsync):
+        calls: list[int] = []
+        monkeypatch.setattr(os, "fsync", calls.append)
+        obs = Observability(ObsConfig())
+        config = JournalConfig(dir=str(tmp_path), name="fs", fsync=fsync)
+        writer = _write_sample(config, n_packets=2, obs=obs)
+        expected = writer.n_records + 1 if fsync else 0
+        assert len(calls) == expected
+        assert writer.n_fsyncs == writer.stats()["fsyncs"] == expected
+        counter = obs.metrics.families()["journal_fsync_total"]
+        assert counter.value(journal="fs") == expected
+
     def test_missing_journal_raises(self, tmp_path):
         with pytest.raises(JournalError, match="no journal"):
             JournalReader(JournalConfig(dir=str(tmp_path), name="nope"))
@@ -386,6 +403,28 @@ class TestReplaySources:
         assert replay.summary.duplicate_packets == 0
         assert list(replay.rows) == [p.patient_id for p in cohort]
 
+    def test_patient_outside_the_cohort_is_refused(self, tmp_path):
+        """A cohort that leaves out a journaled patient used to fold the
+        rest as a partial fleet, with that patient's sent packets and
+        queue drops still counted; the replay now refuses and names the
+        patient and its journal."""
+        cohort = make_cohort(CohortConfig(n_patients=3, seed=5))
+        gateway_config = GatewayConfig(n_iter=20)
+        config = JournalConfig(dir=str(tmp_path), name="three")
+        with JournalWriter(config, meta=journal_meta(
+                24.0, 250.0, gateway=gateway_config),
+                resume=False) as journal:
+            FleetScheduler(
+                cohort, SchedulerConfig(duration_s=24.0, fs=250.0),
+                node_config=NodeProxyConfig(stream_telemetry=False),
+                gateway=Gateway(gateway_config), journal=journal).run()
+        left_out = cohort[2].patient_id
+        with pytest.raises(JournalError,
+                           match=f"{left_out!r} in journal 'three'"):
+            JournalReplayer(config, cohort=cohort[:2]).run()
+        replay = JournalReplayer(config, cohort=cohort).run()
+        assert list(replay.rows) == [p.patient_id for p in cohort]
+
 
 class TestReplayRejectsHostileRecords:
     """A CRC-valid record whose frame is malformed fails the replay
@@ -442,6 +481,17 @@ class TestReplayRejectsHostileRecords:
         with pytest.raises(JournalError, match="must be finite"):
             self._replay(tmp_path,
                          lambda writer: writer.append_message(msg))
+
+    def test_sweep_behind_the_session_clock(self, tmp_path):
+        # The writer clamps the second record's stamp to the first's
+        # but keeps the message's own t_s, which the session refuses.
+        def append(writer):
+            writer.append_message(ServeMessage("sweep", "jt0", t_s=10.0))
+            writer.append_message(ServeMessage("sweep", "jt0", t_s=5.0))
+
+        with pytest.raises(JournalError,
+                           match="record 2 of journal 'hostile'.*time travel"):
+            self._replay(tmp_path, append)
 
 
 class TestSessionReport:
@@ -585,9 +635,9 @@ class TestReplayReadsAhead:
         ingested: list[int] = []
         real_ingest = Gateway.ingest
 
-        def counting_ingest(gateway, payload):
+        def counting_ingest(gateway, payload, *args):
             ingested.append(1)
-            return real_ingest(gateway, payload)
+            return real_ingest(gateway, payload, *args)
 
         monkeypatch.setattr(Gateway, "ingest", counting_ingest)
         with pytest.raises(JournalError, match="CRC"):
@@ -612,9 +662,9 @@ class TestReplayReadsAhead:
                 read.append(1)
                 yield record
 
-        def counting_ingest(gateway, payload):
+        def counting_ingest(gateway, payload, *args):
             read_before_ingest.append(len(read))
-            return real_ingest(gateway, payload)
+            return real_ingest(gateway, payload, *args)
 
         monkeypatch.setattr(JournalReader, "records", counting_records)
         monkeypatch.setattr(Gateway, "ingest", counting_ingest)

@@ -60,9 +60,28 @@ SHORT_PERIOD_NODE = NodeProxyConfig(excerpt_period_s=10.0,
                                     stream_telemetry=False)
 
 
+class _RecordingKernel(EventKernel):
+    """EventKernel that records each fired event's ordering key."""
+
+    instances: list["_RecordingKernel"] = []
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fired_keys: list[tuple] = []
+        _RecordingKernel.instances.append(self)
+
+    def schedule(self, t_s, priority, name, action, subject=""):
+        def fire() -> None:
+            self.fired_keys.append(event.key)
+            action()
+
+        event = super().schedule(t_s, priority, name, fire, subject=subject)
+        return event
+
+
 class TestEventKernelUnit:
     def test_fires_in_total_key_order(self):
-        kernel = EventKernel(record_keys=True)
+        kernel = _RecordingKernel()
         fired: list[str] = []
         # Scheduled deliberately out of order on every key component.
         kernel.schedule(20.0, PRIO_UPLINK, "b-up",
@@ -77,7 +96,8 @@ class TestEventKernelUnit:
                         lambda: fired.append("a-gov2"), subject="a")
         assert kernel.run() == 5
         assert fired == ["a-gov", "a-gov2", "b-gov", "sweep", "b-up"]
-        assert kernel.processed_keys == sorted(kernel.processed_keys)
+        assert len(kernel.fired_keys) == 5
+        assert kernel.fired_keys == sorted(kernel.fired_keys)
         assert kernel.now_s == 20.0
 
     def test_actions_may_schedule_followups(self):
@@ -120,11 +140,9 @@ class TestEventKernelUnit:
         for i in range(3):
             kernel.schedule(float(i), PRIO_TRIAGE, "sweep", lambda: None)
         kernel.schedule(0.5, PRIO_UPLINK, "up", lambda: None, subject="p")
-        assert kernel.peek_s() == 0.0
         assert kernel.run() == 4
         assert kernel.n_processed == 4
         assert kernel.counts_by_name == {"sweep": 3, "up": 1}
-        assert kernel.peek_s() is None
 
     def test_priorities_cover_the_phase_ladder(self):
         assert list(PRIORITIES) == sorted(PRIORITIES)
@@ -374,16 +392,6 @@ class TestSparseCohortEvents:
         assert report.packets_sent >= len(cohort)
 
 
-class _RecordingKernel(EventKernel):
-    """EventKernel that always records its processed keys."""
-
-    instances: list["_RecordingKernel"] = []
-
-    def __init__(self, record_keys: bool = False) -> None:
-        super().__init__(record_keys=True)
-        _RecordingKernel.instances.append(self)
-
-
 class TestTotalOrderProperty:
     def test_fuzzed_fleet_runs_never_collide_keys(self, monkeypatch):
         # Property: across fuzzed governed + impaired fleet runs, the
@@ -414,7 +422,7 @@ class TestTotalOrderProperty:
                  governor_factory=_governor_factory(seed),
                  gateway=Gateway(GatewayConfig(n_iter=40)))
             (kernel,) = _RecordingKernel.instances
-            keys = kernel.processed_keys
+            keys = kernel.fired_keys
             assert keys, "run scheduled no events"
             assert len(set(keys)) == len(keys), "duplicate ordering key"
             assert keys == sorted(keys), "events fired out of key order"

@@ -383,9 +383,9 @@ class TestLookahead:
         def alive() -> int:
             return sum(ref() is not None for ref in recovered)
 
-        def tracking_ingest(gateway, payload):
+        def tracking_ingest(gateway, payload, *args):
             gateways[id(gateway)] = gateway
-            return real_ingest(gateway, payload)
+            return real_ingest(gateway, payload, *args)
 
         def tracking_batch(decoder, batch):
             out = real_batch(decoder, batch)

@@ -378,6 +378,72 @@ class TestNonFiniteCounts:
         assert session.row is None
 
 
+class TestSessionClock:
+    """A session's clock: ``expire`` and ``sweep`` refuse a non-finite
+    time or one behind the clock; ``drain`` refuses a non-finite time
+    and applies one behind the clock at the clock's time."""
+
+    @staticmethod
+    def _command(kind: str, t_s: float) -> bytes:
+        fields = {"budget": -1.0} if kind == "drain" else {}
+        return encode_message(ServeMessage(kind, "ck", t_s=t_s,
+                                           fields=fields))
+
+    def _session(self) -> GatewaySession:
+        """A session whose clock a sweep moved to 10 s."""
+        session = GatewaySession("ck")
+        replies, close = session.handle_frame(self._command("sweep", 10.0))
+        assert decode_message(replies[0]).kind == "feedback"
+        assert not close
+        return session
+
+    @staticmethod
+    def _error(replies: list[bytes], close: bool) -> str:
+        assert close
+        (reply,) = replies
+        error = decode_message(reply)
+        assert error.kind == "error"
+        return error.info["error"]
+
+    @pytest.mark.parametrize("kind", ["expire", "sweep"])
+    @pytest.mark.parametrize("t_s,match", [
+        (_NAN, "must be finite"),
+        (_INF, "must be finite"),
+        (-_INF, "must be finite"),
+        (5.0, "time travel"),
+    ], ids=["nan", "inf", "neg-inf", "behind"])
+    def test_expire_and_sweep_refuse(self, kind, t_s, match):
+        session = self._session()
+        assert match in self._error(
+            *session.handle_frame(self._command(kind, t_s)))
+
+    @pytest.mark.parametrize("t_s", [_NAN, _INF, -_INF],
+                             ids=["nan", "inf", "neg-inf"])
+    def test_drain_refuses_a_non_finite_time(self, t_s):
+        session = self._session()
+        assert "must be finite" in self._error(
+            *session.handle_frame(self._command("drain", t_s)))
+
+    def test_drain_behind_the_clock_applies_at_the_clock(self):
+        session = self._session()
+        for packet in _telemetry_packets(3, "ck"):
+            session.handle_frame(packet.to_bytes())
+        assert session.gateway.pending == 3
+        assert session.handle_frame(self._command("drain", 5.0)) == (
+            [], False)
+        assert session.gateway.pending == 0
+        # The drain did not move the clock back.
+        assert "time travel" in self._error(
+            *session.handle_frame(self._command("sweep", 7.0)))
+
+    def test_drain_ahead_moves_the_clock(self):
+        session = self._session()
+        assert session.handle_frame(self._command("drain", 20.0)) == (
+            [], False)
+        assert "time travel" in self._error(
+            *session.handle_frame(self._command("expire", 15.0)))
+
+
 class TestBackpressure:
     def test_saturated_queue_loses_nothing(self):
         # A deliberately slow consumer (2 ms/frame) against a
@@ -563,13 +629,13 @@ class TestStopDrainsQueues:
     def _record_frames(monkeypatch) -> list[bytes]:
         """Bodies every session's ``handle_frame`` receives, in order."""
         seen: list[bytes] = []
-        real = serve_module._PatientSession.handle_frame
+        real = serve_module.GatewaySession.handle_frame
 
         def recording(session, body, *args):
             seen.append(body)
             return real(session, body, *args)
 
-        monkeypatch.setattr(serve_module._PatientSession, "handle_frame",
+        monkeypatch.setattr(serve_module.GatewaySession, "handle_frame",
                             recording)
         return seen
 
@@ -723,7 +789,7 @@ def _play_chunked(frames: tuple[bytes, ...], cuts: tuple[int, ...]):
     applied: list[int] = []
     cs_batches: list[bool] = []
     recover_threads: list[str] = []
-    real_batch = serve_module._PatientSession.handle_batch
+    real_batch = serve_module.GatewaySession.handle_batch
     real_recover = JointCsDecoder.recover_batch
 
     def recording_batch(session, batch, packets):
@@ -739,7 +805,7 @@ def _play_chunked(frames: tuple[bytes, ...], cuts: tuple[int, ...]):
     bounds = [0, *sorted(cuts), len(frames)]
     with tempfile.TemporaryDirectory() as tmp, \
             pytest.MonkeyPatch.context() as patch:
-        patch.setattr(serve_module._PatientSession, "handle_batch",
+        patch.setattr(serve_module.GatewaySession, "handle_batch",
                       recording_batch)
         patch.setattr(JointCsDecoder, "recover_batch", recording_recover)
         config = JournalConfig(dir=tmp, name="chunked")
