@@ -1,13 +1,14 @@
 """Unified performance harness: one registry, one runner, one artifact.
 
-Every figure/table benchmark under ``benchmarks/`` and every systems
-benchmark (fleet throughput, scenario campaign) is registered here as a
-:class:`BenchCase` and driven by one :class:`BenchRunner` with
-warmup+repeat timing and fixed seeds.  The runner emits a single
-schema-versioned ``BENCH_<rev>.json`` — per-case wall time, throughput
-(samples/s, patients/s), peak RSS and pass/fail against the committed
-baselines in ``benchmarks/baselines.json`` — plus a human-readable
-table::
+Every figure/table benchmark and every systems benchmark (fleet
+throughput, scenario campaign, ...) is defined once, as a registered
+:class:`BenchCase` that carries its shape checks, and driven by one
+:class:`BenchRunner` with warmup+repeat timing and fixed seeds
+(``benchmarks/test_cases.py`` runs the same cases under pytest).  The
+runner emits a single schema-versioned ``BENCH_<rev>.json`` — per-case
+wall time, throughput (samples/s, patients/s), peak RSS and pass/fail
+against the committed baselines in ``benchmarks/baselines.json`` —
+plus a human-readable table::
 
     PYTHONPATH=src python -m repro.bench --quick
 

@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list:
         for name, case in sorted(all_cases().items()):
-            print(f"{name:<26} [{case.legacy}] {case.summary}")
+            print(f"{name:<26} {case.summary}")
         return 0
 
     cases = None

@@ -6,10 +6,9 @@ under the reserved keys ``samples`` and ``patients`` (used by the runner
 to derive throughput) plus any case-specific quality metrics (SNR,
 sensitivity, ...), all JSON-scalar.
 
-Each case names the legacy pytest benchmark module it mirrors
-(``legacy``), so the registry is checkable against ``benchmarks/`` —
-the discovery test asserts every ``benchmarks/test_*.py`` has exactly
-one case wrapping it.
+A workload raises ``AssertionError`` when the shape it checks breaks
+(see :mod:`repro.bench.cases`), so one definition serves the CLI grid
+and ``benchmarks/test_cases.py``, which runs every case at full size.
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ class BenchCase:
     Attributes:
         name: Stable kebab-case identifier (key in baselines.json).
         summary: One-line description for the report table.
-        legacy: Module stem of the ``benchmarks/`` pytest file this case
-            wraps (e.g. ``"test_fleet_throughput"``).
         workload: ``fn(ctx) -> dict`` — runs the benchmark once and
             returns counts + metrics (see module docstring).
         tags: Free-form grouping labels (``"figure"``, ``"table"``,
@@ -65,7 +62,6 @@ class BenchCase:
 
     name: str
     summary: str
-    legacy: str
     workload: Callable[[BenchContext], dict]
     tags: tuple[str, ...] = field(default_factory=tuple)
 
@@ -73,7 +69,7 @@ class BenchCase:
 _REGISTRY: dict[str, BenchCase] = {}
 
 
-def register(name: str, summary: str, legacy: str,
+def register(name: str, summary: str,
              tags: tuple[str, ...] = ()) -> Callable:
     """Decorator registering one workload function as a bench case."""
 
@@ -81,8 +77,7 @@ def register(name: str, summary: str, legacy: str,
         if name in _REGISTRY:
             raise ValueError(f"bench case {name!r} already registered")
         _REGISTRY[name] = BenchCase(name=name, summary=summary,
-                                    legacy=legacy, workload=fn,
-                                    tags=tuple(tags))
+                                    workload=fn, tags=tuple(tags))
         return fn
 
     return wrap

@@ -296,7 +296,6 @@ class BenchRunner:
                         if value is not None})
         return {
             "name": case.name,
-            "legacy": case.legacy,
             "summary": case.summary,
             "tags": list(case.tags),
             "wall_s": round(best, 6),

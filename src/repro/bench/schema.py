@@ -16,12 +16,11 @@ SCHEMA_VERSION = 1
 
 _CASE_SCHEMA = {
     "type": "object",
-    "required": ["name", "legacy", "summary", "wall_s", "wall_s_mean",
+    "required": ["name", "summary", "wall_s", "wall_s_mean",
                  "repeats", "warmup", "peak_rss_mb", "throughput",
                  "metrics", "baseline_wall_s", "ratio", "status"],
     "properties": {
         "name": {"type": "string"},
-        "legacy": {"type": "string"},
         "summary": {"type": "string"},
         "tags": {"type": "array", "items": {"type": "string"}},
         "wall_s": {"type": "number"},

@@ -910,7 +910,7 @@ class FleetScheduler:
                             | None = None) -> int:
         """Encode + ingest every patient's periodic uplink for one tick.
 
-        Ungoverned runs keep the legacy behavior: every patient sends a
+        Ungoverned runs keep the original behavior: every patient sends a
         multi-lead CS excerpt, grouped by lead count into one vectorized
         :meth:`BatchExcerptEncoder.encode_batch` call per group.  In a
         governed run each patient's tick uplink follows its governor

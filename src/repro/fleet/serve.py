@@ -254,12 +254,25 @@ class FleetGatewayServer:
         self._thread: threading.Thread | None = None
         self._stop_event: asyncio.Event | None = None
         self._startup_error: BaseException | None = None
+        self._stopped = False
         self.port: int | None = None
 
     def start(self) -> "FleetGatewayServer":
-        """Bind the listener and run the loop on a background thread."""
+        """Bind the listener and run the loop on a background thread.
+
+        A no-op while the server runs.
+
+        Raises:
+            ServeError: The server was stopped.  :meth:`stop` shut its
+                lane pool down and closed its journal, so it refuses to
+                serve again, before it binds; build a new server.
+            OSError: The listener could not bind.
+        """
         if self._thread is not None:
             return self
+        if self._stopped:
+            raise ServeError("server was stopped and cannot start again; "
+                             "build a new FleetGatewayServer")
         if self.config.journal is not None and self.journal is None:
             # The server knows its gateway parameters but not the
             # clients' schedule; a replayer of a served journal passes
@@ -286,13 +299,15 @@ class FleetGatewayServer:
         The listener closes and every connection stops reading; each
         consumer then applies the frames already on its queue and
         answers them as usual.  What has not finished within
-        :data:`STOP_DRAIN_S` is cancelled.
+        :data:`STOP_DRAIN_S` is cancelled.  A stopped server is done:
+        :meth:`start` then raises :class:`ServeError`.
         """
         if self._thread is None:
             return
         self._loop.call_soon_threadsafe(self._stop_event.set)
         self._thread.join()
         self._thread = None
+        self._stopped = True
         self._lanes.shutdown(wait=True)
         if self.journal is not None:
             self.journal.close()

@@ -534,8 +534,8 @@ def best_admissible_static_cohort(
     A static mode is admissible only when it accumulates **zero**
     acuity-violation hours across *every* patient; among those, the one
     with the longest mean lifetime wins.  This is the single source of
-    the admissibility rule — the fleet-lifetime bench and its legacy
-    module both call it rather than re-deriving it.
+    the admissibility rule — the ``fleet-lifetime`` bench case calls
+    it rather than re-deriving it.
 
     Raises:
         ValueError: On an empty cohort, or when no static mode is

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -21,10 +24,12 @@ from repro.bench import (
     write_baselines,
 )
 
+from repro.bench.__main__ import main
 from repro.bench.cases import FS, _samples
 from repro.fleet import PatientProfile
 
 BENCHMARKS_DIR = Path(__file__).parent.parent / "benchmarks"
+SRC_DIR = Path(__file__).parent.parent / "src"
 
 
 def _fast_case(name: str, result: dict | None = None,
@@ -36,28 +41,18 @@ def _fast_case(name: str, result: dict | None = None,
             time.sleep(delay_s)
         return dict(result or {"metric": 1.0})
 
-    return BenchCase(name=name, summary="synthetic", legacy="test_none",
-                     workload=workload)
+    return BenchCase(name=name, summary="synthetic", workload=workload)
+
+
+def _broken_workload(ctx: BenchContext) -> dict:
+    raise AssertionError("synthetic shape broke")
 
 
 class TestRegistryDiscovery:
-    def test_every_legacy_benchmark_wrapped(self):
-        legacy_modules = {path.stem
-                          for path in BENCHMARKS_DIR.glob("test_*.py")}
-        wrapped = {case.legacy for case in all_cases().values()}
-        assert legacy_modules, "benchmarks/ must hold legacy modules"
-        assert wrapped == legacy_modules, (
-            "registry out of sync with benchmarks/: "
-            f"unwrapped={sorted(legacy_modules - wrapped)} "
-            f"orphaned={sorted(wrapped - legacy_modules)}")
-
-    def test_one_case_per_legacy_module(self):
-        legacy = [case.legacy for case in all_cases().values()]
-        assert len(legacy) == len(set(legacy))
-
     def test_get_case_by_name(self):
         case = get_case("fleet-throughput")
-        assert case.legacy == "test_fleet_throughput"
+        assert case.name == "fleet-throughput"
+        assert case.tags == ("systems",)
 
     def test_get_unknown_case_lists_known(self):
         with pytest.raises(KeyError, match="fleet-throughput"):
@@ -67,6 +62,42 @@ class TestRegistryDiscovery:
         ctx = BenchContext(quick=True)
         result = get_case("fig1-abstraction-ladder").workload(ctx)
         assert result["raw_to_alarm_power_ratio"] > 10.0
+
+    def test_list_prints_name_and_summary(self, capsys):
+        assert main(["--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cases = all_cases()
+        assert len(lines) == len(cases)
+        for line, (name, case) in zip(lines, sorted(cases.items())):
+            assert line.split() == [name, *case.summary.split()]
+
+
+class TestBrokenShape:
+    """A case whose check raises fails the runner and the CLI."""
+
+    def test_runner_raises(self):
+        case = BenchCase(name="broken", summary="", workload=_broken_workload)
+        with pytest.raises(AssertionError, match="synthetic shape broke"):
+            BenchRunner(cases=[case], warmup=0, repeats=1).run()
+
+    def test_cli_exits_non_zero(self, tmp_path):
+        # A child process registers the broken case, then runs the
+        # `python -m repro.bench --cases broken` entry point.
+        script = "\n".join([
+            "import runpy, sys",
+            "from repro.bench import register",
+            "@register('broken', 'a broken shape')",
+            "def broken(ctx):",
+            "    raise AssertionError('synthetic shape broke')",
+            "sys.argv[1:] = ['--quick', '--cases', 'broken', '--out', sys.argv[1]]",
+            "runpy.run_module('repro.bench', run_name='__main__')"])
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], timeout=120,
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)))
+        assert done.returncode != 0
+        assert "synthetic shape broke" in done.stderr
+        assert not list(tmp_path.glob("BENCH_*.json"))
 
 
 class TestRunner:
@@ -215,7 +246,6 @@ class TestFleetLifetimeCase:
         validate_report(payload)  # raises on violation
         (case,) = payload["cases"]
         assert case["name"] == "fleet-lifetime"
-        assert case["legacy"] == "test_fleet_lifetime"
         assert case["throughput"]["patients_per_s"] > 0
 
     def test_governor_beats_best_admissible_static(self):

@@ -72,7 +72,8 @@ class TestAccuracy:
 
     def test_p_fiducials_above_85(self, mmd_nsr_report):
         # The MMD P detection is slightly weaker than the wavelet variant
-        # under noise (documented in EXPERIMENTS.md).
+        # under noise (the `t1-mmd-delineation` bench case holds P to
+        # the same 85 % floor).
         for mark in ("onset", "peak", "end"):
             score = mmd_nsr_report.fiducials[("P", mark)]
             assert score.sensitivity >= 0.85, mark

@@ -7,7 +7,7 @@ Locally-enforced mirrors of the CI lint job:
   walk applies the same counting rules so the gate cannot pass locally
   and fail in CI);
 * every relative markdown link in the documentation tree must resolve
-  to an existing file;
+  to an existing file, and so must every backticked file path;
 * every fully qualified ``repro.…`` name the documentation cites in
   backticks must import and resolve (skipped where ``repro`` itself
   cannot be imported).
@@ -37,6 +37,14 @@ MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: A fully qualified name in backticks, e.g. `repro.fleet.wire`.
 QUALIFIED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
+
+#: An inline code span; its whitespace-separated tokens are path
+#: candidates.
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+
+#: A file path: a ``/`` and a file suffix.  Globs (``*``) and
+#: ``<placeholders>`` fall outside the character set and are skipped.
+FILE_PATH = re.compile(r"[\w./-]*/[\w.-]*\.[A-Za-z]\w*")
 
 
 def _is_magic(name: str) -> bool:
@@ -125,6 +133,22 @@ class TestDocsLinks:
             if not resolved.exists():
                 broken.append(target)
         assert not broken, f"{doc.name}: broken relative links {broken}"
+
+    @pytest.mark.parametrize(
+        "doc", DOC_FILES, ids=lambda p: str(p.relative_to(REPO_ROOT)))
+    def test_backticked_paths_exist(self, doc: Path):
+        # A pytest node id (`tests/x.py::TestY`) names its file; paths
+        # resolve from the repo root or, like `fleet/serve.py`, from
+        # the package.
+        missing = []
+        for span in CODE_SPAN.findall(doc.read_text()):
+            for token in span.split():
+                path = token.split("::", 1)[0]
+                if (FILE_PATH.fullmatch(path)
+                        and not (REPO_ROOT / path).exists()
+                        and not (SRC_ROOT / path).exists()):
+                    missing.append(path)
+        assert not missing, f"{doc.name}: backticked paths {missing}"
 
     def test_readme_links_into_the_docs_tree(self):
         readme = (REPO_ROOT / "README.md").read_text()

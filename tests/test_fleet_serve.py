@@ -210,6 +210,24 @@ class TestServerLifecycle:
             with pytest.raises(OSError):
                 clash.start()
 
+    @pytest.mark.parametrize("journaled", [False, True],
+                             ids=["plain", "journaled"])
+    def test_start_after_stop_refuses(self, journaled, tmp_path):
+        # stop() shuts the lane pool down and closes the journal, so a
+        # restarted server used to accept connections and then fail
+        # each one's first ingest inside the connection handler.
+        journal = (JournalConfig(dir=str(tmp_path), name="serve")
+                   if journaled else None)
+        server = FleetGatewayServer(ServeConfig(journal=journal)).start()
+        server.stop()
+        with pytest.raises(ServeError, match="was stopped"):
+            server.start()
+        with pytest.raises(ServeError, match="was stopped"):
+            with server:
+                pass
+        assert server._thread is None  # refused before it bound
+        server.stop()  # still a no-op
+
 
 def _hello(server: FleetGatewayServer, patient_id: str,
            retries: int = 200) -> _Transport:

@@ -82,8 +82,8 @@ class TestAcceleratorClaim:
 
     def test_processing_power_ratio(self, comparison):
         # Ref [19] reports >10x for a full accelerator (including the
-        # memory path); the ISA extension alone buys ~3x dynamic power —
-        # recorded honestly in EXPERIMENTS.md.
+        # memory path); the ISA extension alone buys ~3x dynamic power
+        # (the `fig7-cs-accelerator` bench case records the ratio).
         assert comparison.processing_power_ratio > 2.5
 
     def test_total_power_still_improves(self, comparison):

@@ -9,8 +9,8 @@ from repro.power import (
     figure6_breakdowns,
 )
 
-# The 20 dB operating points measured by the Fig. 5 bench on the
-# synthetic corpus (see EXPERIMENTS.md).
+# Near the 20 dB operating points the `fig5-cs-snr` bench case measures
+# on the synthetic corpus (`sl_20db_cr` 52.1, `ml_20db_cr` 62.1).
 SL_CR = 50.0
 ML_CR = 63.0
 
