@@ -82,13 +82,11 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as dump_dir:
         flight_obs = Observability(ObsConfig(flight_dump_dir=dump_dir))
         recorder_gw = Gateway(gateway_cfg, obs=flight_obs)
-        # A few good frames populate the per-channel ring ...
-        wire = Gateway(gateway_cfg)
+        # A few good frames populate the per-channel rings ...
         scheduler = FleetScheduler(
             cohort[:2],
-            SchedulerConfig(duration_s=args.duration, fs=250.0,
-                            wire_loopback=True),
-            node_config=node, gateway=wire, obs=None)
+            SchedulerConfig(duration_s=args.duration, fs=250.0),
+            node_config=node, gateway=recorder_gw, obs=None)
         scheduler.run()
         # ... then a corrupt one trips the anomaly dump.
         flight_obs.set_virtual_time(args.duration)

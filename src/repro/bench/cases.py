@@ -658,42 +658,6 @@ T4_DESIGN_POINTS = {
 }
 
 
-def _beat_classifiers(ctx: BenchContext, labels):
-    """Fit each T4 design point on the ectopy corpus's beat windows.
-
-    Returns the beat count and ``label -> (classifier, report)``.
-    """
-    corpus = make_corpus("ectopy", n_records=3 if ctx.quick else 6,
-                         duration_s=60.0, seed=42)
-    X, y = corpus_beat_dataset(corpus, rr_features=True)
-    Xtr, ytr, Xte, yte = train_test_split(X, y, test_fraction=0.4, seed=5)
-    fitted = {}
-    for label in labels:
-        kind, membership = T4_DESIGN_POINTS[label]
-        clf = HeartbeatClassifier(window=X.shape[1] - 2,
-                                  projection_kind=kind,
-                                  membership=membership,
-                                  extra_features=2).fit(Xtr, ytr)
-        fitted[label] = clf, evaluate_classification(yte, clf.predict(Xte))
-    return int(X.shape[0]), fitted
-
-
-@register("t4-rp-classification",
-          "T4 random-projection heartbeat classifier design point",
-          tags=("table",))
-def t4_rp_classification(ctx: BenchContext) -> dict:
-    """Fit and score the ternary/PWL random-projection classifier (T4).
-
-    The timing case of the embedded design point; its shape checks
-    compare it with the other design points in
-    ``t4-rp-design-points``.
-    """
-    beats, fitted = _beat_classifiers(ctx, ["ternary/pwl"])
-    report = fitted["ternary/pwl"][1]
-    return {"beats": beats, "accuracy": report.accuracy,
-            "pvc_sensitivity": report.sensitivity("V")}
-
-
 @register("t4-rp-design-points",
           "T4 RP classifier: PWL vs exact memberships, sparse vs dense "
           "projections",
@@ -710,7 +674,17 @@ def t4_rp_design_points(ctx: BenchContext) -> dict:
     sensitivity, 2-bit storage over 7x smaller than 16-bit, and fewer
     cycles per beat with PWL.
     """
-    beats, fitted = _beat_classifiers(ctx, T4_DESIGN_POINTS)
+    corpus = make_corpus("ectopy", n_records=3 if ctx.quick else 6,
+                         duration_s=60.0, seed=42)
+    X, y = corpus_beat_dataset(corpus, rr_features=True)
+    Xtr, ytr, Xte, yte = train_test_split(X, y, test_fraction=0.4, seed=5)
+    fitted = {}
+    for label, (kind, membership) in T4_DESIGN_POINTS.items():
+        clf = HeartbeatClassifier(window=X.shape[1] - 2,
+                                  projection_kind=kind,
+                                  membership=membership,
+                                  extra_features=2).fit(Xtr, ytr)
+        fitted[label] = clf, evaluate_classification(yte, clf.predict(Xte))
     reports = {label: report for label, (_, report) in fitted.items()}
     costs = {label: clf.projector.cost() for label, (clf, _) in fitted.items()}
     cycles = {label: clf.cycles_per_beat() for label, (clf, _) in fitted.items()}
@@ -729,7 +703,7 @@ def t4_rp_design_points(ctx: BenchContext) -> dict:
            "2-bit matrix storage must be over 7x smaller than 16-bit")
     _check(cycles["ternary/pwl"] < cycles["ternary/exact"],
            "PWL memberships must cut the cycles per beat")
-    metrics = {"beats": beats}
+    metrics = {"beats": int(X.shape[0])}
     for label, report in reports.items():
         metrics[f"{label}_accuracy"] = report.accuracy
         metrics[f"{label}_se_v"] = report.sensitivity("V")
@@ -1086,7 +1060,7 @@ def fleet_obs_overhead(ctx: BenchContext) -> dict:
     """
     n_pairs = 3 if ctx.quick else 5
     n_patients = 4 if ctx.quick else 8
-    duration = 40.0 if ctx.quick else 60.0
+    duration = 60.0  # one excerpt period: every patient uplinks once
     cohort = make_cohort(CohortConfig(n_patients=n_patients, seed=7))
 
     def run_once(obs: Observability | None):
@@ -1152,13 +1126,10 @@ def fleet_obs_overhead(ctx: BenchContext) -> dict:
     _check(len(canonicals) == 1,
            "canonical obs snapshot varied across identical runs — "
            "trace determinism regression")
-    # The quick cohort's 40 s run ends before the first uplink, so it
-    # has no packet counter and no trace event to find.
-    if not ctx.quick:
-        for name in ("gateway_packets_ingested_total",
-                     "scheduler_uplink_packets_total"):
-            _check(name in names, f"the obs bundle lost the {name} series")
-        _check(n_events > 0, "the observed run recorded no trace event")
+    for name in ("gateway_packets_ingested_total",
+                 "scheduler_uplink_packets_total"):
+        _check(name in names, f"the obs bundle lost the {name} series")
+    _check(n_events > 0, "the observed run recorded no trace event")
     # Under the profiler every Python call is surcharged, which
     # penalizes exactly the variant this case measures — only check
     # the budget when the clock is honest.

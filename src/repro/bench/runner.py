@@ -75,23 +75,23 @@ def load_baselines(path: str | Path) -> dict:
 
 def write_baselines(path: str | Path, report: "BenchReport",
                     note: str = "") -> None:
-    """Re-baseline: write the report's wall times as the new floor."""
+    """Re-baseline: write the report's wall times as the new floor.
+
+    Each entry written is stamped with the report's ``revision``;
+    every other entry and the file-level keys stay as they were.
+    """
     path = Path(path)
-    existing = {}
+    payload = {"schema_version": SCHEMA_VERSION, "note": ""}
     if path.exists():
-        existing = json.loads(path.read_text())
-    cases = existing.get("cases", {})
+        payload = json.loads(path.read_text())
+    if note:
+        payload["note"] = note
+    cases = payload.setdefault("cases", {})
     key = "wall_s_quick" if report.quick else "wall_s"
     for case in report.cases:
-        entry = dict(cases.get(case["name"], {}))
+        entry = cases.setdefault(case["name"], {})
         entry[key] = round(case["wall_s"], 6)
-        cases[case["name"]] = entry
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "revision": report.revision,
-        "note": note or existing.get("note", ""),
-        "cases": dict(sorted(cases.items())),
-    }
+        entry["revision"] = report.revision
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

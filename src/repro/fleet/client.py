@@ -138,12 +138,10 @@ class RemoteGateway(Gateway):
         #: timestamp (the scheduler drains right after expiring).
         self._now_s = 0.0
 
-    def ingest(self, payload: "UplinkPacket | bytes | bytearray | "
-               "memoryview") -> bool:
-        """Uplink one packet as a wire frame (never queued locally)."""
-        if isinstance(payload, UplinkPacket):
-            payload = payload.to_bytes()
-        self._transport.send_frame(bytes(payload))
+    def ingest(self, frame: bytes | bytearray | memoryview,
+               packet: UplinkPacket | None = None) -> bool:
+        """Uplink one wire frame (never queued locally)."""
+        self._transport.send_frame(frame)
         return True
 
     def expire_reassembly(self, now_s: float | None = None) -> int:

@@ -444,52 +444,57 @@ class Gateway:
         """Packets waiting in the ingest queue."""
         return len(self._queue)
 
-    def ingest(self, payload: "UplinkPacket | bytes | bytearray | "
-               "memoryview", packet: UplinkPacket | None = None) -> bool:
-        """Accept one arrival; ``False`` when the bounded queue is full.
+    def ingest(self, frame: bytes | bytearray | memoryview,
+               packet: UplinkPacket | None = None) -> bool:
+        """Accept one wire frame; ``False`` when the bounded queue is full.
 
-        **The one ingest surface.**  Dispatches on payload type: a
-        bytes-like payload is a binary wire frame
-        (:func:`~repro.fleet.wire.encode_packet`) and is decoded —
-        and flight-recorded when observability is attached — before
-        entering the pipeline; an :class:`UplinkPacket` enters it
-        directly.  Both forms then pass through the patient's
-        reassembly window: duplicates are dropped (and counted on the
-        channel), out-of-order packets wait for their gap, and only
-        releasable packets enter the processing queue.  An arrival
-        rejected here for back-pressure never reaches the reassembly
-        buffer, so its sequence number will later be written off as a
-        gap like any other loss.
+        **The one ingest surface.**  Every arrival is a binary wire frame
+        (:func:`~repro.fleet.wire.encode_packet`): it is decoded and
+        checked, flight-recorded when observability is attached, and
+        journaled as received.  The packet then passes through the
+        patient's reassembly window: duplicates are dropped (and
+        counted on the channel), out-of-order packets wait for their
+        gap, and only releasable packets enter the processing queue.
+        An arrival rejected here for back-pressure never reaches the
+        reassembly buffer, so its sequence number will later be written
+        off as a gap like any other loss.
 
         Args:
-            payload: The arrival, as a wire frame or a packet.
-            packet: A frame payload already decoded and checked, as
-                ``check_geometry(decode_packet(payload), wavelet)``
+            frame: The arrival's wire frame.
+            packet: ``frame`` already decoded and checked, as
+                ``check_geometry(decode_packet(frame), wavelet)``
                 returns it; the frame is not decoded again, and the
-                journal and flight recorder still get its received
-                bytes.
+                journal and flight recorder still get its bytes.
 
         Raises:
-            ~repro.fleet.wire.WireFormatError: A bytes-like payload
-                does not parse as a valid packet frame, or the packet's
-                CS frames do not fit its declared geometry
-                (:func:`check_geometry`).  Nothing is journaled or
-                queued.
+            ~repro.fleet.wire.WireFormatError: ``frame`` does not parse
+                as a valid packet frame, or the packet's CS frames do
+                not fit its declared geometry (:func:`check_geometry`);
+                recorded as a wire-error anomaly when observability is
+                attached.  Nothing is journaled or queued.
         """
-        if isinstance(payload, (bytes, bytearray, memoryview)):
-            return self._ingest_frame(payload, packet)
-        check_geometry(payload, self.config.wavelet)
-        if self._journal is not None:
-            self._journal.append_packet(payload.to_bytes(),
-                                        payload.patient_id)
-        return self._ingest_packet(payload)
+        if packet is None:
+            try:
+                packet = check_geometry(decode_packet(frame),
+                                        self.config.wavelet)
+            except WireFormatError as exc:
+                if self._m is not None:
+                    import base64
 
-    def _ingest_packet(self, packet: UplinkPacket) -> bool:
-        """Object-path ingest: reassembly window, then the queue."""
+                    self.obs.flight.anomaly(
+                        ANOMALY_WIRE_ERROR, "unknown",
+                        self.obs.virtual_time_s, error=str(exc),
+                        frame_b64=base64.b64encode(bytes(frame)).decode(
+                            "ascii"))
+                raise
+        if self._m is not None:
+            self.obs.flight.record_frame(packet.patient_id, frame)
+        if self._journal is not None:
+            self._journal.append_packet(frame, packet.patient_id)
         if len(self._queue) >= self.config.queue_capacity:
             self.dropped += 1
             if self._m is not None:
-                self.queue_dropped_inc(packet.patient_id)
+                self._m.queue_dropped.inc(patient=packet.patient_id)
             return False
         channel = self.channel(packet.patient_id)
         if self._m is None:
@@ -507,10 +512,6 @@ class Gateway:
                 subject=packet.patient_id, kind=packet.kind,
                 seq=packet.seq)
         return True
-
-    def queue_dropped_inc(self, patient_id: str) -> None:
-        """Account one back-pressure drop (shard-scope: local queue)."""
-        self._m.queue_dropped.inc(patient=patient_id)
 
     @staticmethod
     def _reassembly_counters(channel: PatientChannel,
@@ -538,38 +539,6 @@ class Gateway:
                 self._m.reassembly.inc(delta,
                                        patient=channel.patient_id,
                                        event=event)
-
-    def _ingest_frame(self, data: bytes | bytearray | memoryview,
-                      packet: UplinkPacket | None = None) -> bool:
-        """Frame-path ingest: decode, check, flight-record, object path.
-
-        ``packet`` is ``data`` already decoded and checked.
-
-        Raises:
-            ~repro.fleet.wire.WireFormatError: The buffer does not
-                parse as a valid packet frame or fails
-                :func:`check_geometry` (recorded as a wire-error anomaly
-                when observability is attached, then re-raised).
-        """
-        if packet is None:
-            try:
-                packet = check_geometry(decode_packet(data),
-                                        self.config.wavelet)
-            except WireFormatError as exc:
-                if self._m is not None:
-                    import base64
-
-                    self.obs.flight.anomaly(
-                        ANOMALY_WIRE_ERROR, "unknown",
-                        self.obs.virtual_time_s, error=str(exc),
-                        frame_b64=base64.b64encode(bytes(data)).decode(
-                            "ascii"))
-                raise
-        if self._m is not None:
-            self.obs.flight.record_frame(packet.patient_id, bytes(data))
-        if self._journal is not None:
-            self._journal.append_packet(data, packet.patient_id)
-        return self._ingest_packet(packet)
 
     def flush_reassembly(self) -> int:
         """Force-release every reassembly buffer (end of run / timeout).

@@ -107,29 +107,6 @@ class UplinkPacket:
         """Samples of signal covered by the excerpt."""
         return self.n_frames * self.window_n
 
-    def to_bytes(self) -> bytes:
-        """This packet's exact binary wire frame.
-
-        Convenience front for :func:`repro.fleet.wire.encode_packet` —
-        what a real node would hand to the radio.
-        """
-        from .wire import encode_packet
-
-        return encode_packet(self)
-
-    @classmethod
-    def from_bytes(cls, data: bytes | bytearray | memoryview,
-                   ) -> "UplinkPacket":
-        """Rebuild a packet from its wire frame (exact round trip).
-
-        Raises:
-            ~repro.fleet.wire.WireFormatError: The buffer does not
-                parse as a valid packet frame.
-        """
-        from .wire import decode_packet
-
-        return decode_packet(data)
-
 
 @dataclass(frozen=True)
 class NodeProxyConfig:

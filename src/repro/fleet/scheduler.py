@@ -184,18 +184,11 @@ class SchedulerConfig:
         fs: Node sampling rate.
         drain_per_tick: Gateway packets processed per tick (``None`` =
             drain fully; a finite budget exercises the bounded queue).
-        wire_loopback: Route every delivered packet through the binary
-            wire codec (:mod:`repro.fleet.wire`) before the gateway
-            ingests it — encode to bytes, decode, ingest.  The codec's
-            round trip is exact, so results are byte-identical to the
-            object path (tested); enabling this in a run proves the
-            packets could have crossed a socket.
     """
 
     duration_s: float = 120.0
     fs: float = 250.0
     drain_per_tick: int | None = None
-    wire_loopback: bool = False
 
 
 @dataclass
@@ -1008,17 +1001,13 @@ class FleetScheduler:
             self._ingest(delivered)
 
     def _ingest(self, packet: UplinkPacket) -> None:
-        """Hand one delivered packet to the gateway.
+        """Hand one delivered packet to the gateway as its wire frame.
 
-        With ``wire_loopback`` the packet crosses the binary codec
-        first (encode, then the frame path of :meth:`Gateway.ingest`)
-        — the run then exercises exactly what a socket-separated
-        gateway would see.
+        The gateway decodes and checks it like any network peer's
+        frame, so an in-process run exercises exactly what a
+        socket-separated gateway would see.
         """
-        if self.config.wire_loopback:
-            self.gateway.ingest(encode_packet(packet))
-        else:
-            self.gateway.ingest(packet)
+        self.gateway.ingest(encode_packet(packet))
 
     def _deliver_due(self, now_s: float) -> None:
         """Hand delayed link deliveries whose time has come to ingest."""

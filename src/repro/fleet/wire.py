@@ -1,18 +1,18 @@
 """Versioned binary wire codec for uplink packets.
 
-Until now an :class:`~repro.fleet.UplinkPacket` was a Python dataclass
-holding numpy arrays — it could travel between objects in one process
-but never across a socket, a radio frame, or a process boundary.  This
-module gives every packet kind (multi-/single-lead CS excerpt, raw
-excerpt, telemetry, alarm) an exact little-endian binary form, so the
-fleet runtime can be sharded across workers (:mod:`repro.fleet.sharding`)
-and, eventually, across machines.
+An :class:`~repro.fleet.UplinkPacket` is a Python dataclass holding
+numpy arrays; this module gives every packet kind (multi-/single-lead
+CS excerpt, raw excerpt, telemetry, alarm) an exact little-endian
+binary form — the radio payload a node hands its receiver.  The frame
+is the only thing :meth:`~repro.fleet.Gateway.ingest` accepts: an
+in-process scheduler, a served session and a journal replay all hand
+the gateway wire frames, so every runtime takes one ingest path.
 
 Round trips are **exact**: measurement vectors and evaluation references
 ship as raw numpy buffers (dtype token + ``tobytes()``), floats as IEEE
 doubles, so ``decode_packet(encode_packet(p))`` reproduces every field
 bit for bit — the gateway cannot tell a decoded packet from the
-original (tested end to end via ``SchedulerConfig.wire_loopback``).
+original.
 
 Frame layout (version 1, all integers little-endian)::
 

@@ -36,7 +36,7 @@ class ObsConfig:
             accounting at minimum cost).
         trace_capacity: Optional event-count bound for long soaks;
             ``None`` = unbounded (required for canonical comparisons).
-        flight_ring_size: Wire frames / events retained per channel.
+        flight_ring_size: Ingested wire frames retained per channel.
         flight_dump_dir: Anomaly dump directory (``None`` = in-memory
             anomaly records only).
         alarm_burst_threshold: Alarms inside the window that count as

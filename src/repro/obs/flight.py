@@ -1,12 +1,11 @@
 """Gateway flight recorder: bounded packet rings dumped on anomaly.
 
 The flight recorder keeps, per patient channel, a ring of the last N
-wire-encoded uplink packets and the last N trace events that touched
-the channel.  When the gateway detects an anomaly — a reassembly stall
-(force-released fragments), a NaN guard trip in a reconstructed
-excerpt, or an alarm burst — the recorder freezes the rings into an
-:class:`AnomalyRecord` and, when a dump directory is configured,
-writes a JSON dump for offline replay.
+wire frames the gateway ingested.  When the gateway detects an
+anomaly — a reassembly stall (force-released fragments), a NaN guard
+trip in a reconstructed excerpt, or an alarm burst — the recorder
+freezes the channel's ring into an :class:`AnomalyRecord` and, when a
+dump directory is configured, writes a JSON dump for offline replay.
 
 Dumps are self-contained: wire frames are base64-encoded in the JSON
 and :func:`load_flight_dump` / :meth:`AnomalyRecord.packets` decode
@@ -35,7 +34,7 @@ ANOMALY_JOURNAL_TRUNCATED = "journal-truncated"
 
 @dataclass
 class AnomalyRecord:
-    """One frozen anomaly: rings at trip time plus cause metadata.
+    """One frozen anomaly: the channel's ring at trip time plus cause.
 
     Attributes:
         kind: One of the ``ANOMALY_*`` constants.
@@ -44,7 +43,6 @@ class AnomalyRecord:
         detail: Free-form JSON-safe cause payload.
         frames_b64: Wire frames from the channel ring, oldest first,
             base64 text (JSON-safe).
-        events: Trace-event dicts from the channel ring, oldest first.
         path: Dump file path when written to disk, else ``None``.
     """
 
@@ -53,7 +51,6 @@ class AnomalyRecord:
     t_s: float
     detail: dict = field(default_factory=dict)
     frames_b64: list[str] = field(default_factory=list)
-    events: list[dict] = field(default_factory=list)
     path: str | None = None
 
     def packets(self) -> list[bytes]:
@@ -68,15 +65,14 @@ class AnomalyRecord:
             "t_s": float(self.t_s),
             "detail": {k: self.detail[k] for k in sorted(self.detail)},
             "frames_b64": list(self.frames_b64),
-            "events": list(self.events),
         }
 
 
 class FlightRecorder:
-    """Per-channel bounded rings of wire frames and trace events.
+    """Per-channel bounded rings of ingested wire frames.
 
     Args:
-        ring_size: Frames / events retained per channel (last N).
+        ring_size: Frames retained per channel (last N).
         dump_dir: Directory for anomaly dump files; ``None`` keeps
             anomalies in memory only (:attr:`anomalies`).
         alarm_burst_threshold: Alarms within the burst window that trip
@@ -95,24 +91,14 @@ class FlightRecorder:
         self.alarm_burst_window_s = float(alarm_burst_window_s)
         self.anomalies: list[AnomalyRecord] = []
         self._frames: dict[str, deque[bytes]] = {}
-        self._events: dict[str, deque[dict]] = {}
         self._alarm_times: dict[str, deque[float]] = {}
-
-    def _ring(self, store: dict, subject: str) -> deque:
-        """Get-or-create one channel's bounded ring."""
-        ring = store.get(subject)
-        if ring is None:
-            ring = deque(maxlen=self.ring_size)
-            store[subject] = ring
-        return ring
 
     def record_frame(self, subject: str, frame: bytes) -> None:
         """Push one wire-encoded packet onto the channel's frame ring."""
-        self._ring(self._frames, subject).append(bytes(frame))
-
-    def record_event(self, subject: str, event: dict) -> None:
-        """Push one trace-event dict onto the channel's event ring."""
-        self._ring(self._events, subject).append(event)
+        ring = self._frames.get(subject)
+        if ring is None:
+            ring = self._frames[subject] = deque(maxlen=self.ring_size)
+        ring.append(bytes(frame))
 
     def note_alarm(self, subject: str, t_s: float) -> bool:
         """Track one alarm at virtual ``t_s``; report burst detection.
@@ -131,7 +117,7 @@ class FlightRecorder:
 
     def anomaly(self, kind: str, subject: str, t_s: float,
                 **detail) -> AnomalyRecord:
-        """Freeze the channel's rings into a record; dump when configured.
+        """Freeze the channel's ring into a record; dump when configured.
 
         Returns:
             The :class:`AnomalyRecord`, with :attr:`AnomalyRecord.path`
@@ -142,7 +128,6 @@ class FlightRecorder:
             detail=detail,
             frames_b64=[base64.b64encode(f).decode("ascii")
                         for f in self._frames.get(subject, ())],
-            events=list(self._events.get(subject, ())),
         )
         self.anomalies.append(record)
         if self.dump_dir is not None:
@@ -175,6 +160,5 @@ def load_flight_dump(path: str | pathlib.Path) -> AnomalyRecord:
     return AnomalyRecord(
         kind=payload["kind"], subject=payload["subject"],
         t_s=payload["t_s"], detail=payload.get("detail", {}),
-        frames_b64=payload.get("frames_b64", []),
-        events=payload.get("events", []), path=str(path),
+        frames_b64=payload.get("frames_b64", []), path=str(path),
     )

@@ -68,6 +68,22 @@ from .spec import (
 #: Patient-id prefix of the clean-AF sentinel patients.
 SENTINEL_PREFIX = "sentinel"
 
+#: Cell capacity of governed nodes (mAh).  Deliberately tiny so a
+#: minutes-long campaign walks the whole mode ladder; realistic cells
+#: need multi-day simulations (see the ``fleet-lifetime`` bench).
+GOVERNOR_CAPACITY_MAH = 0.05
+
+#: Upper bound of a governed patient's starting state of charge.
+GOVERNOR_INITIAL_SOC = 0.9
+
+#: Width of the seed-derived, per-patient starting-SoC spread below
+#: :data:`GOVERNOR_INITIAL_SOC` — a cohort that all starts at the same
+#: SoC switches modes in lockstep and exercises nothing.
+GOVERNOR_SOC_SPAN = 0.5
+
+#: Governor dwell damping; 0 lets a short campaign switch every tick.
+GOVERNOR_MIN_DWELL_S = 0.0
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -97,19 +113,8 @@ class CampaignConfig:
             :class:`~repro.power.EnergyGovernor` (closed-loop mode
             adaptation); enables the ``battery_drain`` /
             ``governor_stress`` fault kinds and the governed columns of
-            the report.
-        governor_capacity_mah: Cell capacity of governed nodes.  The
-            default is deliberately tiny so a minutes-long campaign
-            walks the whole mode ladder; realistic cells need
-            multi-day simulations (see the ``fleet-lifetime`` bench).
-        governor_initial_soc: Upper bound of the per-patient starting
-            state of charge.
-        governor_soc_span: Width of the (seed-derived, per-patient)
-            starting-SoC spread below ``governor_initial_soc`` — a
-            cohort that all starts at the same SoC switches modes in
-            lockstep and exercises nothing.
-        governor_min_dwell_s: Governor dwell damping; 0 lets a short
-            campaign switch every tick.
+            the report (cells and starting charge: the ``GOVERNOR_*``
+            module constants).
         journal_dir: Opt-in durable packet log.  When set, each shard
             of every scenario journals its gateway traffic to
             ``{journal_dir}/{scenario}-sNN-NNNNNN.rpj`` segments (one
@@ -131,10 +136,6 @@ class CampaignConfig:
     stream_telemetry: bool = False
     shard_workers: int = 1
     governed: bool = False
-    governor_capacity_mah: float = 0.05
-    governor_initial_soc: float = 0.9
-    governor_soc_span: float = 0.5
-    governor_min_dwell_s: float = 0.0
     journal_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -146,12 +147,6 @@ class CampaignConfig:
             raise ValueError("shard_workers must be >= 1")
         if self.journal_dir is not None and not self.journal_dir:
             raise ValueError("journal_dir must be a non-empty path")
-        if self.governor_capacity_mah <= 0:
-            raise ValueError("governor_capacity_mah must be positive")
-        if not 0 < self.governor_initial_soc <= 1:
-            raise ValueError("governor_initial_soc must be in (0, 1]")
-        if self.governor_soc_span < 0:
-            raise ValueError("governor_soc_span must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -257,17 +252,16 @@ def _governed_kit(spec: ScenarioSpec, config: CampaignConfig):
     if not config.governed:
         return None, None, None
     table = ModePowerTable()
-    gov_config = GovernorConfig(min_dwell_s=config.governor_min_dwell_s)
+    gov_config = GovernorConfig(min_dwell_s=GOVERNOR_MIN_DWELL_S)
 
     def factory(profile: PatientProfile) -> EnergyGovernor:
         frac = derive_seed(config.master_seed, "governor-soc",
                            profile.patient_id) % 10_000 / 10_000.0
-        soc = max(0.05, config.governor_initial_soc
-                  - config.governor_soc_span * frac)
+        soc = max(0.05, GOVERNOR_INITIAL_SOC - GOVERNOR_SOC_SPAN * frac)
         return EnergyGovernor(
             config=gov_config, table=table,
             battery=BatteryModel(
-                cell=Battery(capacity_mah=config.governor_capacity_mah),
+                cell=Battery(capacity_mah=GOVERNOR_CAPACITY_MAH),
                 soc=soc))
 
     drains = [f for f in spec.faults if f.kind == FAULT_BATTERY_DRAIN]

@@ -181,9 +181,38 @@ class TestBaselinesFile:
         # quick walls land under their own key, full walls survive
         quick = BenchRunner(cases=[_fast_case("a")], warmup=0, repeats=1,
                             quick=True)
-        write_baselines(path, quick.run())
+        report = quick.run()
+        write_baselines(path, report)
         cases = load_baselines(path)
-        assert set(cases["a"]) == {"wall_s", "wall_s_quick"}
+        assert set(cases["a"]) == {"wall_s", "wall_s_quick", "revision"}
+        assert cases["a"]["revision"] == report.revision
+
+    def test_rebaselining_one_entry_leaves_the_rest_byte_identical(
+            self, tmp_path):
+        path = tmp_path / "baselines.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "revision": "0000000", "note": "n",
+            "cases": {name: {"wall_s": wall, "wall_s_quick": wall / 4}
+                      for name, wall in (("a", 1.5), ("b", 2.5),
+                                         ("c", 0.0002))},
+        }, indent=2, sort_keys=True) + "\n")
+        before = path.read_text()
+        quick = BenchRunner(cases=[_fast_case("b")], warmup=0, repeats=1,
+                            quick=True)
+        report = quick.run()
+        write_baselines(path, report)
+        after = path.read_text()
+
+        def without_b(text: str) -> list[str]:
+            lines = text.splitlines()
+            start = lines.index('    "b": {')
+            return lines[:start] + lines[lines.index("    },", start) + 1:]
+
+        assert without_b(after) == without_b(before)
+        entry = load_baselines(path)["b"]
+        assert entry["wall_s"] == 2.5
+        assert entry["wall_s_quick"] == round(report.cases[0]["wall_s"], 6)
+        assert entry["revision"] == report.revision
 
     def test_missing_file_is_empty(self, tmp_path):
         assert load_baselines(tmp_path / "nope.json") == {}

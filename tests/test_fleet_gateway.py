@@ -16,6 +16,7 @@ from repro.fleet import (
     synthesize_patient,
 )
 from repro.fleet.gateway import _decoder_key, recover_packets
+from repro.fleet.journal import decode_ahead
 
 PROXY_CONFIG = NodeProxyConfig(stream_telemetry=False)
 
@@ -67,8 +68,8 @@ class TestQueue:
     def test_bounded_queue_drops_and_counts(self, clean_af_uplink):
         _, packets = clean_af_uplink
         gateway = Gateway(GatewayConfig(queue_capacity=1))
-        assert gateway.ingest(packets[0]) is True
-        assert gateway.ingest(packets[1]) is False
+        assert gateway.ingest(encode_packet(packets[0])) is True
+        assert gateway.ingest(encode_packet(packets[1])) is False
         assert gateway.dropped == 1
         assert gateway.pending == 1
 
@@ -76,7 +77,7 @@ class TestQueue:
         _, packets = clean_af_uplink
         gateway = Gateway()
         for packet in packets:
-            gateway.ingest(packet)
+            gateway.ingest(encode_packet(packet))
         first = gateway.drain(max_packets=1)
         assert len(first) == 1
         assert gateway.pending == len(packets) - 1
@@ -90,7 +91,7 @@ class TestReconstruction:
         _, packets = clean_af_uplink
         gateway = Gateway()
         for packet in packets:
-            gateway.ingest(packet)
+            gateway.ingest(encode_packet(packet))
         excerpts = gateway.drain()
         snrs = [e.snr_db for e in excerpts if np.isfinite(e.snr_db)]
         assert snrs
@@ -100,7 +101,7 @@ class TestReconstruction:
     def test_signal_shape(self, clean_af_uplink):
         _, packets = clean_af_uplink
         gateway = Gateway()
-        gateway.ingest(packets[0])
+        gateway.ingest(encode_packet(packets[0]))
         excerpt = gateway.drain()[0]
         assert excerpt.signal.shape == (packets[0].n_leads,
                                         packets[0].span_samples)
@@ -109,7 +110,7 @@ class TestReconstruction:
         report, packets = clean_af_uplink
         gateway = Gateway()
         for packet in packets:
-            gateway.ingest(packet)
+            gateway.ingest(encode_packet(packet))
         gateway.drain()
         channel = gateway.channels["afc"]
         n_alarm = sum(1 for p in packets if p.kind == "alarm")
@@ -123,8 +124,8 @@ class TestReconstruction:
         _, packets = clean_af_uplink
         first, second = Gateway(), Gateway()
         for packet in packets:
-            first.ingest(packet)
-            second.ingest(packet)
+            first.ingest(encode_packet(packet))
+            second.ingest(encode_packet(packet))
         first.drain()
         assert decoder_memo.cache_info().misses == 1  # one geometry
         svd_calls.clear()
@@ -142,7 +143,7 @@ class TestAlarmConfirmation:
         report, packets = clean_af_uplink
         gateway = Gateway()
         for packet in packets:
-            gateway.ingest(packet)
+            gateway.ingest(encode_packet(packet))
         excerpts = gateway.drain()
         alarms = [e for e in excerpts if e.kind == "alarm"]
         assert len(alarms) == len(report.alarms) >= 1
@@ -158,7 +159,7 @@ class TestAlarmConfirmation:
         proxy._fs = record.fs
         packet = proxy.alarm_packet(record, alarm_start=1000)
         gateway = Gateway()
-        gateway.ingest(packet)
+        gateway.ingest(encode_packet(packet))
         excerpt = gateway.drain()[0]
         assert excerpt.confirmed is False
 
@@ -166,7 +167,7 @@ class TestAlarmConfirmation:
         _, packets = clean_af_uplink
         gateway = Gateway(GatewayConfig(confirm_alarms=False))
         for packet in packets:
-            gateway.ingest(packet)
+            gateway.ingest(encode_packet(packet))
         alarms = [e for e in gateway.drain() if e.kind == "alarm"]
         assert all(e.confirmed for e in alarms)
 
@@ -187,7 +188,7 @@ class TestBatchedDrain:
         stepwise = Gateway(GatewayConfig(n_iter=60))
         for gateway in (batched, stepwise):
             for packet in packets:
-                gateway.ingest(packet)
+                gateway.ingest(encode_packet(packet))
         all_at_once = batched.drain()
         one_by_one = []
         while stepwise.pending:
@@ -221,7 +222,7 @@ class TestCrossGatewayBatch:
         gateways = [Gateway(self.CONFIG) for _ in uplinks]
         for gateway, packets in zip(gateways, uplinks):
             for packet in packets:
-                gateway.ingest(packet)
+                gateway.ingest(encode_packet(packet))
         return gateways
 
     @pytest.mark.parametrize("max_packets", [None, 1])
@@ -288,10 +289,11 @@ class TestHostileWindow:
                                      _with_value(value))
         assert _decoder_key(good) == _decoder_key(hostile)  # one batch
         solo = Gateway(GatewayConfig(n_iter=60))
-        solo.ingest(good)
+        solo.ingest(encode_packet(good))
         want = solo.drain()[0]
         gateway = Gateway(GatewayConfig(n_iter=60), obs=Observability())
-        assert gateway.ingest(good) and gateway.ingest(hostile)
+        assert gateway.ingest(encode_packet(good))
+        assert gateway.ingest(encode_packet(hostile))
         with np.errstate(all="ignore"):
             got, bad = gateway.drain()
         assert got.signal.tobytes() == want.signal.tobytes()
@@ -354,12 +356,18 @@ MALFORMED_GEOMETRY = {
 class TestGeometryCheck:
     """A CS packet the decoder cannot take is refused at ingest, before
     the journal, reassembly or queue see it; it used to queue and then
-    fail every later drain of its gateway."""
+    fail every later drain of its gateway.
 
-    @pytest.mark.parametrize("as_frame", [True, False],
-                             ids=["frame", "object"])
+    Served and replayed sessions decode each frame ahead of applying it
+    (:func:`~repro.fleet.journal.decode_ahead`) and hand the gateway the
+    packet with the frame, which skips the gateway's own check; so the
+    decoded-ahead legs pin that a malformed frame is left as bytes and
+    still refused."""
+
+    @pytest.mark.parametrize("ahead", [False, True],
+                             ids=["frame", "decoded-ahead"])
     @pytest.mark.parametrize("case", list(MALFORMED_GEOMETRY))
-    def test_rejected_at_ingest(self, cs_packet, case, as_frame):
+    def test_rejected_at_ingest(self, cs_packet, case, ahead):
         malform, match = MALFORMED_GEOMETRY[case]
         bad = malform(cs_packet("geo", seq=1))
         journaled: list[str] = []
@@ -369,16 +377,25 @@ class TestGeometryCheck:
             def append_packet(_frame, patient_id):
                 journaled.append(patient_id)
 
-        gateway = Gateway(GatewayConfig(n_iter=30))
+        config = GatewayConfig(n_iter=30)
+        gateway = Gateway(config)
         gateway.attach_journal(_Journal())
-        assert gateway.ingest(cs_packet("geo", seq=0))
+
+        def ingest(packet) -> bool:
+            frame = encode_packet(packet)
+            if not ahead:
+                return gateway.ingest(frame)
+            return gateway.ingest(frame,
+                                  decode_ahead(frame, config.wavelet))
+
+        assert ingest(cs_packet("geo", seq=0))
         with pytest.raises(WireFormatError, match=match):
-            gateway.ingest(encode_packet(bad) if as_frame else bad)
+            ingest(bad)
         assert gateway.pending == 1
         assert journaled == ["geo"]
         # Reassembly never saw seq 1, so a valid copy is not a duplicate
         # and the gateway still drains.
-        assert gateway.ingest(cs_packet("geo", seq=1))
+        assert ingest(cs_packet("geo", seq=1))
         excerpts = gateway.drain()
         assert [e.timestamp_s for e in excerpts] == [0.0, 1.0]
         assert gateway.channels["geo"].n_duplicates == 0
@@ -388,7 +405,7 @@ class TestGeometryCheck:
                           PROXY_CONFIG)
         telemetry = replace(proxy.telemetry_packet(0.0), cr_percent=100.0,
                             window_n=0)
-        assert Gateway().ingest(telemetry)
+        assert Gateway().ingest(encode_packet(telemetry))
 
 
 def _seq_packet(seq: int) -> object:

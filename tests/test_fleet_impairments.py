@@ -20,6 +20,7 @@ from repro.fleet import (
     TriageBoard,
     TriageConfig,
     UplinkPacket,
+    encode_packet,
     synthesize_patient,
 )
 from repro.scenarios import ImpairedLink, LinkSpec
@@ -27,29 +28,29 @@ from repro.scenarios import ImpairedLink, LinkSpec
 FAST_NODE = NodeProxyConfig(stream_telemetry=False)
 
 
-def fake_packet(seq, patient="p0000", ts=None):
-    return UplinkPacket(
+def fake_frame(seq, patient="p0000", ts=None):
+    return encode_packet(UplinkPacket(
         patient_id=patient, seq=seq,
         timestamp_s=float(seq) if ts is None else ts,
         kind=PACKET_EXCERPT, start=0, frames=(), payload_bits=64,
         n_leads=1, window_n=256, cr_percent=60.0, quant_bits=12,
-        cs_seed=11, fs=250.0)
+        cs_seed=11, fs=250.0))
 
 
 class TestReassembly:
     def test_in_order_passthrough(self):
         gateway = Gateway()
         for seq in range(5):
-            gateway.ingest(fake_packet(seq))
+            gateway.ingest(fake_frame(seq))
         assert gateway.pending == 5
         assert gateway.channels["p0000"].n_out_of_order == 0
 
     def test_out_of_order_held_until_gap_fills(self):
         gateway = Gateway()
-        gateway.ingest(fake_packet(0))
-        gateway.ingest(fake_packet(2))  # gap: 1 missing
+        gateway.ingest(fake_frame(0))
+        gateway.ingest(fake_frame(2))  # gap: 1 missing
         assert gateway.pending == 1
-        gateway.ingest(fake_packet(1))  # fills the gap -> releases 1, 2
+        gateway.ingest(fake_frame(1))  # fills the gap -> releases 1, 2
         assert gateway.pending == 3
         channel = gateway.channels["p0000"]
         assert channel.n_out_of_order == 1
@@ -58,24 +59,24 @@ class TestReassembly:
     def test_duplicates_dropped_and_counted(self):
         gateway = Gateway()
         for seq in (0, 1, 1, 0, 2, 2):
-            gateway.ingest(fake_packet(seq))
+            gateway.ingest(fake_frame(seq))
         assert gateway.pending == 3
         assert gateway.channels["p0000"].n_duplicates == 3
 
     def test_window_overflow_releases_with_gap(self):
         gateway = Gateway(GatewayConfig(reassembly_window=3))
-        gateway.ingest(fake_packet(0))
+        gateway.ingest(fake_frame(0))
         for seq in (2, 3, 4, 5):  # 1 never arrives; window is 3
-            gateway.ingest(fake_packet(seq))
+            gateway.ingest(fake_frame(seq))
         assert gateway.pending == 5  # 0 plus force-released 2..5
         channel = gateway.channels["p0000"]
         assert channel.n_gaps == 1
 
     def test_flush_releases_stragglers(self):
         gateway = Gateway()
-        gateway.ingest(fake_packet(0))
-        gateway.ingest(fake_packet(3))
-        gateway.ingest(fake_packet(5))
+        gateway.ingest(fake_frame(0))
+        gateway.ingest(fake_frame(3))
+        gateway.ingest(fake_frame(5))
         assert gateway.pending == 1
         released = gateway.flush_reassembly()
         assert released == 2
@@ -87,7 +88,7 @@ class TestReassembly:
         # the flush writes the missing prefix off as a gap.
         gateway = Gateway()
         for seq in (40, 41, 42):
-            gateway.ingest(fake_packet(seq))
+            gateway.ingest(fake_frame(seq))
         assert gateway.pending == 0
         assert gateway.flush_reassembly() == 3
         assert gateway.pending == 3
@@ -97,45 +98,45 @@ class TestReassembly:
         # A jitter-delayed seq-0 packet overtaken by seq 1 must wait for
         # it, not be written off (it could be an alarm).
         gateway = Gateway()
-        gateway.ingest(fake_packet(1))
+        gateway.ingest(fake_frame(1))
         assert gateway.pending == 0
-        gateway.ingest(fake_packet(0))
+        gateway.ingest(fake_frame(0))
         assert gateway.pending == 2
         assert gateway.channels["p0000"].n_duplicates == 0
 
     def test_per_patient_isolation(self):
         gateway = Gateway()
-        gateway.ingest(fake_packet(0, patient="a"))
-        gateway.ingest(fake_packet(1, patient="b"))  # b waits for seq 0
-        gateway.ingest(fake_packet(1, patient="a"))
+        gateway.ingest(fake_frame(0, patient="a"))
+        gateway.ingest(fake_frame(1, patient="b"))  # b waits for seq 0
+        gateway.ingest(fake_frame(1, patient="a"))
         assert gateway.pending == 2
-        gateway.ingest(fake_packet(0, patient="b"))
+        gateway.ingest(fake_frame(0, patient="b"))
         assert gateway.pending == 4
 
     def test_written_off_straggler_still_delivered(self):
         # A packet whose seq was force-flushed as a gap (e.g. an ARQ
         # alarm still in flight) must be delivered late, never dropped.
         gateway = Gateway(GatewayConfig(reassembly_window=2))
-        gateway.ingest(fake_packet(0))
+        gateway.ingest(fake_frame(0))
         for seq in (2, 3, 4):  # overflow: seq 1 written off
-            gateway.ingest(fake_packet(seq))
+            gateway.ingest(fake_frame(seq))
         channel = gateway.channels["p0000"]
         assert channel.n_gaps == 1
         before = gateway.pending
-        gateway.ingest(fake_packet(1))  # the straggler arrives
+        gateway.ingest(fake_frame(1))  # the straggler arrives
         assert gateway.pending == before + 1
         assert channel.n_gaps == 0  # recovered after all
         assert channel.n_duplicates == 0
-        gateway.ingest(fake_packet(1))  # a second copy IS a duplicate
+        gateway.ingest(fake_frame(1))  # a second copy IS a duplicate
         assert channel.n_duplicates == 1
 
     def test_expire_bounds_head_of_line_blocking(self):
         # A permanent gap may stall a patient for at most
         # reassembly_gap_ticks expire sweeps, not a whole run.
         gateway = Gateway(GatewayConfig(reassembly_gap_ticks=2))
-        gateway.ingest(fake_packet(0))
-        gateway.ingest(fake_packet(2))  # seq 1 lost for good
-        gateway.ingest(fake_packet(3))
+        gateway.ingest(fake_frame(0))
+        gateway.ingest(fake_frame(2))  # seq 1 lost for good
+        gateway.ingest(fake_frame(3))
         assert gateway.pending == 1
         assert gateway.expire_reassembly() == 0  # sweep 1: grace
         assert gateway.expire_reassembly() == 2  # sweep 2: force-release
@@ -144,11 +145,11 @@ class TestReassembly:
 
     def test_expire_grace_resets_on_progress(self):
         gateway = Gateway(GatewayConfig(reassembly_gap_ticks=2))
-        gateway.ingest(fake_packet(1))
+        gateway.ingest(fake_frame(1))
         gateway.expire_reassembly()
-        gateway.ingest(fake_packet(0))  # gap fills: progress
+        gateway.ingest(fake_frame(0))  # gap fills: progress
         assert gateway.pending == 2
-        gateway.ingest(fake_packet(3))
+        gateway.ingest(fake_frame(3))
         assert gateway.expire_reassembly() == 0  # counter restarted
         assert gateway.expire_reassembly() == 1
 
@@ -156,9 +157,9 @@ class TestReassembly:
         # A gap-filling arrival that releases a burst cannot push the
         # queue past its capacity; the excess is dropped and counted.
         gateway = Gateway(GatewayConfig(queue_capacity=2))
-        gateway.ingest(fake_packet(1))
-        gateway.ingest(fake_packet(2))
-        gateway.ingest(fake_packet(0))  # releases 0, 1, 2 -> cap at 2
+        gateway.ingest(fake_frame(1))
+        gateway.ingest(fake_frame(2))
+        gateway.ingest(fake_frame(0))  # releases 0, 1, 2 -> cap at 2
         assert gateway.pending == 2
         assert gateway.dropped == 1
 
@@ -180,7 +181,7 @@ class TestConsecutiveSessions:
             _, packets = proxy.run(record)
             assert packets  # at least the periodic excerpt
             for packet in packets:
-                gateway.ingest(packet)
+                gateway.ingest(encode_packet(packet))
             total += len(packets)
         processed = gateway.drain()
         assert len(processed) == total
@@ -208,7 +209,7 @@ class TestDuplicateTriageInvariant:
             board = TriageBoard()
             for packet in packets:
                 for _ in range(copies):
-                    gateway.ingest(packet)
+                    gateway.ingest(encode_packet(packet))
             for excerpt in gateway.drain():
                 board.observe(excerpt)
             patient = board.patients["afi"]
@@ -221,8 +222,9 @@ class TestDuplicateTriageInvariant:
         _, packets = af_uplink
         gateway = Gateway()
         for packet in packets:
-            gateway.ingest(packet)
-            gateway.ingest(packet)
+            frame = encode_packet(packet)
+            gateway.ingest(frame)
+            gateway.ingest(frame)
         gateway.drain()
         channel = gateway.channels["afi"]
         assert channel.n_duplicates == len(packets)

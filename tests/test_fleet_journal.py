@@ -26,6 +26,7 @@ from repro.fleet import (
     StreamDecoder,
     decode_message,
     encode_message,
+    encode_packet,
     encode_stream_frame,
     frame_kind,
     journal_meta,
@@ -42,8 +43,8 @@ def _telemetry_frames(n: int, patient_id: str = "jt0") -> list[bytes]:
     """Cheap, valid wire packet frames (no synthesis, no CS encoding)."""
     proxy = NodeProxy(PatientProfile(patient_id=patient_id, seed=1),
                       NodeProxyConfig(stream_telemetry=False))
-    return [proxy.telemetry_packet(float(i), mean_hr_bpm=60.0 + i,
-                                   soc=0.5).to_bytes()
+    return [encode_packet(proxy.telemetry_packet(
+                float(i), mean_hr_bpm=60.0 + i, soc=0.5))
             for i in range(n)]
 
 
@@ -455,7 +456,7 @@ class TestReplayRejectsHostileRecords:
     def test_malformed_geometry_packet_frame(self, tmp_path, cs_packet):
         # Recovered ahead of its drain, the frame would fail the batch;
         # instead its own record fails, as a JournalError.
-        frame = cs_packet("jt0", n_measurements=5).to_bytes()
+        frame = encode_packet(cs_packet("jt0", n_measurements=5))
         drain = ServeMessage("drain", "", t_s=1.0, fields={"budget": -1.0})
 
         def append(writer):

@@ -22,6 +22,7 @@ from repro.fleet import (
     NodeProxyConfig,
     PatientProfile,
     ServeMessage,
+    encode_packet,
     journal_meta,
 )
 from repro.fleet.journal import _SegmentScan
@@ -37,8 +38,8 @@ def _build_journal(tmp_path) -> tuple[JournalConfig, bytes, int, list]:
             writer.append_message(ServeMessage("expire", "",
                                                t_s=float(i)))
             writer.append_packet(
-                proxy.telemetry_packet(float(i), mean_hr_bpm=70.0,
-                                       soc=0.4).to_bytes(), "fz0")
+                encode_packet(proxy.telemetry_packet(
+                    float(i), mean_hr_bpm=70.0, soc=0.4)), "fz0")
             writer.append_message(ServeMessage(
                 "drain", "", t_s=float(i), fields={"budget": -1.0}))
     path = config.segment_paths()[0]

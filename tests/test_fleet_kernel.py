@@ -229,22 +229,20 @@ class TestLockstepFacadeEquivalence:
         assert lockstep.kernel_stats["tick_loop_iterations"] \
             == events.kernel_stats["tick_loop_iterations"] == 4 * 2
 
-    def test_governed_impaired_wire_loopback_byte_identical(self):
+    def test_governed_impaired_byte_identical(self):
         # The hardest leg: governor feedback, lossy jittered per-patient
-        # links and a finite drain budget all at once — lockstep on the
-        # object path against per-node events through the wire codec.
+        # links and a finite drain budget all at once.
         cohort = make_cohort(CohortConfig(n_patients=4, seed=9))
         spec = LinkSpec(loss_rate=0.15, duplicate_rate=0.1,
                         reorder_rate=0.2, jitter_s=2.0,
                         reorder_delay_s=65.0)
         lockstep, events = (
             _run(members,
-                 config_kw=dict(wire_loopback=wire, drain_per_tick=3),
+                 config_kw=dict(drain_per_tick=3),
                  link=_impaired_link_for(spec, 99),
                  governor_factory=_governor_factory(99),
                  gateway=Gateway(GatewayConfig(n_iter=50)))
-            for members, wire in ((cohort, False),
-                                  (_uniform(cohort), True)))
+            for members in (cohort, _uniform(cohort)))
         assert _fingerprint(events) == _fingerprint(lockstep)
         assert lockstep.summary.governed
         assert lockstep.link_stats  # impairments actually happened

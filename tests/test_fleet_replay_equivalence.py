@@ -39,6 +39,7 @@ from repro.fleet import (
     ShardedFleetRunner,
     decode_message,
     decode_packet,
+    encode_packet,
     frame_kind,
     journal_meta,
     make_cohort,
@@ -479,8 +480,8 @@ class TestServedSoak:
         config = JournalConfig(dir=str(tmp_path), name="soak")
         proxy = NodeProxy(PatientProfile(patient_id="soak0", seed=5),
                           NodeProxyConfig(stream_telemetry=False))
-        frames = [proxy.telemetry_packet(float(i), mean_hr_bpm=65.0,
-                                         soc=0.5).to_bytes()
+        frames = [encode_packet(proxy.telemetry_packet(
+                      float(i), mean_hr_bpm=65.0, soc=0.5))
                   for i in range(self.N_RECONNECTS)]
         with FleetGatewayServer(
                 ServeConfig(journal=config)) as server:

@@ -42,6 +42,7 @@ from repro.fleet import (
     decode_message,
     decode_packet,
     encode_message,
+    encode_packet,
     encode_stream_frame,
     frame_kind,
     journal_meta,
@@ -288,7 +289,7 @@ class TestConnectionSemantics:
     def test_non_hello_first_frame_closes_connection(self):
         with FleetGatewayServer(ServeConfig()) as server:
             transport = _Transport("127.0.0.1", server.port)
-            transport.send_frame(_telemetry_packets(1)[0].to_bytes())
+            transport.send_frame(encode_packet(_telemetry_packets(1)[0]))
             with pytest.raises(ServeError):
                 transport.recv_message()
             transport.close()
@@ -350,7 +351,7 @@ class TestConnectionSemantics:
                              fields={"budget": -1.0})
         with FleetGatewayServer(ServeConfig()) as server:
             transport = _hello(server, "pg")
-            transport.send_frame(bad.to_bytes())
+            transport.send_frame(encode_packet(bad))
             transport.send_message(drain)
             with pytest.raises(ServeError, match="102"):
                 transport.recv_message()
@@ -359,7 +360,7 @@ class TestConnectionSemantics:
             transport.close()
             # The session survives: a valid packet still drains.
             transport = _hello(server, "pg")
-            transport.send_frame(cs_packet("pg", seq=0).to_bytes())
+            transport.send_frame(encode_packet(cs_packet("pg", seq=0)))
             transport.send_message(drain)
             transport.send_message(ServeMessage("sweep", "pg", t_s=2.0))
             assert transport.recv_message().kind == "feedback"
@@ -445,7 +446,7 @@ class TestSessionClock:
     def test_drain_behind_the_clock_applies_at_the_clock(self):
         session = self._session()
         for packet in _telemetry_packets(3, "ck"):
-            session.handle_frame(packet.to_bytes())
+            session.handle_frame(encode_packet(packet))
         assert session.gateway.pending == 3
         assert session.handle_frame(self._command("drain", 5.0)) == (
             [], False)
@@ -472,7 +473,7 @@ class TestBackpressure:
         with FleetGatewayServer(config) as server:
             transport = _hello(server, "bp")
             for packet in _telemetry_packets(n_packets, "bp"):
-                transport.send_frame(packet.to_bytes())
+                transport.send_frame(encode_packet(packet))
             transport.send_message(ServeMessage(
                 "report", "bp", t_s=60.0,
                 fields={"n_sent": float(n_packets)},
@@ -521,7 +522,7 @@ class TestLaneBatches:
         """N packets, a drain and a sweep, then a report; the outcome."""
         pid = "lb"
         t_s = float(self.N)
-        script = [p.to_bytes() for p in _telemetry_packets(self.N, pid)]
+        script = [encode_packet(p) for p in _telemetry_packets(self.N, pid)]
         script += [ServeMessage("drain", pid, t_s=t_s,
                                 fields={"budget": -1.0}),
                    ServeMessage("sweep", pid, t_s=t_s)]
@@ -566,7 +567,7 @@ class TestLaneBatches:
          "finite"),
     ], ids=["bye", "error"])
     def test_closing_frame_stops_the_batch(self, closing, match):
-        packets = [p.to_bytes() for p in _telemetry_packets(6, "cb")]
+        packets = [encode_packet(p) for p in _telemetry_packets(6, "cb")]
         with FleetGatewayServer(ServeConfig()) as server:
             transport = _hello(server, "cb")
             transport._sock.sendall(
@@ -580,7 +581,7 @@ class TestLaneBatches:
         assert server.sessions["cb"].n_frames == 3
 
     def test_stream_error_after_good_frames_applies_them_first(self):
-        packets = [p.to_bytes() for p in _telemetry_packets(2, "se")]
+        packets = [encode_packet(p) for p in _telemetry_packets(2, "se")]
         sweep = ServeMessage("sweep", "se", t_s=1.0)
         with FleetGatewayServer(ServeConfig()) as server:
             transport = _hello(server, "se")
@@ -664,7 +665,8 @@ class TestStopDrainsQueues:
         try:
             transport = _hello(server, "sd")
             transport._sock.sendall(_frames(
-                *(p.to_bytes() for p in _telemetry_packets(n_packets, "sd")),
+                *(encode_packet(p)
+                  for p in _telemetry_packets(n_packets, "sd")),
                 ServeMessage("bye", "sd")))
             transport.close()
             # Queued by now; the throttled consumer has applied none.
@@ -956,7 +958,7 @@ class TestStreamDecoder:
             encode_stream_frame(b"")
 
 
-PACKET_FRAME = _telemetry_packets(1, "fz")[0].to_bytes()
+PACKET_FRAME = encode_packet(_telemetry_packets(1, "fz")[0])
 
 
 class TestPacketFrameTruncation:

@@ -124,13 +124,24 @@ class TestByteEquivalence:
         assert list(four_shard_run.rows) \
             == [p.patient_id for p in COHORT]
 
-    def test_wire_loopback_matches_object_path(self, plain_run):
-        config = SchedulerConfig(duration_s=60.0, fs=250.0,
-                                 wire_loopback=True)
-        looped = FleetScheduler(
-            COHORT, config, node_config=RUN_KW["node_config"],
-            gateway=Gateway(RUN_KW["gateway_config"])).run()
-        assert looped.summary.to_json() == plain_run.summary.to_json()
+    def test_in_process_run_ingests_only_wire_frames(self, plain_run):
+        # The scheduler hands its gateway each packet's frame and never
+        # the packet itself, so the gateway decodes and checks every
+        # arrival as it would a network peer's.
+        calls: list[tuple] = []
+
+        class _Recording(Gateway):
+            def ingest(self, frame, packet=None):
+                calls.append((frame, packet))
+                return super().ingest(frame, packet)
+
+        fleet = FleetScheduler(
+            COHORT, RUN_KW["config"], node_config=RUN_KW["node_config"],
+            gateway=_Recording(RUN_KW["gateway_config"])).run()
+        assert len(calls) == plain_run.packets_sent > 0
+        assert all(type(frame) is bytes and packet is None
+                   for frame, packet in calls)
+        assert fleet.summary.to_json() == plain_run.summary.to_json()
 
 
 def _impaired_governed_hooks(spec: LinkSpec, profiles,

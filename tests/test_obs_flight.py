@@ -39,10 +39,8 @@ class TestRings:
         rec = FlightRecorder(ring_size=4)
         rec.record_frame("p0", b"a")
         rec.record_frame("p1", b"b")
-        rec.record_event("p1", {"name": "e"})
         record = rec.anomaly("test", "p1", 2.0)
         assert record.packets() == [b"b"]
-        assert record.events == [{"name": "e"}]
 
     def test_snapshot_counts(self):
         rec = FlightRecorder(ring_size=8)
@@ -79,7 +77,6 @@ class TestDumps:
     def test_dump_write_and_load_roundtrip(self, tmp_path):
         rec = FlightRecorder(ring_size=4, dump_dir=tmp_path)
         rec.record_frame("p0", b"\x00\x01")
-        rec.record_event("p0", {"name": "gateway.ingest", "t_s": 4.0})
         record = rec.anomaly(ANOMALY_NAN_GUARD, "p0", 4.125,
                              detail_code=7)
         # Virtual-time file name: identical across seeded reruns.
@@ -88,8 +85,23 @@ class TestDumps:
         assert loaded.kind == ANOMALY_NAN_GUARD
         assert loaded.subject == "p0"
         assert loaded.packets() == [b"\x00\x01"]
-        assert loaded.events == [{"name": "gateway.ingest", "t_s": 4.0}]
         assert loaded.detail == {"detail_code": 7}
+
+    def test_dump_with_an_events_key_still_loads(self, tmp_path):
+        # Dumps once carried a per-channel trace-event list; files
+        # written then still load, and rewrite without it.
+        rec = FlightRecorder(dump_dir=tmp_path)
+        rec.record_frame("p0", b"\x07")
+        path = rec.anomaly(ANOMALY_NAN_GUARD, "p0", 3.0, code=1).path
+        payload = json.loads(open(path).read())
+        payload["events"] = [{"name": "gateway.ingest", "ts": 3.0}]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        loaded = load_flight_dump(path)
+        assert loaded.packets() == [b"\x07"]
+        assert loaded.detail == {"code": 1}
+        assert loaded.to_dict() == rec.anomalies[0].to_dict()
+        assert "events" not in loaded.to_dict()
 
     def test_dump_bytes_are_deterministic(self, tmp_path):
         def dump(sub_dir):
@@ -128,15 +140,14 @@ class TestGatewayIntegration:
         obs = Observability()
         scheduler = FleetScheduler(
             cohort,
-            SchedulerConfig(duration_s=60.0, fs=250.0,
-                            wire_loopback=True),
+            SchedulerConfig(duration_s=60.0, fs=250.0),
             node_config=NodeProxyConfig(stream_telemetry=False),
             obs=obs)
         fleet = scheduler.run()
         pid = cohort[0].patient_id
         record = obs.flight.anomaly("manual", pid, 60.0)
         frames = record.packets()
-        assert frames, "wire loopback should populate the frame ring"
+        assert frames, "an observed run should populate the frame ring"
         # Offline replay: the dumped frames drive a fresh gateway.
         replay = Gateway(GatewayConfig())
         for frame in frames:
