@@ -4,8 +4,9 @@ Runs the fleet twice with one `Observability` handle threaded through
 the stack — once in-process and once sharded across worker processes —
 and shows that the canonical fleet-scope snapshot is byte-identical in
 both layouts (the same determinism contract `FleetSummary` obeys).
-Then trips the gateway flight recorder on a corrupt wire frame and
-replays the dumped packets into a fresh gateway offline.
+Then trips the gateway flight recorder on one patient's CS window whose
+measurements overflow reconstruction (a `nan-guard` anomaly), and
+replays the dumped frames into a fresh gateway offline.
 
 Run:  python examples/fleet_observability.py [--patients 8] [--shards 2]
 """
@@ -14,17 +15,22 @@ from __future__ import annotations
 
 import argparse
 import tempfile
+from dataclasses import replace
+
+import numpy as np
 
 from repro.fleet import (
     CohortConfig,
     FleetScheduler,
     Gateway,
     GatewayConfig,
+    NodeProxy,
     NodeProxyConfig,
     SchedulerConfig,
     ShardedFleetRunner,
-    WireFormatError,
+    encode_packet,
     make_cohort,
+    synthesize_patient,
 )
 from repro.obs import Observability, ObsConfig, load_flight_dump
 
@@ -79,29 +85,49 @@ def main() -> None:
         raise SystemExit("canonical snapshots diverged!")
 
     # --- 3. Flight recorder: anomaly dump + offline replay --------
+    # One patient's uplink populates its channel's frame ring ...
+    profile = cohort[0]
+    _, packets = NodeProxy(profile, node).run(
+        synthesize_patient(profile, duration_s=args.duration))
+    # ... then its next packet carries a window whose finite
+    # measurements overflow FISTA, so the reconstruction is not finite.
+    last = packets[-1]
+    hostile = replace(last, seq=last.seq + 1, frames=tuple(
+        tuple(replace(w, measurements=_overflowing(w.measurements))
+              for w in frame)
+        for frame in last.frames))
     with tempfile.TemporaryDirectory() as dump_dir:
         flight_obs = Observability(ObsConfig(flight_dump_dir=dump_dir))
         recorder_gw = Gateway(gateway_cfg, obs=flight_obs)
-        # A few good frames populate the per-channel rings ...
-        scheduler = FleetScheduler(
-            cohort[:2],
-            SchedulerConfig(duration_s=args.duration, fs=250.0),
-            node_config=node, gateway=recorder_gw, obs=None)
-        scheduler.run()
-        # ... then a corrupt one trips the anomaly dump.
-        flight_obs.set_virtual_time(args.duration)
-        try:
-            recorder_gw.ingest(b"\xde\xad\xbe\xef")
-        except WireFormatError as err:
-            print(f"\nflight recorder tripped on wire error: {err}")
+        for packet in (*packets, hostile):
+            recorder_gw.ingest(encode_packet(packet))
+        with np.errstate(all="ignore"):  # the overflow is the point
+            recorder_gw.drain()
         record = flight_obs.flight.anomalies[0]
         dump = load_flight_dump(record.path)
-        print(f"flight dump written: kind={dump.kind} "
+        frames = dump.packets()
+        print(f"\nflight dump written: kind={dump.kind} "
               f"subject={dump.subject} t={dump.t_s:.1f} s "
-              f"({len(dump.packets())} frames captured)")
+              f"({len(frames)} frames captured)")
+        # The dump alone reproduces the incident offline.
+        offline = Gateway(gateway_cfg)
+        for frame in frames:
+            offline.ingest(frame)
+        with np.errstate(all="ignore"):
+            replayed = offline.drain()
+        bad = sum(not np.all(np.isfinite(r.signal)) for r in replayed)
+        print(f"offline replay: {len(replayed)} packets drained from a "
+              f"fresh gateway, {bad} non-finite reconstruction(s)")
 
     print("\nreproduce this exact snapshot: same cohort seed -> "
           "byte-identical canonical metrics and traces")
+
+
+def _overflowing(measurements: np.ndarray) -> np.ndarray:
+    """``measurements`` with one entry set to 1e300."""
+    out = np.array(measurements, dtype=np.float64)
+    out[3] = 1e300
+    return out
 
 
 if __name__ == "__main__":

@@ -46,14 +46,25 @@ MIN_GATED_WALL_S = 0.05
 
 
 def resolve_revision() -> str:
-    """Short git revision of the working tree, or ``"local"``."""
+    """Short git revision of the working tree, or ``"local"``.
+
+    A tree whose tracked files differ from ``HEAD`` reads
+    ``<sha>-dirty``, so a timing measured on uncommitted changes is
+    never stamped with the revision of the code it did not run.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
             capture_output=True, text=True, timeout=10, check=True)
-        return out.stdout.strip() or "local"
+        revision = out.stdout.strip()
+        if not revision:
+            return "local"
+        diff = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--"],
+            capture_output=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return "local"
+    return f"{revision}-dirty" if diff.returncode else revision
 
 
 def _peak_rss_mb() -> float:
@@ -137,8 +148,11 @@ class BenchReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def write(self, out_dir: str | Path = ".") -> Path:
-        """Emit ``BENCH_<rev>.json`` into ``out_dir``; returns the path."""
-        path = Path(out_dir) / f"BENCH_{self.revision}.json"
+        """Emit ``BENCH_<rev>.json`` into ``out_dir`` (created if
+        missing); returns the path."""
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / f"BENCH_{self.revision}.json"
         path.write_text(self.to_json())
         return path
 

@@ -15,6 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sp_signal
 
+from ..dsp.exact import butter_filtfilt, linear_percentile
 from ..dsp.windows import moving_average
 from ..signals.types import EcgRecord
 
@@ -57,14 +58,12 @@ class RPeakDetector:
         self.fs = fs
         self.config = config or RPeakConfig()
         low, high = self.config.band_hz
-        high = min(high, 0.45 * fs)
-        self._sos = sp_signal.butter(2, [low, high], btype="bandpass",
-                                     fs=fs, output="sos")
+        self._band = (low, min(high, 0.45 * fs))
 
     def feature_signal(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Compute (band-passed, integrated) detection signals."""
         x = np.asarray(x, dtype=float)
-        bandpassed = sp_signal.sosfiltfilt(self._sos, x)
+        bandpassed = butter_filtfilt(x, 2, self._band, "bandpass", self.fs)
         # Five-point derivative from the original paper.
         derivative = np.zeros_like(bandpassed)
         derivative[2:-2] = (
@@ -91,8 +90,8 @@ class RPeakDetector:
         if candidates.shape[0] == 0:
             return np.empty(0, dtype=int)
 
-        spki = float(np.percentile(integrated[candidates], 75)) * 0.5
-        npki = float(np.percentile(integrated, 50))
+        spki = linear_percentile(integrated[candidates], 75) * 0.5
+        npki = linear_percentile(integrated, 50)
         fraction = self.config.threshold_fraction
         accepted: list[int] = []
         # RR intervals are integer sample counts, so ``sum(rr) / len(rr)``

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dsp.exact import linear_percentile
 from ..dsp.wavelets import atrous_swt, atrous_swt_integer
 from ..signals.types import ABSENT_WAVE, BeatAnnotation, EcgRecord, WaveFiducials
 from .rpeak import RPeakDetector
@@ -126,28 +127,9 @@ def _zero_crossing(w: np.ndarray, lo: int, hi: int) -> int:
 
 
 def _lower_quartile(values: np.ndarray) -> float:
-    """``np.percentile(values, 25)`` of a 1-D float array of at least two
-    elements, bit for bit, without numpy's per-call overhead.
-
-    It repeats numpy's ``linear`` method step by step: the same
-    partition points (``0``, ``-1`` and the two neighbours of the
-    virtual index ``(n - 1) / 4``), the same two-sided lerp, and NaN
-    whenever the partition's last element is NaN.
-    """
-    n = values.shape[0]
-    k = (n - 1) // 4
-    k1 = k + 1
-    part = np.partition(values, sorted({-1, 0, k, k1}))
-    top = part[-1]
-    if top != top:
-        return float(top)
-    lo = float(part[k])
-    hi = float(part[k1])
-    gamma = (n - 1) * 0.25 - k
-    diff = hi - lo
-    if gamma >= 0.5:
-        return hi - diff * (1 - gamma)
-    return lo + diff * gamma
+    """``np.percentile(values, 25)``, bit for bit (see
+    :func:`repro.dsp.exact.linear_percentile`)."""
+    return linear_percentile(values, 25)
 
 
 def _clamp_p_end(p_wave: WaveFiducials, qrs: WaveFiducials) -> WaveFiducials:

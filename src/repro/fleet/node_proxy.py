@@ -1,7 +1,7 @@
 """Per-patient node proxy: the uplink side of the fleet link.
 
-Wraps the existing node paths — :class:`~repro.pipeline.StreamingMonitor`
-for incremental beat telemetry and
+Wraps the existing node paths — :class:`~repro.pipeline.RPeakMonitor`
+for incremental heart-rate telemetry and
 :class:`~repro.pipeline.CardiacMonitorNode` for alarms, bandwidth and
 energy accounting — into a node that *emits packets*: timestamped
 periodic CS excerpts plus alarm events carrying CS-compressed context,
@@ -25,7 +25,7 @@ from ..classification.afib import AfDetector
 from ..compression.encoder import EncodedWindow, MultiLeadCsEncoder
 from ..filtering.combination import combine_leads
 from ..pipeline.node_app import CardiacMonitorNode, NodeReport
-from ..pipeline.streaming import StreamingConfig, StreamingMonitor
+from ..pipeline.streaming import RPeakMonitor, StreamingConfig
 from ..power.governor import (
     MODE_EVENTS_ONLY,
     MODE_MULTI_LEAD_CS,
@@ -433,16 +433,19 @@ class NodeProxy:
         )
 
     def _stream_heart_rates(self, record: MultiLeadEcg) -> dict[int, float]:
-        """Mean heart rate per excerpt period, via the streaming monitor."""
+        """Mean heart rate per excerpt period, via the streaming monitor.
+
+        Only R peaks feed the rate, so the monitor confirms them without
+        delineating the beats.
+        """
         combined = combine_leads(record, method="rms")
-        monitor = StreamingMonitor(StreamingConfig(fs=record.fs))
+        monitor = RPeakMonitor(StreamingConfig(fs=record.fs))
         period = int(self.config.excerpt_period_s * record.fs)
         peaks_by_period: dict[int, list[int]] = {}
-        beats = monitor.push_block(combined.signal)
-        beats.extend(monitor.flush())
-        for beat in beats:
-            peaks_by_period.setdefault(beat.r_peak // period,
-                                       []).append(beat.r_peak)
+        r_peaks = monitor.push_block(combined.signal)
+        r_peaks.extend(monitor.flush())
+        for r_peak in r_peaks:
+            peaks_by_period.setdefault(r_peak // period, []).append(r_peak)
         rates: dict[int, float] = {}
         for period_idx, peaks in peaks_by_period.items():
             if len(peaks) < 2:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sp_signal
 
+from ..dsp.exact import butter_filtfilt
 from ..signals.types import PpgRecord
 
 #: Physiological PAT search window after each R peak, seconds.
@@ -48,9 +49,7 @@ def detect_pulse_feet(ppg: np.ndarray, fs: float,
     if ppg.shape[0] < int(fs):
         return np.empty(0, dtype=int)
     # Light smoothing keeps the second derivative usable under noise.
-    sos = sp_signal.butter(2, min(10.0, 0.45 * fs), btype="lowpass", fs=fs,
-                           output="sos")
-    smooth = sp_signal.sosfiltfilt(sos, ppg)
+    smooth = butter_filtfilt(ppg, 2, min(10.0, 0.45 * fs), "lowpass", fs)
     distance = max(1, int(min_period_s * fs))
     prominence = 0.3 * float(np.std(smooth))
     peaks, _ = sp_signal.find_peaks(smooth, distance=distance,

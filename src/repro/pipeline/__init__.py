@@ -8,7 +8,12 @@ from .node_app import (
     ModeSegment,
     NodeReport,
 )
-from .streaming import StreamingConfig, StreamingMonitor, stream_record
+from .streaming import (
+    RPeakMonitor,
+    StreamingConfig,
+    StreamingMonitor,
+    stream_record,
+)
 
 __all__ = [
     "AlarmEvent",
@@ -17,6 +22,7 @@ __all__ = [
     "GovernedNodeReport",
     "ModeSegment",
     "NodeReport",
+    "RPeakMonitor",
     "StreamingConfig",
     "StreamingMonitor",
     "stream_record",

@@ -5,7 +5,9 @@ recordings; real firmware sees one multi-lead sample per timer interrupt
 and must work inside bounded buffers.  :class:`StreamingMonitor` mirrors
 the firmware structure: a ring buffer of recent samples, periodic
 processing bursts every ``hop_s`` seconds over the buffered history, and
-incremental emission of newly confirmed beats.
+incremental emission of newly confirmed beats.  :class:`RPeakMonitor`
+runs the same schedule but emits only the confirmed R peaks, for
+heart-rate telemetry that needs no P/QRS/T fiducials.
 
 Equivalence with the batch path on overlapping content is covered by the
 tests — the property that lets the batch implementation stand in for the
@@ -15,6 +17,7 @@ streaming one in the accuracy benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +83,11 @@ class StreamingMonitor:
         self._since_burst = 0
         self._emitted_up_to = -1  # last confirmed R-peak position
         self._detector = RPeakDetector(cfg.fs)
-        self._delineator = WaveletDelineator(cfg.fs)
+
+    @cached_property
+    def _delineator(self) -> WaveletDelineator:
+        """Built on first use, so :class:`RPeakMonitor` never builds one."""
+        return WaveletDelineator(self.config.fs)
 
     @property
     def samples_consumed(self) -> int:
@@ -158,7 +165,7 @@ class StreamingMonitor:
         return np.concatenate((self._buffer[self._head:],
                                self._buffer[:self._head]))
 
-    def _burst(self, final: bool) -> list[BeatAnnotation]:
+    def _burst(self, final: bool) -> list:
         window = self._window()
         if window.shape[0] < int(1.5 * self.config.fs):
             return []
@@ -169,16 +176,40 @@ class StreamingMonitor:
         # Emit filter first, on the (sorted, unique) peak positions: skip
         # beats already emitted and beats too close to the leading edge.
         # The kept beats are one contiguous run, and only they are
-        # delineated; the transform still covers the whole window.
+        # annotated.
         first = int(np.searchsorted(peaks, self._emitted_up_to - offset,
                                     side="right"))
         stop = int(np.searchsorted(peaks, horizon, side="left"))
-        beats = self._delineator.delineate(window, peaks,
-                                           select=slice(first, stop))
-        fresh = [beat.shifted(offset) for beat in beats]
-        if fresh:
-            self._emitted_up_to = fresh[-1].r_peak
-        return fresh
+        if stop <= first:
+            return []
+        self._emitted_up_to = int(peaks[stop - 1]) + offset
+        return self._annotate(window, peaks, slice(first, stop), offset)
+
+    def _annotate(self, window: np.ndarray, peaks: np.ndarray,
+                  select: slice, offset: int) -> list[BeatAnnotation]:
+        """Delineate the confirmed beats ``peaks[select]`` of one burst.
+
+        The wavelet transform still covers the whole window; the beats
+        come back shifted to absolute sample indices.
+        """
+        beats = self._delineator.delineate(window, peaks, select=select)
+        return [beat.shifted(offset) for beat in beats]
+
+
+class RPeakMonitor(StreamingMonitor):
+    """The streaming monitor without delineation: confirmed R peaks only.
+
+    Heart-rate telemetry reads nothing of a beat but its R peak, so each
+    burst returns the confirmed R-peak sample indices (absolute ints, in
+    order) and builds no delineator.  The ring buffer, the hop schedule
+    and the emit filter are the parent's, so ``push``, ``push_block``
+    and ``flush`` return exactly ``[b.r_peak for b in beats]`` of a
+    :class:`StreamingMonitor` with the same config (tested).
+    """
+
+    def _annotate(self, window: np.ndarray, peaks: np.ndarray,
+                  select: slice, offset: int) -> list[int]:
+        return (peaks[select] + offset).tolist()
 
 
 def stream_record(signal: np.ndarray,

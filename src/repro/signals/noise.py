@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
+
+from ..dsp.exact import butter_filtfilt
 
 
 def baseline_wander(n: int, fs: float, rng: np.random.Generator,
@@ -54,9 +55,8 @@ def muscle_artifact(n: int, fs: float, rng: np.random.Generator,
                     amplitude_mv: float = 0.05) -> np.ndarray:
     """EMG noise: white noise band-passed to the 20 Hz-min(100, 0.45*fs) band."""
     raw = rng.standard_normal(n)
-    high = min(100.0, 0.45 * fs)
-    sos = sp_signal.butter(4, [20.0, high], btype="bandpass", fs=fs, output="sos")
-    out = sp_signal.sosfiltfilt(sos, raw)
+    out = butter_filtfilt(raw, 4, (20.0, min(100.0, 0.45 * fs)), "bandpass",
+                          fs)
     rms = np.sqrt(np.mean(out ** 2))
     if rms > 0:
         out *= amplitude_mv / (3.0 * rms)  # amplitude ~= 3-sigma envelope

@@ -26,6 +26,7 @@ from repro.bench import (
 
 from repro.bench.__main__ import main
 from repro.bench.cases import FS, _samples
+from repro.bench.runner import resolve_revision
 from repro.fleet import PatientProfile
 
 BENCHMARKS_DIR = Path(__file__).parent.parent / "benchmarks"
@@ -98,6 +99,64 @@ class TestBrokenShape:
         assert done.returncode != 0
         assert "synthetic shape broke" in done.stderr
         assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+class TestCliOutput:
+    def test_out_directory_is_created(self, tmp_path, capsys):
+        # A missing --out directory used to lose the whole run to a
+        # FileNotFoundError after every case had been timed.
+        out = tmp_path / "a" / "b"
+        assert main(["--quick", "--cases", "t2-delineation-resources",
+                     "--repeats", "1", "--warmup", "0", "--no-fail",
+                     "--baselines", str(tmp_path / "none.json"),
+                     "--out", str(out)]) == 0
+        (artifact,) = out.glob("BENCH_*.json")
+        payload = json.loads(artifact.read_text())
+        validate_report(payload)
+        assert [c["name"] for c in payload["cases"]] == [
+            "t2-delineation-resources"]
+        assert f"wrote {artifact}" in capsys.readouterr().out
+
+
+def _git(repo: Path, *args: str) -> str:
+    done = subprocess.run(
+        ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=repo, capture_output=True, text=True, timeout=30, check=True)
+    return done.stdout.strip()
+
+
+class TestResolveRevision:
+    """BENCH artifacts and re-baselined entries carry this revision, so
+    it must say when the timed code was not the committed code."""
+
+    def test_clean_tree_gives_sha_and_edit_marks_it_dirty(
+            self, tmp_path, monkeypatch):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        _git(repo, "init", "-q")
+        (repo / "tracked.txt").write_text("one\n")
+        _git(repo, "add", "tracked.txt")
+        _git(repo, "commit", "-q", "-m", "first")
+        sha = _git(repo, "rev-parse", "--short", "HEAD")
+        monkeypatch.chdir(repo)
+        assert resolve_revision() == sha
+        # An untracked file leaves the tree clean.
+        (repo / "untracked.txt").write_text("scratch\n")
+        assert resolve_revision() == sha
+        (repo / "tracked.txt").write_text("two\n")
+        assert resolve_revision() == f"{sha}-dirty"
+        _git(repo, "add", "tracked.txt")  # staged counts too
+        assert resolve_revision() == f"{sha}-dirty"
+
+    def test_outside_a_repository_gives_local(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        assert resolve_revision() == "local"
+
+    def test_without_git_gives_local(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path))  # no git executable
+        assert resolve_revision() == "local"
 
 
 class TestRunner:

@@ -54,7 +54,8 @@ EXAMPLES = {
     "fleet_observability.py": (
         ["--patients", "3", "--duration", "60", "--shards", "2"],
         ["metrics:", "canonical snapshot matches",
-         "flight dump written:"],
+         "flight dump written: kind=nan-guard",
+         "offline replay:", "1 non-finite reconstruction(s)"],
     ),
     "scenario_campaign.py": (
         ["--patients", "3", "--sentinels", "1", "--duration", "60"],

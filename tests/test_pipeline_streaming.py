@@ -1,10 +1,21 @@
 """Tests for the sample-at-a-time streaming monitor."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.delineation import RPeakDetector, WaveletDelineator
-from repro.pipeline import StreamingConfig, StreamingMonitor, stream_record
+from repro.filtering import combine_leads
+from repro.pipeline import (
+    RPeakMonitor,
+    StreamingConfig,
+    StreamingMonitor,
+    stream_record,
+)
+from repro.signals import make_corpus
 
 
 class _FullWindowMonitor(StreamingMonitor):
@@ -203,3 +214,69 @@ class TestPushBlock:
         monitor = StreamingMonitor(StreamingConfig(fs=nsr_record.fs))
         with pytest.raises(ValueError, match="1-D"):
             monitor.push_block(nsr_record.signals)
+
+
+@lru_cache(maxsize=None)
+def _telemetry_signal(preset: str) -> tuple[np.ndarray, float]:
+    """The RMS lead combination heart-rate telemetry streams, 40 s."""
+    record = make_corpus(preset, n_records=1, duration_s=40.0,
+                         seed=9).records[0]
+    return combine_leads(record, method="rms").signal, record.fs
+
+
+def _fed(monitor, signal, chunk):
+    out = []
+    for lo in range(0, signal.shape[0], chunk):
+        out.extend(monitor.push_block(signal[lo:lo + chunk]))
+    out.extend(monitor.flush())
+    return out
+
+
+class TestRPeakMonitor:
+    """Heart-rate telemetry's monitor confirms exactly the R peaks of
+    the delineating monitor, burst for burst."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(preset=st.sampled_from(["nsr", "ectopy", "af_mix"]),
+           n=st.integers(1, 10_000),
+           shape=st.sampled_from([(8.0, 2.0, 0.8), (9.0, 3.0, 0.8),
+                                  (5.0, 1.5, 0.5), (4.0, 0.7, 1.0)]),
+           chunk=st.sampled_from([1, 333, 500, 10_000]))
+    @example(preset="nsr", n=300, shape=(8.0, 2.0, 0.8), chunk=10_000)
+    @example(preset="af_mix", n=4321, shape=(8.0, 2.0, 0.8), chunk=333)
+    @example(preset="ectopy", n=10_000, shape=(9.0, 3.0, 0.8), chunk=500)
+    def test_equals_delineating_monitor_peaks(self, preset, n, shape,
+                                              chunk):
+        signal, fs = _telemetry_signal(preset)
+        buffer_s, hop_s, margin_s = shape
+        config = StreamingConfig(fs=fs, buffer_s=buffer_s, hop_s=hop_s,
+                                 confirm_margin_s=margin_s)
+        x = signal[:n]
+        expected = [b.r_peak for b in _fed(StreamingMonitor(config), x,
+                                           x.shape[0] or 1)]
+        got = _fed(RPeakMonitor(config), x, chunk)
+        assert got == expected
+        assert all(type(peak) is int for peak in got)
+
+    def test_record_under_warmup_emits_nothing(self):
+        signal, fs = _telemetry_signal("nsr")
+        short = signal[:int(1.4 * fs)]
+        assert _fed(RPeakMonitor(StreamingConfig(fs=fs)), short, 7) == []
+
+    def test_record_ending_mid_hop(self):
+        signal, fs = _telemetry_signal("ectopy")
+        config = StreamingConfig(fs=fs)
+        x = signal[:int(17.3 * fs)]  # 8 hops and 1.3 s of a ninth
+        expected = [b.r_peak for b in stream_record(x, config)]
+        monitor = RPeakMonitor(config)
+        bursts = monitor.push_block(x)
+        tail = monitor.flush()
+        assert tail  # the flush confirms the last hop's beats
+        assert bursts + tail == expected
+        assert len(expected) > 15
+
+    def test_builds_no_delineator(self):
+        signal, fs = _telemetry_signal("nsr")
+        monitor = RPeakMonitor(StreamingConfig(fs=fs))
+        _fed(monitor, signal, 1000)
+        assert "_delineator" not in vars(monitor)
