@@ -1,13 +1,23 @@
 """Energy governor demo: one node draining through its mode ladder.
 
 The paper's Fig. 6 compares three *fixed* transmission strategies; this
-demo closes the loop instead.  A node starts near full charge streaming
-raw samples, and as the (deliberately tiny) battery drains the
-EnergyGovernor walks it down the ladder — multi-lead CS, single-lead
-CS, events-only telemetry — while an AF episode mid-recording forces a
-high-fidelity upshift regardless of the budget.  The second half prints
-the fleet-lifetime comparison: simulated hours-to-empty of the governor
+demo closes the loop instead.  A node starts near full charge and, as
+the (deliberately tiny) battery drains, the EnergyGovernor walks it down
+the ladder — raw samples, multi-lead CS, single-lead CS, events-only
+telemetry — while an alert episode mid-recording forces a high-fidelity
+upshift regardless of the budget.  The second half prints the
+fleet-lifetime comparison: simulated hours-to-empty of the governor
 versus every static Fig. 6 mode on a mixed-acuity day cycle.
+
+The node runs as a one-patient governed ``FleetScheduler``, the same
+loop a governed fleet runs, so:
+
+* the payload line counts the packets the gateway received, not a
+  mode's nominal streaming rate;
+* alarm radio energy does not drain the battery (the fleet prices the
+  mode schedule only);
+* acuity is the demo's alert third (``acuity_override``), not a
+  node-local alarm proxy.
 
 Run:  python examples/energy_governor.py [--duration 300] [--soc 0.9]
 """
@@ -16,8 +26,12 @@ from __future__ import annotations
 
 import argparse
 
-from repro.fleet import PatientProfile, synthesize_patient
-from repro.pipeline import CardiacMonitorNode
+from repro.fleet import (
+    FleetScheduler,
+    NodeProxyConfig,
+    PatientProfile,
+    SchedulerConfig,
+)
 from repro.power import (
     ACUITY_ALERT,
     ACUITY_OK,
@@ -31,6 +45,16 @@ from repro.power import (
     compare_policies,
     mixed_acuity_trace,
 )
+
+
+def mode_timeline(governor: EnergyGovernor) -> list[tuple[float, float, str]]:
+    """Consecutive same-mode decisions merged into (start, stop, mode)."""
+    decisions = governor.decisions
+    starts = [(d.t_s, d.mode) for i, d in enumerate(decisions)
+              if i == 0 or d.mode != decisions[i - 1].mode]
+    stops = [t_s for t_s, _ in starts[1:]] + [governor.now_s]
+    return [(start, stop, mode)
+            for (start, mode), stop in zip(starts, stops)]
 
 
 def main() -> None:
@@ -53,7 +77,6 @@ def main() -> None:
 
     profile = PatientProfile(patient_id="demo", rhythm="paroxysmal_af",
                              af_burden=0.4, snr_db=25.0, seed=17)
-    record = synthesize_patient(profile, args.duration, 250.0)
     governor = EnergyGovernor(
         config=GovernorConfig(min_dwell_s=2 * args.interval),
         table=table,
@@ -67,18 +90,24 @@ def main() -> None:
     print(f"\nprocessing {args.duration:.0f} s recording, starting at "
           f"{100 * args.soc:.0f} % charge (alert episode in the middle "
           "third) ...")
-    report = CardiacMonitorNode().process_governed(
-        record, governor, interval_s=args.interval, acuity_fn=acuity)
+    report = FleetScheduler(
+        [profile], SchedulerConfig(duration_s=args.duration),
+        node_config=NodeProxyConfig(excerpt_period_s=args.interval),
+        governor_factory=lambda _: governor,
+        acuity_override=lambda _, t_s: acuity(t_s)).run()
 
     print("mode timeline:")
-    for segment in report.segments:
-        print(f"  {segment.start_s:6.0f} - {segment.stop_s:6.0f} s  "
-              f"{segment.mode}")
-    print(f"mode switches: {report.n_switches}")
-    print(f"final state of charge: {100 * report.final_soc:.0f} %")
-    print(f"average node power: {1e6 * report.average_power_w:.0f} uW")
-    print(f"transmitted payload: {report.transmitted_bits / 8e3:.1f} kB "
-          f"({len(report.beats)} beats, {len(report.alarms)} alarms)")
+    for start, stop, mode in mode_timeline(governor):
+        print(f"  {start:6.0f} - {stop:6.0f} s  {mode}")
+    print(f"mode switches: {governor.n_switches}")
+    print(f"final state of charge: {100 * governor.battery.soc:.0f} %")
+    node = report.node_reports[profile.patient_id]
+    print(f"average node power: {1e6 * node.average_power_w:.0f} uW")
+    row = report.rows[profile.patient_id]
+    print("payload received by the gateway: "
+          f"{row.channel.payload_bits / 8e3:.1f} kB ({row.n_sent} "
+          f"packets sent, {len(node.beats)} beats, {len(node.alarms)} "
+          "alarms)")
 
     print(f"\nlifetime comparison ({args.lifetime_patients} "
           "mixed-acuity patients, standard 150 mAh cell):")

@@ -416,6 +416,9 @@ class Gateway:
         self.obs = obs
         self._m = _GatewayMetrics(obs) if obs is not None else None
         self._journal = None
+        #: Virtual time of the last :meth:`expire_reassembly` sweep;
+        #: stamps anomalies that carry no packet time of their own.
+        self._swept_s = 0.0
 
     def attach_obs(self, obs: Observability | None) -> None:
         """Enable (or disable) observability on a built gateway.
@@ -470,8 +473,9 @@ class Gateway:
             ~repro.fleet.wire.WireFormatError: ``frame`` does not parse
                 as a valid packet frame, or the packet's CS frames do
                 not fit its declared geometry (:func:`check_geometry`);
-                recorded as a wire-error anomaly when observability is
-                attached.  Nothing is journaled or queued.
+                recorded as a wire-error anomaly, stamped at the last
+                expiry sweep's time, when observability is attached.
+                Nothing is journaled or queued.
         """
         if packet is None:
             try:
@@ -483,7 +487,7 @@ class Gateway:
 
                     self.obs.flight.anomaly(
                         ANOMALY_WIRE_ERROR, "unknown",
-                        self.obs.virtual_time_s, error=str(exc),
+                        self._swept_s, error=str(exc),
                         frame_b64=base64.b64encode(bytes(frame)).decode(
                             "ascii"))
                 raise
@@ -570,14 +574,16 @@ class Gateway:
         still delivered (late) by the buffer.
 
         Args:
-            now_s: Virtual time of this sweep (the scheduler passes its
+            now_s: Virtual time of this sweep (every runtime passes its
                 event time), stamped on the stall's trace instant and
-                flight record; ``None`` stamps the ambient virtual
-                clock.
+                flight record and remembered for later wire-error
+                anomalies; ``None`` keeps the previous sweep's time.
 
         Returns:
             Packets moved into the processing queue.
         """
+        if now_s is not None:
+            self._swept_s = float(now_s)
         released = 0
         for patient_id, buffer in self._reassembly.items():
             if not buffer.buffer:
@@ -593,14 +599,13 @@ class Gateway:
                 if before is not None:
                     self._note_reassembly(channel, before)
                     self._m.stalls.inc(patient=patient_id)
-                    now = (self.obs.virtual_time_s if now_s is None
-                           else now_s)
                     if self.obs.trace is not None:
                         self.obs.trace.instant(
-                            now, "gateway.reassembly_stall",
+                            self._swept_s, "gateway.reassembly_stall",
                             subject=patient_id, n_released=n_stalled)
                     self.obs.flight.anomaly(
-                        ANOMALY_REASSEMBLY_STALL, patient_id, now,
+                        ANOMALY_REASSEMBLY_STALL, patient_id,
+                        self._swept_s,
                         n_released=n_stalled,
                         gap_ticks=self.config.reassembly_gap_ticks)
         return released

@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Protocol
 
 import numpy as np
@@ -299,12 +300,12 @@ class FleetScheduler:
             tick (``governor_stress``); ``None`` returns mean "use the
             board state".
         obs: Optional :class:`~repro.obs.Observability` bundle.  When
-            given, the scheduler advances the bundle's virtual clock
-            each tick, counts the uplink mix by mode, wires per-patient
-            governor decision observers, and shares the bundle with the
-            gateway (unless the gateway already carries its own).  All
-            instrumentation is out-of-band: run results are
-            byte-identical with and without it.
+            given, the scheduler counts the uplink mix by mode, traces
+            each sweep, wires per-patient governor decision observers,
+            and shares the bundle with the gateway (unless the gateway
+            already carries its own).  All instrumentation is
+            out-of-band: run results are byte-identical with and
+            without it.
         journal: Optional
             :class:`~repro.fleet.journal.JournalWriter`.  When given,
             it is attached to the gateway (every delivered packet frame
@@ -525,11 +526,6 @@ class FleetScheduler:
     # Phase methods the kernel's sweep events run.
     # ------------------------------------------------------------------
 
-    def _set_vt(self, now_s: float) -> None:
-        """Stamp the ambient virtual clock (no-op without obs)."""
-        if self.obs is not None:
-            self.obs.set_virtual_time(now_s)
-
     def _phase_reassembly(self, now: float) -> None:
         """Run the gateway's reassembly expiry sweep."""
         if self.journal is not None:
@@ -616,37 +612,17 @@ class FleetScheduler:
         late = [a for a in bucket if a[2] >= now]
 
         def governors() -> None:
-            self._set_vt(now)
             state.decisions = self._step_governors(now)
 
         def alarms_early() -> None:
-            self._set_vt(now)
             state.packets_sent += self._send_alarms(early, now)
 
         def uplinks() -> None:
-            self._set_vt(now)
             state.packets_sent += self._send_excerpt_batch(
                 proxies, records, tick - 1, now, state.decisions)
 
         def alarms_late() -> None:
-            self._set_vt(now)
             state.packets_sent += self._send_alarms(late, now)
-
-        def delivery() -> None:
-            self._set_vt(now)
-            self._deliver_due(now)
-
-        def reassembly() -> None:
-            self._set_vt(now)
-            self._phase_reassembly(now)
-
-        def drain() -> None:
-            self._set_vt(now)
-            self._phase_drain(state)
-
-        def triage() -> None:
-            self._set_vt(now)
-            self._phase_triage(now, state)
 
         if self.governors:
             kernel.schedule(now, PRIO_GOVERNOR, "sweep.governors",
@@ -660,11 +636,13 @@ class FleetScheduler:
                             alarms_late)
         if self.link is not None:
             kernel.schedule(now, PRIO_DELIVERY, "link.due_sweep",
-                            delivery)
+                            partial(self._deliver_due, now))
         kernel.schedule(now, PRIO_REASSEMBLY, "gateway.expire",
-                        reassembly)
-        kernel.schedule(now, PRIO_DRAIN, "gateway.drain", drain)
-        kernel.schedule(now, PRIO_TRIAGE, "triage.sweep", triage)
+                        partial(self._phase_reassembly, now))
+        kernel.schedule(now, PRIO_DRAIN, "gateway.drain",
+                        partial(self._phase_drain, state))
+        kernel.schedule(now, PRIO_TRIAGE, "triage.sweep",
+                        partial(self._phase_triage, now, state))
 
     def _schedule_node_events(self, kernel: EventKernel,
                               results: list[tuple], state: _RunState,
@@ -717,12 +695,10 @@ class FleetScheduler:
         late = [a for a in bucket if a[2] >= now]
 
         def decide() -> None:
-            self._set_vt(now)
             state.node_decisions[pid] = self._decide_one(
                 pid, period, now - period)
 
         def uplink() -> None:
-            self._set_vt(now)
             decisions = ({pid: state.node_decisions.pop(pid)}
                          if self.governors else None)
             state.packets_sent += self._send_alarms(early, now)
@@ -742,29 +718,18 @@ class FleetScheduler:
         """Schedule the gateway-side sweeps of one base-grid instant."""
 
         def delivery() -> None:
-            self._set_vt(now)
             self._deliver_due(now)
             self._schedule_link_events(kernel, state)
-
-        def reassembly() -> None:
-            self._set_vt(now)
-            self._phase_reassembly(now)
-
-        def drain() -> None:
-            self._set_vt(now)
-            self._phase_drain(state)
-
-        def triage() -> None:
-            self._set_vt(now)
-            self._phase_triage(now, state)
 
         if self.link is not None:
             kernel.schedule(now, PRIO_DELIVERY, "link.due_sweep",
                             delivery)
         kernel.schedule(now, PRIO_REASSEMBLY, "gateway.expire",
-                        reassembly)
-        kernel.schedule(now, PRIO_DRAIN, "gateway.drain", drain)
-        kernel.schedule(now, PRIO_TRIAGE, "triage.sweep", triage)
+                        partial(self._phase_reassembly, now))
+        kernel.schedule(now, PRIO_DRAIN, "gateway.drain",
+                        partial(self._phase_drain, state))
+        kernel.schedule(now, PRIO_TRIAGE, "triage.sweep",
+                        partial(self._phase_triage, now, state))
 
     def _schedule_link_events(self, kernel: EventKernel,
                               state: _RunState) -> None:
@@ -790,7 +755,6 @@ class FleetScheduler:
         t_fire = max(t_due, kernel.now_s)
 
         def deliver() -> None:
-            self._set_vt(t_fire)
             self._deliver_due(t_fire)
             self._schedule_link_events(kernel, state)
 

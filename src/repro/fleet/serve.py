@@ -139,7 +139,9 @@ class ServeConfig:
             knob: a full queue stops the reader, which stalls the
             client through TCP flow control instead of dropping.
         max_frame_bytes: Per-frame byte ceiling of the stream decoder
-            (rejected from the length prefix alone).
+            (rejected from the length prefix alone); at most
+            :data:`~repro.fleet.wire.MAX_FRAME_BYTES`, the largest
+            frame the journal accepts.
         throttle_s: Artificial per-frame processing delay — ``0`` in
             production; tests raise it to saturate the bounded queue
             and prove the no-loss backpressure path.
@@ -174,6 +176,9 @@ class ServeConfig:
         if self.max_frame_bytes < 4096:
             raise ValueError("max_frame_bytes must be >= 4096 (a frame "
                              "must fit one telemetry packet)")
+        if self.max_frame_bytes > MAX_FRAME_BYTES:
+            raise ValueError(f"max_frame_bytes must be <= {MAX_FRAME_BYTES}"
+                             " (the journal refuses larger frames)")
         if not math.isfinite(self.throttle_s) or self.throttle_s < 0:
             raise ValueError("throttle_s must be finite and >= 0")
 

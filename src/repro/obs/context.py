@@ -18,7 +18,6 @@ contracts.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from repro.obs.flight import FlightRecorder
@@ -34,9 +33,6 @@ class ObsConfig:
     Attributes:
         trace: Record trace events (disable to keep metrics-only
             accounting at minimum cost).
-        trace_capacity: Optional event-count bound for long soaks;
-            ``None`` = unbounded (required for canonical comparisons).
-        flight_ring_size: Ingested wire frames retained per channel.
         flight_dump_dir: Anomaly dump directory (``None`` = in-memory
             anomaly records only).
         alarm_burst_threshold: Alarms inside the window that count as
@@ -45,8 +41,6 @@ class ObsConfig:
     """
 
     trace: bool = True
-    trace_capacity: int | None = None
-    flight_ring_size: int = 64
     flight_dump_dir: str | None = None
     alarm_burst_threshold: int = 8
     alarm_burst_window_s: float = 10.0
@@ -61,23 +55,17 @@ class Observability:
             when tracing is disabled by config.
         flight: The :class:`~repro.obs.flight.FlightRecorder`.
         config: The :class:`ObsConfig` this bundle was built from.
-        virtual_time_s: Last virtual timestamp set by the scheduler;
-            instrumentation sites without their own event time (queue
-            drops, wire errors) stamp with this.
     """
 
     def __init__(self, config: ObsConfig | None = None) -> None:
         self.config = config or ObsConfig()
         self.metrics = MetricsRegistry()
-        self.trace = (TraceRecorder(capacity=self.config.trace_capacity)
-                      if self.config.trace else None)
+        self.trace = TraceRecorder() if self.config.trace else None
         self.flight = FlightRecorder(
-            ring_size=self.config.flight_ring_size,
             dump_dir=self.config.flight_dump_dir,
             alarm_burst_threshold=self.config.alarm_burst_threshold,
             alarm_burst_window_s=self.config.alarm_burst_window_s,
         )
-        self.virtual_time_s = 0.0
 
     @classmethod
     def from_config(cls, config: ObsConfig | None) -> "Observability | None":
@@ -88,27 +76,13 @@ class Observability:
         """
         return cls(config) if config is not None else None
 
-    def set_virtual_time(self, t_s: float) -> None:
-        """Advance the ambient virtual clock (kernel event time).
-
-        Both schedules of the event kernel (:mod:`repro.fleet.kernel`)
-        stamp this before running a phase, so instrumentation sites
-        without their own event time read a consistent virtual *now*.  Non-finite stamps are
-        rejected: a NaN ambient clock would silently propagate into
-        trace sort keys and anomaly records.
-        """
-        t_s = float(t_s)
-        if not math.isfinite(t_s):
-            raise ValueError(f"virtual time must be finite, got {t_s}")
-        self.virtual_time_s = t_s
-
     def snapshot_bundle(self, scope: str | None = None) -> dict:
         """Dict bundle of metric + trace snapshots (one worker's view)."""
         return {
             "metrics": self.metrics.snapshot(scope=scope),
             "trace": (self.trace.snapshot(scope=scope)
                       if self.trace is not None
-                      else {"events": [], "n_dropped": 0}),
+                      else {"events": []}),
             "flight": self.flight.snapshot(),
         }
 
@@ -118,7 +92,7 @@ class Observability:
             "metrics": self.metrics.snapshot(scope=SCOPE_FLEET),
             "trace": (self.trace.snapshot(scope=SCOPE_FLEET)
                       if self.trace is not None
-                      else {"events": [], "n_dropped": 0}),
+                      else {"events": []}),
         }
 
     def canonical_json(self) -> str:
@@ -158,7 +132,7 @@ def canonical_bundle_json(bundle: dict) -> str:
     """Byte-stable serialization of a merged metric+trace bundle."""
     return json.dumps(
         {"metrics": bundle.get("metrics", {"series": []}),
-         "trace": bundle.get("trace", {"events": [], "n_dropped": 0})},
+         "trace": bundle.get("trace", {"events": []})},
         sort_keys=True, separators=(",", ":"))
 
 
@@ -175,6 +149,5 @@ def canonical_view(bundle: dict) -> dict:
         "metrics": {"series": [s for s in metrics_in.get("series", ())
                                if s.get("scope") == SCOPE_FLEET]},
         "trace": {"events": [e for e in trace_in.get("events", ())
-                             if e.get("scope") == SCOPE_FLEET],
-                  "n_dropped": trace_in.get("n_dropped", 0)},
+                             if e.get("scope") == SCOPE_FLEET]},
     }

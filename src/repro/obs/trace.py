@@ -90,20 +90,10 @@ def _sort_key(event: dict) -> tuple:
 
 
 class TraceRecorder:
-    """Collects trace events and renders a canonical merged stream.
+    """Collects trace events and renders a canonical merged stream."""
 
-    Args:
-        capacity: Optional bound on retained events.  When exceeded the
-            oldest events are dropped and counted in
-            :attr:`n_dropped` — bounded memory for long soaks, at the
-            cost of the determinism contract (canonical comparisons
-            should run unbounded).
-    """
-
-    def __init__(self, capacity: int | None = None) -> None:
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.events: list[TraceEvent] = []
-        self.n_dropped = 0
         self._seq: dict[str, int] = {}
 
     def _next_seq(self, subject: str) -> int:
@@ -111,14 +101,6 @@ class TraceRecorder:
         seq = self._seq.get(subject, 0)
         self._seq[subject] = seq + 1
         return seq
-
-    def _append(self, event: TraceEvent) -> None:
-        """Store one event, enforcing the optional capacity bound."""
-        self.events.append(event)
-        if self.capacity is not None and len(self.events) > self.capacity:
-            drop = len(self.events) - self.capacity
-            del self.events[:drop]
-            self.n_dropped += drop
 
     def instant(self, t_s: float, name: str, subject: str = "",
                 scope: str = SCOPE_FLEET, **attrs) -> TraceEvent:
@@ -151,7 +133,7 @@ class TraceRecorder:
                            scope=scope, subject=subject,
                            seq=self._next_seq(subject), attrs=attrs,
                            dur_s=dur_s)
-        self._append(event)
+        self.events.append(event)
         return event
 
     def snapshot(self, scope: str | None = None) -> dict:
@@ -163,13 +145,13 @@ class TraceRecorder:
                 comparisons.
 
         Returns:
-            ``{"events": [...], "n_dropped": int}`` with events in
-            canonical ``(t_s, subject, seq)`` order.
+            ``{"events": [...]}`` with events in canonical
+            ``(t_s, subject, seq)`` order.
         """
         rows = [e.to_dict() for e in self.events
                 if scope is None or e.scope == scope]
         rows.sort(key=_sort_key)
-        return {"events": rows, "n_dropped": self.n_dropped}
+        return {"events": rows}
 
 
 def canonical_trace_json(snapshot: dict) -> str:
@@ -186,9 +168,7 @@ def merge_trace_snapshots(snapshots: list[dict]) -> dict:
     numbers never collide across inputs.
     """
     events: list[dict] = []
-    n_dropped = 0
     for snapshot in snapshots:
         events.extend(snapshot.get("events", ()))
-        n_dropped += snapshot.get("n_dropped", 0)
     events.sort(key=_sort_key)
-    return {"events": events, "n_dropped": n_dropped}
+    return {"events": events}

@@ -4,8 +4,6 @@ from .node_app import (
     AlarmEvent,
     BEAT_EVENT_BITS,
     CardiacMonitorNode,
-    GovernedNodeReport,
-    ModeSegment,
     NodeReport,
 )
 from .streaming import (
@@ -19,8 +17,6 @@ __all__ = [
     "AlarmEvent",
     "BEAT_EVENT_BITS",
     "CardiacMonitorNode",
-    "GovernedNodeReport",
-    "ModeSegment",
     "NodeReport",
     "RPeakMonitor",
     "StreamingConfig",

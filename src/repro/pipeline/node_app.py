@@ -24,13 +24,6 @@ from ..delineation.wavelet_delineator import WaveletDelineator
 from ..filtering.combination import combine_leads
 from ..filtering.morphological import MorphologicalFilter
 from ..power.battery import Battery
-from ..power.governor import (
-    ACUITY_ALERT,
-    ACUITY_OK,
-    MODE_EVENTS_ONLY,
-    EnergyGovernor,
-    GovernorDecision,
-)
 from ..power.mcu import McuModel
 from ..power.node import NodeEnergyModel
 from ..signals.types import BeatAnnotation, MultiLeadEcg
@@ -91,77 +84,6 @@ class NodeReport:
         if rr_mean_samples <= 0:
             return float("nan")
         return 60.0 * self.fs / rr_mean_samples
-
-
-@dataclass(frozen=True)
-class ModeSegment:
-    """A maximal stretch of one recording spent in one operating mode.
-
-    Attributes:
-        start_s: Segment start within the recording.
-        stop_s: Segment end.
-        mode: Operating mode in force (see :data:`repro.power.MODES`).
-    """
-
-    start_s: float
-    stop_s: float
-    mode: str
-
-    @property
-    def duration_s(self) -> float:
-        """Segment length."""
-        return self.stop_s - self.start_s
-
-
-@dataclass
-class GovernedNodeReport:
-    """Outcome of one recording processed under an :class:`EnergyGovernor`.
-
-    The DSP chain (conditioning, delineation, AF analysis) runs exactly
-    as in :class:`NodeReport`; what changes batch to batch is the
-    *uplink*: the governor picks an operating mode each interval and the
-    transmitted payload, power and battery drain follow its schedule.
-
-    Attributes:
-        duration_s: Recording duration.
-        beats: Delineated beats (mode-independent — DSP is always on).
-        alarms: Abnormality events raised (always uplinked with CS
-            context, in every mode).
-        decisions: Per-interval governor decisions, in time order.
-        mode_seconds: Seconds spent per operating mode.
-        n_switches: Mode changes executed mid-record.
-        transmitted_bits: Application payload handed to the radio.
-        average_power_w: Node average power under the mode schedule.
-        final_soc: Battery state of charge at the end of the recording.
-        projected_hours_to_empty: Hours-to-empty if the final mode held.
-    """
-
-    duration_s: float
-    beats: list[BeatAnnotation]
-    alarms: list[AlarmEvent]
-    decisions: list[GovernorDecision]
-    mode_seconds: dict[str, float]
-    n_switches: int
-    transmitted_bits: int
-    average_power_w: float
-    final_soc: float
-    projected_hours_to_empty: float
-    fs: float = 250.0
-
-    @property
-    def segments(self) -> list[ModeSegment]:
-        """Consecutive same-mode decisions merged into segments."""
-        segments: list[ModeSegment] = []
-        for i, decision in enumerate(self.decisions):
-            stop = (self.decisions[i + 1].t_s
-                    if i + 1 < len(self.decisions) else self.duration_s)
-            if segments and segments[-1].mode == decision.mode:
-                segments[-1] = ModeSegment(segments[-1].start_s,
-                                           stop, decision.mode)
-            else:
-                segments.append(ModeSegment(decision.t_s, stop,
-                                            decision.mode))
-        return segments
 
 
 @dataclass
@@ -235,100 +157,6 @@ class CardiacMonitorNode:
             processing_cycles=cycles,
             average_power_w=power,
             battery_days=self.battery.lifetime_days(power),
-            fs=fs,
-        )
-
-    def process_governed(self, record: MultiLeadEcg,
-                         governor: EnergyGovernor,
-                         interval_s: float | None = None,
-                         acuity_fn=None,
-                         extra_load_fn=None) -> GovernedNodeReport:
-        """Run the chain with the governor switching modes mid-record.
-
-        The DSP chain runs over the whole recording exactly as in
-        :meth:`process` (delineation never pauses); the *uplink* follows
-        the governor: each batch interval it picks an operating mode
-        from battery state of charge and acuity, and the transmitted
-        payload and node power follow that schedule.  Alarms always ship
-        their CS-compressed context, whatever the mode — the §V policy's
-        "when an abnormality is detected" leg is not negotiable.
-
-        Args:
-            record: The recording to process.
-            governor: The (stateful) mode controller; its battery drains
-                across the call, so consecutive recordings continue the
-                discharge curve.
-            interval_s: Governor batch interval; defaults to the radio
-                duty-cycle policy's batching interval.
-            acuity_fn: ``fn(t_s) -> acuity`` override.  By default a
-                node-local proxy is used: ``alert`` while an on-node
-                alarm is within the last 60 s, else ``ok`` (the fleet
-                scheduler replaces this with gateway-fed triage state).
-            extra_load_fn: ``fn(t_s) -> watts`` of parasitic drain
-                (scenario ``battery_drain`` faults).
-
-        Returns:
-            The :class:`GovernedNodeReport` with the mode timeline.
-        """
-        fs = record.fs
-        duration = record.duration_s
-        beats = self._delineate(record)
-        alarms = self._af_alarms(record, fs)
-        dt = (interval_s if interval_s is not None
-              else governor.table.duty.policy.batch_interval_s)
-        if dt <= 0:
-            raise ValueError("interval_s must be positive")
-
-        alarm_times = [a.start / fs for a in alarms]
-
-        def default_acuity(t_s: float) -> str:
-            recent = any(t_s - 60.0 <= at < t_s + dt for at in alarm_times)
-            return ACUITY_ALERT if recent else ACUITY_OK
-
-        acuity_at = acuity_fn or default_acuity
-        table = governor.table
-        model = self.energy_model
-        decisions: list[GovernorDecision] = []
-        mode_seconds: dict[str, float] = {}
-        total_bits = 0.0
-        energy = 0.0
-        t = 0.0
-        while t < duration - 1e-9:
-            step = min(dt, duration - t)
-            extra = extra_load_fn(t) if extra_load_fn is not None else 0.0
-            # Alarm uplink energy rides through the governor as an
-            # extra load, so the battery drain and the reported power
-            # stay mutually consistent (decision.power_w covers
-            # everything the interval cost).
-            interval_alarms = [a for a in alarms
-                               if t <= a.start / fs < t + step]
-            alarm_bits = sum(a.excerpt_bits + 64 for a in interval_alarms)
-            if alarm_bits:
-                extra += model.link.transmit(alarm_bits).energy_j / step
-            decision = governor.step(step, acuity_at(t), extra_load_w=extra)
-            decisions.append(decision)
-            mode = decision.mode
-            mode_seconds[mode] = mode_seconds.get(mode, 0.0) + step
-            energy += decision.power_w * step
-            if mode != MODE_EVENTS_ONLY:
-                total_bits += table.payload_bits_per_s(mode) * step
-            n_interval_beats = sum(1 for b in beats
-                                   if t <= b.r_peak / fs < t + step)
-            total_bits += n_interval_beats * BEAT_EVENT_BITS
-            total_bits += alarm_bits
-            t += step
-
-        return GovernedNodeReport(
-            duration_s=duration,
-            beats=beats,
-            alarms=alarms,
-            decisions=decisions,
-            mode_seconds=mode_seconds,
-            n_switches=sum(1 for d in decisions if d.switched),
-            transmitted_bits=int(total_bits),
-            average_power_w=energy / duration,
-            final_soc=governor.battery.soc,
-            projected_hours_to_empty=governor.projected_hours_to_empty(),
             fs=fs,
         )
 

@@ -23,7 +23,6 @@ from repro.fleet import (
     make_cohort,
     synthesize_patient,
 )
-from repro.pipeline import CardiacMonitorNode
 from repro.power import (
     Battery,
     BatteryModel,
@@ -167,6 +166,34 @@ class TestGovernedScheduler:
         assert (loaded.summary.mean_final_soc
                 < plain.summary.mean_final_soc)
 
+    def test_one_patient_decisions_cover_the_run(self):
+        _, report = run_fleet(soc=0.9, n_patients=1)
+        [(pid, governor)] = report.governors.items()
+        times = [d.t_s for d in governor.decisions]
+        # One decision per period from 0, covering the governed run.
+        assert times == [PERIOD_S * i for i in range(len(times))]
+        assert governor.now_s == 150.0
+        assert sum(governor.mode_seconds.values()) == governor.now_s
+        assert governor.n_switches >= 1
+        assert 0.0 <= governor.battery.soc < 0.9
+        assert report.rows[pid].channel.payload_bits > 0
+        assert report.node_reports[pid].average_power_w > 0
+
+    def test_governor_state_persists_across_runs(self):
+        governor = governor_factory(0.9)(None)
+        cohort = make_cohort(CohortConfig(n_patients=1, seed=11))
+        final_soc = []
+        for _ in range(2):
+            FleetScheduler(
+                cohort, SchedulerConfig(duration_s=60.0),
+                node_config=NodeProxyConfig(excerpt_period_s=PERIOD_S,
+                                            stream_telemetry=False),
+                governor_factory=lambda _: governor).run()
+            final_soc.append(governor.battery.soc)
+        # The second run continues the first one's discharge curve.
+        assert final_soc[1] < final_soc[0] < 0.9
+        assert len(governor.decisions) == 4
+
     def test_ungoverned_run_reports_no_governor_state(self):
         cohort = make_cohort(CohortConfig(n_patients=2, seed=11))
         report = FleetScheduler(
@@ -209,39 +236,3 @@ class TestSingleLeadPacket:
         np.testing.assert_allclose(scalar_frame[0].measurements,
                                    frame[0].measurements, rtol=1e-12)
         assert scalar_frame[0].payload_bits == frame[0].payload_bits
-
-
-class TestProcessGoverned:
-    def test_mode_timeline_covers_the_recording(self):
-        profile = PatientProfile(patient_id="g0", rhythm="nsr", seed=3)
-        record = synthesize_patient(profile, 60.0, 250.0)
-        governor = EnergyGovernor(
-            config=GovernorConfig(min_dwell_s=0.0), table=TABLE,
-            battery=BatteryModel(cell=Battery(capacity_mah=0.02),
-                                 soc=0.9))
-        report = CardiacMonitorNode().process_governed(record, governor,
-                                                       interval_s=5.0)
-        assert sum(report.mode_seconds.values()) == pytest.approx(
-            record.duration_s)
-        segments = report.segments
-        assert segments[0].start_s == 0.0
-        assert segments[-1].stop_s == pytest.approx(record.duration_s)
-        for a, b in zip(segments, segments[1:]):
-            assert a.stop_s == pytest.approx(b.start_s)
-            assert a.mode != b.mode
-        assert report.n_switches >= 1
-        assert 0.0 <= report.final_soc < 0.9
-        assert report.transmitted_bits > 0
-        assert report.average_power_w > 0
-
-    def test_battery_state_persists_across_recordings(self):
-        profile = PatientProfile(patient_id="g1", rhythm="nsr", seed=4)
-        record = synthesize_patient(profile, 30.0, 250.0)
-        governor = EnergyGovernor(
-            config=GovernorConfig(min_dwell_s=0.0), table=TABLE,
-            battery=BatteryModel(cell=Battery(capacity_mah=0.02),
-                                 soc=0.9))
-        node = CardiacMonitorNode()
-        first = node.process_governed(record, governor, interval_s=5.0)
-        second = node.process_governed(record, governor, interval_s=5.0)
-        assert second.final_soc < first.final_soc

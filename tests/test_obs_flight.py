@@ -125,7 +125,7 @@ class TestGatewayIntegration:
     def test_wire_error_trips_anomaly_and_reraises(self, tmp_path):
         obs = Observability(ObsConfig(flight_dump_dir=tmp_path))
         gateway = Gateway(GatewayConfig(), obs=obs)
-        obs.set_virtual_time(12.0)
+        gateway.expire_reassembly(12.0)
         with pytest.raises(WireFormatError):
             gateway.ingest(b"\xde\xad\xbe\xef")
         assert [a.kind for a in obs.flight.anomalies] \

@@ -88,14 +88,6 @@ class TestTraceRecorder:
         names = [e["name"] for e in rec.snapshot()["events"]]
         assert names == ["first", "second"]
 
-    def test_capacity_drops_oldest_and_counts(self):
-        rec = TraceRecorder(capacity=2)
-        for i in range(5):
-            rec.instant(float(i), "e", subject="p0")
-        snap = rec.snapshot()
-        assert [e["t_s"] for e in snap["events"]] == [3.0, 4.0]
-        assert snap["n_dropped"] == 3
-
     def test_merge_equals_single_recorder(self):
         # Split one emission stream by subject (as sharding does) and
         # merge — byte-identical to recording everything in one place.
