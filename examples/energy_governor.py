@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 
 from repro.fleet import (
+    FleetReport,
     FleetScheduler,
     NodeProxyConfig,
     PatientProfile,
@@ -45,6 +46,34 @@ from repro.power import (
     compare_policies,
     mixed_acuity_trace,
 )
+
+#: The demo's one patient.
+PROFILE = PatientProfile(patient_id="demo", rhythm="paroxysmal_af",
+                         af_burden=0.4, snr_db=25.0, seed=17)
+
+
+def run_governed(duration_s: float, soc: float, interval_s: float,
+                 table: ModePowerTable) -> FleetReport:
+    """Run the demo node as a one-patient governed fleet.
+
+    The governor decides every ``interval_s``, dwells at least two
+    intervals per mode, drains a 0.05 mAh cell from ``soc``, and sees
+    the middle third of the recording as an alert episode.
+    """
+    governor = EnergyGovernor(
+        config=GovernorConfig(min_dwell_s=2 * interval_s),
+        table=table,
+        battery=BatteryModel(cell=Battery(capacity_mah=0.05), soc=soc))
+
+    def acuity(_: str, t_s: float) -> str:
+        third = duration_s / 3.0
+        return ACUITY_ALERT if third <= t_s < 2 * third else ACUITY_OK
+
+    return FleetScheduler(
+        [PROFILE], SchedulerConfig(duration_s=duration_s),
+        node_config=NodeProxyConfig(excerpt_period_s=interval_s),
+        governor_factory=lambda _: governor,
+        acuity_override=acuity).run()
 
 
 def mode_timeline(governor: EnergyGovernor) -> list[tuple[float, float, str]]:
@@ -75,35 +104,20 @@ def main() -> None:
     for mode in MODES:
         print(f"  {mode:<18} {1e6 * table.power_w(mode):8.1f} uW")
 
-    profile = PatientProfile(patient_id="demo", rhythm="paroxysmal_af",
-                             af_burden=0.4, snr_db=25.0, seed=17)
-    governor = EnergyGovernor(
-        config=GovernorConfig(min_dwell_s=2 * args.interval),
-        table=table,
-        battery=BatteryModel(cell=Battery(capacity_mah=0.05),
-                             soc=args.soc))
-
-    def acuity(t_s: float) -> str:
-        third = args.duration / 3.0
-        return ACUITY_ALERT if third <= t_s < 2 * third else ACUITY_OK
-
     print(f"\nprocessing {args.duration:.0f} s recording, starting at "
           f"{100 * args.soc:.0f} % charge (alert episode in the middle "
           "third) ...")
-    report = FleetScheduler(
-        [profile], SchedulerConfig(duration_s=args.duration),
-        node_config=NodeProxyConfig(excerpt_period_s=args.interval),
-        governor_factory=lambda _: governor,
-        acuity_override=lambda _, t_s: acuity(t_s)).run()
+    report = run_governed(args.duration, args.soc, args.interval, table)
+    governor = report.governors[PROFILE.patient_id]
 
     print("mode timeline:")
     for start, stop, mode in mode_timeline(governor):
         print(f"  {start:6.0f} - {stop:6.0f} s  {mode}")
     print(f"mode switches: {governor.n_switches}")
     print(f"final state of charge: {100 * governor.battery.soc:.0f} %")
-    node = report.node_reports[profile.patient_id]
+    node = report.node_reports[PROFILE.patient_id]
     print(f"average node power: {1e6 * node.average_power_w:.0f} uW")
-    row = report.rows[profile.patient_id]
+    row = report.rows[PROFILE.patient_id]
     print("payload received by the gateway: "
           f"{row.channel.payload_bits / 8e3:.1f} kB ({row.n_sent} "
           f"packets sent, {len(node.beats)} beats, {len(node.alarms)} "

@@ -134,9 +134,6 @@ class RemoteGateway(Gateway):
         super().__init__(config)
         self._transport = transport
         self._patient_id = patient_id
-        #: Virtual time of the last expiry sweep — the drain commands'
-        #: timestamp (the scheduler drains right after expiring).
-        self._now_s = 0.0
 
     def ingest(self, frame: bytes | bytearray | memoryview,
                packet: UplinkPacket | None = None) -> bool:
@@ -147,23 +144,23 @@ class RemoteGateway(Gateway):
     def expire_reassembly(self, now_s: float | None = None) -> int:
         """Relay the expiry sweep; remember its virtual time."""
         if now_s is not None:
-            self._now_s = float(now_s)
+            self.swept_s = float(now_s)
         self._transport.send_message(ServeMessage(
-            "expire", self._patient_id, t_s=self._now_s))
+            "expire", self._patient_id, t_s=self.swept_s))
         return 0
 
     def drain(self, max_packets: int | None = None) -> list:
         """Relay the drain phase; outputs stay on the server."""
         budget = -1.0 if max_packets is None else float(max_packets)
         self._transport.send_message(ServeMessage(
-            "drain", self._patient_id, t_s=self._now_s,
+            "drain", self._patient_id, t_s=self.swept_s,
             fields={"budget": budget}))
         return []
 
     def flush_reassembly(self) -> int:
         """Relay the end-of-run reassembly flush."""
         self._transport.send_message(ServeMessage(
-            "flush", self._patient_id, t_s=self._now_s))
+            "flush", self._patient_id, t_s=self.swept_s))
         return 0
 
 

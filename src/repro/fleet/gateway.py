@@ -417,8 +417,9 @@ class Gateway:
         self._m = _GatewayMetrics(obs) if obs is not None else None
         self._journal = None
         #: Virtual time of the last :meth:`expire_reassembly` sweep;
-        #: stamps anomalies that carry no packet time of their own.
-        self._swept_s = 0.0
+        #: stamps anomalies that carry no packet time of their own and
+        #: the drain that follows the sweep.
+        self.swept_s = 0.0
 
     def attach_obs(self, obs: Observability | None) -> None:
         """Enable (or disable) observability on a built gateway.
@@ -487,7 +488,7 @@ class Gateway:
 
                     self.obs.flight.anomaly(
                         ANOMALY_WIRE_ERROR, "unknown",
-                        self._swept_s, error=str(exc),
+                        self.swept_s, error=str(exc),
                         frame_b64=base64.b64encode(bytes(frame)).decode(
                             "ascii"))
                 raise
@@ -583,7 +584,7 @@ class Gateway:
             Packets moved into the processing queue.
         """
         if now_s is not None:
-            self._swept_s = float(now_s)
+            self.swept_s = float(now_s)
         released = 0
         for patient_id, buffer in self._reassembly.items():
             if not buffer.buffer:
@@ -601,11 +602,11 @@ class Gateway:
                     self._m.stalls.inc(patient=patient_id)
                     if self.obs.trace is not None:
                         self.obs.trace.instant(
-                            self._swept_s, "gateway.reassembly_stall",
+                            self.swept_s, "gateway.reassembly_stall",
                             subject=patient_id, n_released=n_stalled)
                     self.obs.flight.anomaly(
                         ANOMALY_REASSEMBLY_STALL, patient_id,
-                        self._swept_s,
+                        self.swept_s,
                         n_released=n_stalled,
                         gap_ticks=self.config.reassembly_gap_ticks)
         return released

@@ -366,9 +366,6 @@ class FleetScheduler:
         self.sent_by_patient: dict[str, int] = {}
         self.journal = journal
         self.journal_indexes = journal_indexes or {}
-        #: Virtual time of the sweep being journaled (set by the
-        #: reassembly phase, read by the drain phase's record).
-        self._journal_now_s = 0.0
         if journal is not None:
             self.gateway.attach_journal(journal)
 
@@ -531,7 +528,6 @@ class FleetScheduler:
         if self.journal is not None:
             self.journal.append_message(ServeMessage(
                 "expire", "", t_s=now))
-            self._journal_now_s = now
         self.gateway.expire_reassembly(now)
 
     def _phase_drain(self, state: _RunState) -> None:
@@ -539,7 +535,7 @@ class FleetScheduler:
         if self.journal is not None:
             budget = self.config.drain_per_tick
             self.journal.append_message(ServeMessage(
-                "drain", "", t_s=self._journal_now_s,
+                "drain", "", t_s=self.gateway.swept_s,
                 fields={"budget": (-1.0 if budget is None
                                    else float(budget))}))
         for excerpt in self.gateway.drain(self.config.drain_per_tick):

@@ -93,7 +93,6 @@ from .scheduler import SchedulerConfig
 from .sharding import ShardHookFactory, ShardHooks, merge_patient_rows
 from .triage import FleetSummary, ShardPatientRow
 from .wire import (
-    MAX_FRAME_BYTES,
     ServeMessage,
     StreamDecoder,
     StreamFrameError,
@@ -138,10 +137,6 @@ class ServeConfig:
             socket reader and the session consumer — the backpressure
             knob: a full queue stops the reader, which stalls the
             client through TCP flow control instead of dropping.
-        max_frame_bytes: Per-frame byte ceiling of the stream decoder
-            (rejected from the length prefix alone); at most
-            :data:`~repro.fleet.wire.MAX_FRAME_BYTES`, the largest
-            frame the journal accepts.
         throttle_s: Artificial per-frame processing delay — ``0`` in
             production; tests raise it to saturate the bounded queue
             and prove the no-loss backpressure path.
@@ -158,7 +153,6 @@ class ServeConfig:
     port: int = 0
     n_lanes: int = 2
     queue_capacity: int = 64
-    max_frame_bytes: int = MAX_FRAME_BYTES
     throttle_s: float = 0.0
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
     journal: JournalConfig | None = None
@@ -173,12 +167,6 @@ class ServeConfig:
             raise ValueError("n_lanes must be >= 1")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if self.max_frame_bytes < 4096:
-            raise ValueError("max_frame_bytes must be >= 4096 (a frame "
-                             "must fit one telemetry packet)")
-        if self.max_frame_bytes > MAX_FRAME_BYTES:
-            raise ValueError(f"max_frame_bytes must be <= {MAX_FRAME_BYTES}"
-                             " (the journal refuses larger frames)")
         if not math.isfinite(self.throttle_s) or self.throttle_s < 0:
             raise ValueError("throttle_s must be finite and >= 0")
 
@@ -438,7 +426,7 @@ class FleetGatewayServer:
     async def _serve_conn(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
         """`_handle_conn` body, cancellable at any await."""
-        decoder = StreamDecoder(self.config.max_frame_bytes)
+        decoder = StreamDecoder()
         handler = asyncio.current_task()
         self._reading[handler] = None
         try:

@@ -9,6 +9,9 @@ governed power/battery accounting folded into the fleet summary.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,7 @@ from repro.power import (
 
 TABLE = ModePowerTable()
 PERIOD_S = 30.0
+EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
 def governor_factory(soc: float):
@@ -202,6 +206,38 @@ class TestGovernedScheduler:
         assert not report.summary.governed
         assert report.governors == {}
         assert np.isnan(report.summary.mean_final_soc)
+
+
+def load_energy_governor_demo():
+    """Import ``examples/energy_governor.py`` without running it."""
+    spec = importlib.util.spec_from_file_location(
+        "energy_governor_demo", EXAMPLES_DIR / "energy_governor.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    return demo
+
+
+class TestEnergyGovernorDemo:
+    def test_default_run_prints_the_mode_timeline(self):
+        demo = load_energy_governor_demo()
+        report = demo.run_governed(300.0, 0.9, 10.0, TABLE)
+        governor = report.governors[demo.PROFILE.patient_id]
+        timeline = demo.mode_timeline(governor)
+        # The merged segments tile the run, and a switch separates
+        # every two neighbours.
+        assert timeline[0][0] == 0.0
+        assert timeline[-1][1] == governor.now_s == 300.0
+        for (_, stop, mode), (start, _, next_mode) in zip(timeline,
+                                                          timeline[1:]):
+            assert stop == start
+            assert mode != next_mode
+        assert governor.n_switches == len(timeline) - 1
+        # The demo's defaults: an alert upshift to raw, back to
+        # multi-lead, then down to single-lead as the cell drains.
+        assert [(start, mode) for start, _, mode in timeline] == [
+            (0.0, MODE_MULTI_LEAD_CS), (20.0, MODE_RAW),
+            (70.0, MODE_MULTI_LEAD_CS), (230.0, MODE_SINGLE_LEAD_CS)]
+        assert round(100 * governor.battery.soc) == 39
 
 
 class TestSingleLeadPacket:

@@ -27,7 +27,6 @@ from repro.fleet import (
     JournalConfig,
     JournalReader,
     JournalWriter,
-    MAX_FRAME_BYTES,
     NodeProxy,
     NodeProxyConfig,
     PatientProfile,
@@ -187,10 +186,8 @@ class TestServeConfig:
         (dict(port=70000), "port"),
         (dict(n_lanes=0), "n_lanes"),
         (dict(queue_capacity=0), "queue_capacity"),
-        (dict(max_frame_bytes=16), "max_frame_bytes"),
         (dict(throttle_s=-0.1), "throttle_s"),
         (dict(throttle_s=float("inf")), "throttle_s"),
-        (dict(max_frame_bytes=MAX_FRAME_BYTES + 1), "max_frame_bytes"),
     ])
     def test_invalid_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
