@@ -38,7 +38,6 @@ from .scheduler import FleetReport, FleetScheduler, SchedulerConfig
 from .sharding import ShardHooks
 from .triage import TriageBoard
 from .wire import (
-    MAX_FRAME_BYTES,
     ServeMessage,
     StreamDecoder,
     decode_message,
@@ -61,11 +60,10 @@ class _Transport:
     """
 
     def __init__(self, host: str, port: int,
-                 max_frame_bytes: int = MAX_FRAME_BYTES,
                  timeout_s: float = 120.0) -> None:
         self._sock = socket.create_connection((host, port),
                                               timeout=timeout_s)
-        self._decoder = StreamDecoder(max_frame_bytes)
+        self._decoder = StreamDecoder()
         self._inbox: deque[bytes] = deque()
         self._outbox = bytearray()
 
@@ -212,14 +210,11 @@ class FleetClient:
     Args:
         host: Gateway service host.
         port: Gateway service port (``FleetGatewayServer.port``).
-        max_frame_bytes: Stream-decoder frame ceiling for the downlink.
     """
 
-    def __init__(self, host: str, port: int,
-                 max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.max_frame_bytes = max_frame_bytes
         #: Whether the last :meth:`run` resumed an existing session.
         self.resumed = False
 
@@ -244,8 +239,7 @@ class FleetClient:
         """
         hooks = hooks or ShardHooks()
         pid = profile.patient_id
-        transport = _Transport(self.host, self.port,
-                               self.max_frame_bytes)
+        transport = _Transport(self.host, self.port)
         try:
             transport.send_message(ServeMessage("hello", pid))
             ack = transport.recv_message()
