@@ -27,6 +27,7 @@ from repro.fleet import (
     JournalConfig,
     JournalReader,
     JournalWriter,
+    MAX_FRAME_BYTES,
     NodeProxy,
     NodeProxyConfig,
     PatientProfile,
@@ -306,6 +307,19 @@ class TestConnectionSemantics:
         if obs is not None:
             frames = obs.metrics.families()["serve_frames_total"]
             assert frames.value(kind="invalid") == 1
+
+    def test_frame_above_the_journal_ceiling_gets_error_downlink(
+            self, tmp_path):
+        # The stream decoder refuses, from the length prefix alone, any
+        # frame the journal would refuse, and the peer hears why.
+        config = ServeConfig(journal=JournalConfig(dir=str(tmp_path),
+                                                   name="ceiling"))
+        with FleetGatewayServer(config) as server:
+            transport = _hello(server, "big")
+            transport._sock.sendall(struct.pack("<I", MAX_FRAME_BYTES + 1))
+            with pytest.raises(ServeError, match="bound"):
+                transport.recv_message()
+            transport.close()
 
     def test_non_utf8_hello_is_counted_rejected(self, non_utf8):
         hello = encode_message(ServeMessage("hello", "px"))
